@@ -24,6 +24,7 @@ heuristically certified because the covering radius itself is estimated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -345,7 +346,10 @@ class HypothesisReport:
     is two-to-one).  ``reasons`` lists the failed checks.
 
     The originating sphere sample and the image values are attached (not
-    serialized) so that downstream consumers can reuse them.
+    serialized) so that downstream consumers can reuse them.  So is the
+    ``fingerprint`` of the map the report was computed for: ``(n, kappa,
+    terms)`` for polynomial bodies and ``(n, kappa, body)`` for black boxes,
+    whose body is compared by identity (see :meth:`matches`).
     """
 
     n: int
@@ -367,6 +371,17 @@ class HypothesisReport:
     argmin_det: np.ndarray
     sample: SphereSample = field(repr=False)
     images: np.ndarray = field(repr=False)
+    fingerprint: tuple = field(repr=False)
+
+    def matches(self, m: MapSpec) -> bool:
+        """True when this report was computed for ``m``: same dimension and
+        order, and the same polynomial terms or the same black-box object."""
+        n, kappa, key = self.fingerprint
+        if (n, kappa) != (m.n, float(m.kappa)):
+            return False
+        if isinstance(m.body, PolyMap):
+            return key == m.body.components
+        return key is m.body
 
     def to_json_dict(self) -> dict:
         return {
@@ -474,6 +489,11 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
         argmin_det=jac.argmin,
         sample=sample,
         images=images,
+        fingerprint=(
+            m.n,
+            float(m.kappa),
+            m.body.components if isinstance(m.body, PolyMap) else m.body,
+        ),
     )
 
 
@@ -499,7 +519,7 @@ def coercivity_bracket(report: HypothesisReport, eta, kappa: float) -> tuple[flo
         raise InvalidInputError(f"eta must be a vector of length {report.n}")
     if not np.all(np.isfinite(e)):
         raise InvalidInputError("eta contains non-finite components")
-    mag = float(np.linalg.norm(e))
+    mag = math.hypot(*e)  # no underflow or overflow at extreme |eta|
     if mag == 0.0:
         raise InvalidInputError("eta must be nonzero (the origin's preimage is the origin)")
     if report.c0_empirical <= 0.0:

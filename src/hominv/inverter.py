@@ -21,6 +21,7 @@ Residuals are judged relative to ``max(1, |target|)`` throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +33,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     PreconditionError,
+    SingularJacobianError,
 )
 from .hypotheses import HypothesisReport, coercivity_bracket
 from .mapcore import MapSpec, eval_jacobian, eval_map
@@ -231,7 +233,7 @@ def _polish(m: MapSpec, x: np.ndarray, target: np.ndarray, rounds: int = 2) -> n
         J = eval_jacobian(m, best).entries
         try:
             dx = solve_guarded(J, eval_map(m, best) - target)
-        except Exception:
+        except SingularJacobianError:
             break
         cand = best - dx
         res = float(np.linalg.norm(eval_map(m, cand) - target))
@@ -255,6 +257,11 @@ def _require_report(m: MapSpec, report: HypothesisReport | None, force: bool,
         from .hypotheses import check_hypotheses
 
         return check_hypotheses(m)
+    if not report.matches(m):
+        raise PreconditionError(
+            "the hypothesis report was computed for a different map (dimension, "
+            "order or body differ); check this map and pass its own report"
+        )
     acceptable = ("pass", "hypotheses-met-but-n<3") if allow_warn else ("pass",)
     if report.status not in acceptable and not force:
         raise PreconditionError(
@@ -278,7 +285,8 @@ def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
     Raises
     ------
     PreconditionError
-        No report, or a non-passing one without ``force``.
+        No report, a report computed for another map (even with ``force``),
+        or a non-passing one without ``force``.
     ContinuationFailedError
         Step-size underflow on every candidate seed; carries the furthest
         waypoint reached.
@@ -293,7 +301,8 @@ def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
         raise InvalidInputError(f"eta must be a vector of length {m.n}")
     if not np.all(np.isfinite(e)):
         raise InvalidInputError("eta contains non-finite components")
-    mag = float(np.linalg.norm(e))
+    # hypot, unlike the norm, neither underflows nor overflows at extreme |eta|
+    mag = math.hypot(*e)
     if mag == 0.0:
         return InversionResult(
             xi=np.zeros(m.n),
@@ -329,7 +338,7 @@ def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
             continue
         xi_unit = _polish(m, xi_unit, omega)
         xi = scale_back * xi_unit
-        residual = float(np.linalg.norm(eval_map(m, xi) - e))
+        residual = math.hypot(*(eval_map(m, xi) - e))
         if residual <= cfg.tol * max(1.0, mag):
             return InversionResult(
                 xi=xi,

@@ -69,6 +69,24 @@ def _as_matrix(points, n: int, name: str = "xi"):
     return x, single
 
 
+def _coefficient_matrix(n: int, rows: int, entries):
+    """Shared monomial basis of ``entries`` and the coefficients on it.
+
+    ``entries`` yields ``(row, coeff, exponents)`` with no ``(row, exponents)``
+    pair twice.  The ``M`` distinct monomials are numbered in order of first
+    appearance.  Returns the gather index of :meth:`PolyMap._basis` (``n x M``:
+    entry ``[j, m]`` is ``E[m, j] * n + j`` for the exponent matrix ``E``) and
+    the ``rows x M`` coefficient matrix.
+    """
+    index: dict[Tuple[int, ...], int] = {}
+    cells = [(r, index.setdefault(e, len(index)), c) for r, c, e in entries]
+    E = np.array(list(index), dtype=np.intp).reshape(len(index), n)
+    C = np.zeros((rows, len(index)))
+    for r, k, c in cells:
+        C[r, k] = c
+    return np.ascontiguousarray(E.T * n + np.arange(n)[:, None]), C
+
+
 class PolyMap:
     """A vector of multivariate polynomials in canonical form.
 
@@ -89,9 +107,20 @@ class PolyMap:
     verifies it and :func:`hominv.polyparser.parse_map` rejects violations.
     ``degree`` is the largest total degree present, or 1 for the zero map so
     that a default order is always well defined.
+
+    Evaluation runs on a shared monomial basis.  The ``M`` distinct monomials
+    of all components form an exponent matrix ``E`` (``M x n``) with
+    coefficients ``C`` (``n x M``), so the values at a batch ``X`` are
+    ``basis(X, E) @ C.T``.  The first partials likewise share the ``M'``
+    distinct degree ``d - 1`` monomials ``E'`` with coefficients ``D``
+    (``n**2 x M'``, row ``i*n + j`` holding ``dP_i/dx_j``), so the Jacobian is
+    ``basis(X, E') @ D.T`` reshaped to ``(B, n, n)``.  ``basis`` reads every
+    monomial from one power table ``X**k``, ``k = 0..d``, one variable's
+    factors at a time.  ``components`` remains the canonical form that
+    formatting and equality use.
     """
 
-    __slots__ = ("n", "components", "degree", "_coeffs", "_exps", "_partials")
+    __slots__ = ("n", "components", "degree", "_powers", "_E", "_C", "_dE", "_D")
 
     def __init__(self, n: int, components: Sequence[Sequence[Term]]):
         n = int(n)
@@ -125,37 +154,40 @@ class PolyMap:
         self.components = tuple(canon)
         degrees = [sum(e) for terms in canon for _, e in terms]
         self.degree = max(degrees) if degrees else 1
-        self._coeffs = [np.array([c for c, _ in terms], dtype=float) for terms in canon]
-        self._exps = [
-            np.array([e for _, e in terms], dtype=np.int64).reshape(len(terms), n)
-            for terms in canon
-        ]
-        self._partials = None
+        self._powers = np.arange(self.degree + 1.0)[:, None, None]
+        # E and E' are kept as the gather indices of _basis
+        self._E, self._C = _coefficient_matrix(
+            n, n, ((i, c, e) for i, terms in enumerate(canon) for c, e in terms)
+        )
+        self._dE, self._D = _coefficient_matrix(
+            n,
+            n * n,
+            (
+                (i * n + j, c * e[j], e[:j] + (e[j] - 1,) + e[j + 1 :])
+                for i, terms in enumerate(canon)
+                for c, e in terms
+                for j in range(n)
+                if e[j]
+            ),
+        )
+
+    def _basis(self, X: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Monomials at a ``(B, n)`` batch, as a ``(B, M)`` view.
+
+        Row ``k*n + j`` of the power table holds ``X[:, j]**k``; ``index[j]``
+        picks each monomial's factor in variable ``j`` from it, so the basis
+        is ``n`` row gathers multiplied together.
+        """
+        P = (X.T[None, :, :] ** self._powers).reshape(-1, X.shape[0])
+        out = P.take(index[0], axis=0)
+        for j in range(1, self.n):
+            out *= P.take(index[j], axis=0)
+        return out.T
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the polynomial part at a ``(B, n)`` batch; returns ``(B, n)``."""
         X = np.asarray(points, dtype=float)
-        out = np.zeros((X.shape[0], self.n))
-        for i, (coeffs, exps) in enumerate(zip(self._coeffs, self._exps)):
-            if coeffs.size:
-                out[:, i] = np.power(X[:, None, :], exps[None, :, :]).prod(axis=2) @ coeffs
-        return out
-
-    def _partial_arrays(self):
-        if self._partials is None:
-            parts = []
-            for coeffs, exps in zip(self._coeffs, self._exps):
-                row = []
-                for j in range(self.n):
-                    mask = exps[:, j] > 0
-                    c = coeffs[mask] * exps[mask, j]
-                    e = exps[mask].copy()
-                    if e.size:
-                        e[:, j] -= 1
-                    row.append((c, e.reshape(len(c), self.n)))
-                parts.append(row)
-            self._partials = parts
-        return self._partials
+        return self._basis(X, self._E) @ self._C.T
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
         """Exact derivative of the polynomial part at a ``(B, n)`` batch.
@@ -164,14 +196,7 @@ class PolyMap:
         term-wise differentiation.
         """
         X = np.asarray(points, dtype=float)
-        J = np.zeros((X.shape[0], self.n, self.n))
-        for i, row in enumerate(self._partial_arrays()):
-            for j, (coeffs, exps) in enumerate(row):
-                if coeffs.size:
-                    J[:, i, j] = (
-                        np.power(X[:, None, :], exps[None, :, :]).prod(axis=2) @ coeffs
-                    )
-        return J
+        return (self._basis(X, self._dE) @ self._D.T).reshape(X.shape[0], self.n, self.n)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMap):

@@ -10,6 +10,7 @@ from hominv import (
     check_hypotheses,
     complex_square_map,
     count_preimages,
+    diag_map,
     eval_jacobian,
     identity_map,
     injectivity_probe,
@@ -136,6 +137,17 @@ def test_count_preimages_validation():
         count_preimages(m, np.array([1.0, 2.0]), report=rep)
     with pytest.raises(PreconditionError):
         count_preimages(m, np.array([1.0, 0.0, 0.0]))
+
+
+def test_degree_functions_reject_report_of_another_map():
+    m = diag_map((1.0, 2.0, 3.0))
+    rep = report_for("radial_cube", lambda: radial_cube_map(3))
+    eta = np.array([1.0, 2.0, 3.0])
+    for call in (lambda: count_preimages(m, eta, report=rep, force=True),
+                 lambda: mapping_degree(m, eta, report=rep, force=True),
+                 lambda: injectivity_probe(m, trials=1, report=rep, force=True)):
+        with pytest.raises(PreconditionError):
+            call()
 
 
 def test_degree_on_admissible_4d_map():

@@ -242,6 +242,19 @@ def test_check_hypotheses_flags_inhomogeneous_blackbox():
     assert "homogeneity-residual" in rep.reasons
 
 
+def test_report_matches_only_its_map():
+    rep = check_hypotheses(radial_cube_map(3), count=500)
+    assert rep.matches(radial_cube_map(3))
+    assert not rep.matches(diag_map((1.0, 2.0, 3.0)))
+    assert not rep.matches(MapSpec(radial_cube_map(3).body, kappa=4.0))
+    assert "fingerprint" not in rep.to_json_dict()
+    bb = blackbox_of(radial_cube_map(3), with_jacobian=True)
+    bb_rep = check_hypotheses(bb, count=500)
+    assert bb_rep.matches(bb)
+    assert not bb_rep.matches(blackbox_of(radial_cube_map(3), with_jacobian=True))
+    assert not bb_rep.matches(radial_cube_map(3))
+
+
 def test_check_hypotheses_deterministic():
     a = check_hypotheses(radial_linear_map((1.0, 2.0, 3.0), kappa=2.0), count=1500, seed=3)
     b = check_hypotheses(radial_linear_map((1.0, 2.0, 3.0), kappa=2.0), count=1500, seed=3)

@@ -1,5 +1,7 @@
 """Continuation-based inversion: paths, preimages, preconditions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,30 @@ def test_invert_bracket_containment():
         r_lo, r_hi = res.bracket
         slack = 1e-9 * r_hi
         assert r_lo - slack <= r <= r_hi + slack
+
+
+def test_invert_extreme_target_magnitudes():
+    # a sum of squares of these components underflows (1e-170) or overflows
+    # (1e155), so |eta| must be taken without one
+    m = radial_cube_map(3)
+    rep = report_for("radial_cube", lambda: radial_cube_map(3))
+    for scale in (1e-170, 1e155):
+        eta = scale * np.array([0.3, -0.5, 0.8])
+        res = invert(m, eta, report=rep)
+        rel = math.hypot(*(eval_map(m, res.xi) - eta)) / math.hypot(*eta)
+        assert rel <= 1e-8
+        r = math.hypot(*res.xi)
+        r_lo, r_hi = res.bracket
+        slack = 1e-9 * r_hi
+        assert r_lo - slack <= r <= r_hi + slack
+
+
+def test_invert_rejects_report_of_another_map():
+    rep = check_hypotheses(radial_cube_map(3))
+    with pytest.raises(PreconditionError):
+        invert(diag_map((1, 2, 3)), [1, 2, 3], report=rep)
+    with pytest.raises(PreconditionError):
+        invert(diag_map((1, 2, 3)), [1, 2, 3], report=rep, force=True)
 
 
 def test_invert_requires_report():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hominv import (
     BlackBox,
@@ -23,6 +25,7 @@ from hominv import (
     radial_cube_map,
     radial_linear_map,
     random_admissible_map,
+    random_polymap_spec,
 )
 
 
@@ -262,3 +265,40 @@ def test_polymap_equality_on_canonical_form():
     a = PolyMap(2, [[(1.0, (2, 0)), (1.0, (0, 2))], [(2.0, (1, 1))]])
     b = PolyMap(2, [[(1.0, (0, 2)), (0.5, (2, 0)), (0.5, (2, 0))], [(2.0, (1, 1))]])
     assert a == b
+
+
+def _term_by_term(body, X):
+    """Values and Jacobian of a polynomial body summed one term at a time,
+    with the sums of the absolute term magnitudes of every entry."""
+    B, n = X.shape
+    F, F_mag = np.zeros((B, n)), np.zeros((B, n))
+    J, J_mag = np.zeros((B, n, n)), np.zeros((B, n, n))
+    for i, terms in enumerate(body.components):
+        for c, e in terms:
+            term = c * np.prod([X[:, k] ** e[k] for k in range(n)], axis=0)
+            F[:, i] += term
+            F_mag[:, i] += np.abs(term)
+            for j in range(n):
+                if e[j]:
+                    d = list(e)
+                    d[j] -= 1
+                    part = c * e[j] * np.prod([X[:, k] ** d[k] for k in range(n)], axis=0)
+                    J[:, i, j] += part
+                    J_mag[:, i, j] += np.abs(part)
+    return F, F_mag, J, J_mag
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 100]), st.integers(0, 2**32 - 1))
+def test_polymap_kernel_matches_term_by_term_sums(spec_seed, rows, x_seed):
+    # random_polymap_spec covers n = 1, empty components and weighted bodies
+    body = random_polymap_spec(spec_seed).body
+    rng = np.random.default_rng(x_seed)
+    X = rng.standard_normal((rows, body.n)) * 10.0 ** rng.uniform(-2, 2, size=(rows, 1))
+    X[rng.random((rows, body.n)) < 0.25] = 0.0
+    F, F_mag, J, J_mag = _term_by_term(body, X)
+    assert body.evaluate(X).shape == (rows, body.n)
+    assert body.jacobian(X).shape == (rows, body.n, body.n)
+    assert np.all(np.abs(body.evaluate(X) - F) <= 1e-13 * F_mag)
+    assert np.all(np.abs(body.jacobian(X) - J) <= 1e-13 * J_mag)
+
