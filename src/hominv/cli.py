@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -44,15 +45,14 @@ from .errors import (
     PreconditionError,
     SingularJacobianError,
 )
-from .hypotheses import check_hypotheses
+from .hypotheses import _STATUS_WARN, check_hypotheses
 from .inverter import ContinuationConfig, invert
-from .mapcore import MapSpec, eval_map
+from .mapcore import MapSpec
 from .polyparser import format_map, parse_map
 
 __all__ = ["main", "console_main"]
 
 _SALT_TARGETS = 173
-_STATUS_WARN = "hypotheses-met-but-n<3"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,9 +249,7 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
         worst = 0.0
         for eta in targets:
             res = invert(m, eta, cfg, hyp, force=ns.force)
-            rel = float(np.linalg.norm(eval_map(m, res.xi) - eta)) / float(
-                np.linalg.norm(eta)
-            )
+            rel = res.residual / math.hypot(*eta)
             worst = max(worst, rel)
             entry = res.to_json_dict(eta=eta)
             entry["relative_residual"] = rel

@@ -15,6 +15,7 @@ planar counterexample (the complex square) shows count two and degree two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,19 +143,26 @@ def count_preimages(m: MapSpec, eta, starts: Optional[int] = None,
     e = np.asarray(eta, dtype=float)
     if e.ndim != 1 or e.shape[0] != m.n:
         raise InvalidInputError(f"eta must be a vector of length {m.n}")
-    if not np.all(np.isfinite(e)) or float(np.linalg.norm(e)) == 0.0:
+    # hypot, unlike the norm, neither underflows nor overflows at extreme |eta|
+    mag = math.hypot(*e)
+    if mag == 0.0 or not math.isfinite(mag):
         raise InvalidInputError("eta must be finite and nonzero")
     report = _require_report(m, report, force, allow_warn=True)
     if starts is None:
         starts = 64 * m.n
     if starts < 1:
         raise InvalidParameterError("starts must be >= 1")
-    bracket = coercivity_bracket(report, e, m.kappa)
-    kept = _search_roots(m, e, bracket, starts, cfg.tol, seed)
+    # search at the unit target, where the absolute tolerance is relative,
+    # and rescale: f(s x) = |eta| f(x) for s = |eta|**(1/kappa), and
+    # det Df(s x) = s**(n (kappa - 1)) det Df(x) keeps its sign
+    omega = e / mag
+    bracket = coercivity_bracket(report, omega, m.kappa)
+    kept = _search_roots(m, omega, bracket, starts, cfg.tol, seed)
     if not kept:
         return []
     dets = np.linalg.det(eval_jacobian_batch(m, np.array(kept)))
-    return [(x, 1 if d > 0 else -1) for x, d in zip(kept, dets)]
+    scale = mag ** (1.0 / m.kappa)
+    return [(scale * x, 1 if d > 0 else -1) for x, d in zip(kept, dets)]
 
 
 def mapping_degree(m: MapSpec, eta, starts: Optional[int] = None,

@@ -80,9 +80,17 @@ class SingularJacobianError(HominvError):
 class ContinuationFailedError(HominvError):
     """Path continuation aborted: the step size underflowed before reaching
     the target.  ``last_t`` and ``last_xi`` record the furthest waypoint that
-    was still tracked successfully."""
+    was still tracked successfully.
 
-    def __init__(self, message: str, last_t: float | None = None, last_xi=None):
+    ``seed_failures`` holds one ``(sample index, reason)`` pair per seed
+    tried, in the order tried.  ``reason`` is the mode of the last failed
+    Newton correction on that seed's path (``"singular"``, ``"diverged"`` or
+    ``"no-convergence"``), or ``"residual-over-tol"`` for a path tracked to
+    ``t = 1`` whose rescaled residual missed the tolerance."""
+
+    def __init__(self, message: str, last_t: float | None = None, last_xi=None,
+                 seed_failures: tuple = ()):
         self.last_t = last_t
         self.last_xi = last_xi
+        self.seed_failures = seed_failures
         super().__init__(message)

@@ -77,6 +77,8 @@ DET_TOL = 1e-12
 
 _REFINE_MAX_ITER = 200
 _REFINE_STEP_TOL = 1e-10
+
+#: report status when every analytic check passed but ``n < 3``
 _STATUS_WARN = "hypotheses-met-but-n<3"
 
 
@@ -228,17 +230,19 @@ class ExtremaEstimate:
     c_max_sampled: float
 
 
-def estimate_extrema(m: MapSpec, sample: SphereSample, images: np.ndarray | None = None) -> ExtremaEstimate:
+def estimate_extrema(m: MapSpec, sample: SphereSample,
+                     image_norms: np.ndarray | None = None) -> ExtremaEstimate:
     """Estimate ``min`` and ``max`` of ``|f|`` over the unit sphere.
 
-    Evaluates ``f`` on the sample (or reuses precomputed ``images``), then
-    refines both arg-extrema with projected gradient on ``|f(w)|**2`` using
-    the exact gradient ``2 Df(w)^T f(w)``.
+    Evaluates ``|f|`` on the sample (or reuses ``image_norms``, the
+    precomputed norms of the sample's images), then refines both arg-extrema
+    with projected gradient on ``|f(w)|**2`` using the exact gradient
+    ``2 Df(w)^T f(w)``.
     """
     if sample.n != m.n:
         raise InvalidInputError("sample dimension disagrees with the map")
-    F = eval_map(m, sample.points) if images is None else images
-    mags = np.linalg.norm(F, axis=1)
+    mags = (np.linalg.norm(eval_map(m, sample.points), axis=1)
+            if image_norms is None else image_norms)
     i0 = int(np.argmin(mags))
     i1 = int(np.argmax(mags))
 
@@ -345,8 +349,11 @@ class HypothesisReport:
     is NOT implied (the planar squaring map passes all analytic checks and
     is two-to-one).  ``reasons`` lists the failed checks.
 
-    The originating sphere sample and the image values are attached (not
-    serialized) so that downstream consumers can reuse them.  So is the
+    The originating sphere sample, the image values and their row norms
+    ``image_norms`` are attached (not serialized) so that downstream
+    consumers can reuse them: :func:`~hominv.inverter.invert` scores every
+    sample row's alignment with its target from ``images`` and
+    ``image_norms`` without normalizing the images again.  So is the
     ``fingerprint`` of the map the report was computed for: ``(n, kappa,
     terms)`` for polynomial bodies and ``(n, kappa, body)`` for black boxes,
     whose body is compared by identity (see :meth:`matches`).
@@ -371,6 +378,7 @@ class HypothesisReport:
     argmin_det: np.ndarray
     sample: SphereSample = field(repr=False)
     images: np.ndarray = field(repr=False)
+    image_norms: np.ndarray = field(repr=False)
     fingerprint: tuple = field(repr=False)
 
     def matches(self, m: MapSpec) -> bool:
@@ -426,9 +434,10 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
     n_points = DEFAULT_SAMPLES_PER_DIM * m.n if count is None else int(count)
     sample = sample_sphere(m.n, n_points, seed)
     images = eval_map(m, sample.points)
+    image_norms = np.linalg.norm(images, axis=1)
     finite_ok = bool(np.all(np.isfinite(images)))
     if finite_ok:
-        ext = estimate_extrema(m, sample, images=images)
+        ext = estimate_extrema(m, sample, image_norms=image_norms)
         jac = check_jacobian_nonvanishing(m, sample)
         resid = homogeneity_residual(m, count=100, seed=seed)
     else:
@@ -489,6 +498,7 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
         argmin_det=jac.argmin,
         sample=sample,
         images=images,
+        image_norms=image_norms,
         fingerprint=(
             m.n,
             float(m.kappa),

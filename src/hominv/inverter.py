@@ -7,8 +7,13 @@ bijectivity makes every path lift unique.  The inverter exploits this:
 
 1. reduce the target to the unit sphere, ``omega = eta / |eta|`` (the full
    preimage is recovered afterwards as ``|eta|**(1/kappa) * xi_unit``);
-2. pick a seed ``xi0`` from the hypothesis-check sample whose image direction
-   is closest to ``omega``;
+2. rank the hypothesis-check sample by how well each image direction aligns
+   with ``omega``: the score of row ``i`` is ``(f(w_i) . omega) / |f(w_i)|``,
+   read from the images and their norms cached on the report (rows with a
+   zero or non-finite image score ``-inf`` and are never tried).  The best
+   ``seed_attempts`` rows are picked with a partition around the k-th largest
+   score, and only the rows at or above it are sorted (stably, so ties keep
+   sample order); these are the candidate seeds ``xi0``, best-aligned first;
 3. connect ``eta0 = f(xi0)`` to ``omega`` by a path that interpolates the
    magnitude geometrically and the direction along the great circle, so the
    path never crosses the origin (its magnitude is ``|eta0|**(1-t)``);
@@ -35,7 +40,7 @@ from .errors import (
     PreconditionError,
     SingularJacobianError,
 )
-from .hypotheses import HypothesisReport, coercivity_bracket
+from .hypotheses import _STATUS_WARN, HypothesisReport, coercivity_bracket
 from .mapcore import MapSpec, eval_jacobian, eval_map
 
 __all__ = [
@@ -179,8 +184,12 @@ def slerp_path(eta0, eta1, t: float) -> np.ndarray:
 
 
 def _continue_path(m: MapSpec, xi0: np.ndarray, eta0: np.ndarray, omega: np.ndarray,
-                   cfg: ContinuationConfig, trace: bool):
-    """Track f(xi(t)) = gamma(t) from t=0 to t=1; returns (xi, steps, newton, waypoints)."""
+                   cfg: ContinuationConfig, trace: bool, seed_index: int):
+    """Track f(xi(t)) = gamma(t) from t=0 to t=1; returns (xi, steps, newton, waypoints).
+
+    A step-size underflow raises :class:`ContinuationFailedError` whose
+    ``seed_failures`` names ``seed_index`` and the mode of the last failed
+    correction."""
     path = lambda t: slerp_path(eta0, omega, t)
     xi = np.array(xi0, dtype=float)
     t = 0.0
@@ -198,7 +207,7 @@ def _continue_path(m: MapSpec, xi0: np.ndarray, eta0: np.ndarray, omega: np.ndar
         # genuine evidence against the hypotheses -- let it propagate
         J = eval_jacobian(m, xi).entries
         predictor = xi + solve_guarded(J, g_next - gamma_t)
-        x_new, ok, iters, _mode = newton_correct(m, predictor, g_next, cfg.tol, cfg.max_newton)
+        x_new, ok, iters, mode = newton_correct(m, predictor, g_next, cfg.tol, cfg.max_newton)
         newton_total += iters
         if ok and float(np.linalg.norm(x_new)) > 0.0:
             xi = x_new
@@ -215,10 +224,14 @@ def _continue_path(m: MapSpec, xi0: np.ndarray, eta0: np.ndarray, omega: np.ndar
             step *= 0.5
             streak = 0
             if step < cfg.min_step:
+                # a correction that "converged" onto the origin failed because
+                # Df is undefined there
+                reason = mode if not ok else "singular"
                 raise ContinuationFailedError(
                     f"continuation step underflowed below {cfg.min_step:g} at t = {t:.6f}",
                     last_t=t,
                     last_xi=xi.copy(),
+                    seed_failures=((seed_index, reason),),
                 )
     return xi, steps, newton_total, waypoints
 
@@ -262,13 +275,25 @@ def _require_report(m: MapSpec, report: HypothesisReport | None, force: bool,
             "the hypothesis report was computed for a different map (dimension, "
             "order or body differ); check this map and pass its own report"
         )
-    acceptable = ("pass", "hypotheses-met-but-n<3") if allow_warn else ("pass",)
+    acceptable = ("pass", _STATUS_WARN) if allow_warn else ("pass",)
     if report.status not in acceptable and not force:
         raise PreconditionError(
             f"hypothesis check did not pass (status '{report.status}', reasons "
             f"{list(report.reasons)}); force the computation to override"
         )
     return report
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest ``scores`` (all of them when ``k`` exceeds
+    their number), largest first, ties in index order: the same list as
+    ``np.argsort(-scores, kind="stable")[:k]`` without sorting every score.
+    ``scores`` must hold no NaN."""
+    n = len(scores)
+    k = min(k, n)
+    kth = np.partition(scores, n - k)[n - k]
+    candidates = np.flatnonzero(scores >= kth)
+    return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
 
 
 def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
@@ -319,21 +344,23 @@ def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
 
     points = report.sample.points
     images = report.images
-    img_norms = np.linalg.norm(images, axis=1)
-    usable = img_norms > 0.0
-    scores = np.full(len(points), -np.inf)
-    scores[usable] = (images[usable] / img_norms[usable, None]) @ omega
-    order = np.argsort(-scores, kind="stable")[: cfg.seed_attempts]
+    norms = report.image_norms
+    usable = np.isfinite(norms) & (norms > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = (images @ omega) / norms
+    scores[~usable] = -np.inf
 
+    failures: list[tuple[int, str]] = []
     last_failure: ContinuationFailedError | None = None
-    for k in order:
+    for k in _top_k(scores, cfg.seed_attempts).tolist():
         if not usable[k]:
             continue
         try:
             xi_unit, steps, newects, waypoints = _continue_path(
-                m, points[k], images[k], omega, cfg, trace
+                m, points[k], images[k], omega, cfg, trace, k
             )
         except ContinuationFailedError as err:
+            failures.extend(err.seed_failures)
             last_failure = err
             continue
         xi_unit = _polish(m, xi_unit, omega)
@@ -348,6 +375,7 @@ def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
                 bracket=bracket,
                 path_waypoints=tuple(waypoints) if trace else None,
             )
+        failures.append((k, "residual-over-tol"))
         last_failure = ContinuationFailedError(
             f"tracked to t = 1 but the rescaled residual {residual:.3e} exceeds "
             f"tolerance",
@@ -355,6 +383,7 @@ def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
             last_xi=xi,
         )
     if last_failure is not None:
+        last_failure.seed_failures = tuple(failures)
         raise last_failure
     raise ContinuationFailedError("no usable seed: every sample image was zero")
 
@@ -369,7 +398,7 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, cfg: ContinuationConfig | N
     homogeneous bijection is homogeneous of order ``1/kappa``.
     """
     base = invert(m, eta, cfg, report, force=force)
-    base_norm = float(np.linalg.norm(base.xi))
+    base_norm = math.hypot(*base.xi)
     if base_norm == 0.0:
         raise InvalidInputError("eta must be nonzero for a homogeneity check")
     worst = 0.0
@@ -380,7 +409,7 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, cfg: ContinuationConfig | N
             raise InvalidParameterError("tau values must be positive")
         scaled = invert(m, tau * e, cfg, report, force=force)
         factor = tau ** (1.0 / m.kappa)
-        dev = float(np.linalg.norm(scaled.xi - factor * base.xi)) / (factor * base_norm)
+        dev = math.hypot(*(scaled.xi - factor * base.xi)) / (factor * base_norm)
         worst = max(worst, dev)
     return worst
 
@@ -392,11 +421,11 @@ def roundtrip_check(m: MapSpec, etas, cfg: ContinuationConfig | None = None,
     over a batch of nonzero targets."""
     worst = 0.0
     for eta in np.atleast_2d(np.asarray(etas, dtype=float)):
-        mag = float(np.linalg.norm(eta))
+        mag = math.hypot(*eta)
         if mag == 0.0:
             raise InvalidInputError("roundtrip targets must be nonzero")
         res = invert(m, eta, cfg, report, force=force)
-        worst = max(worst, float(np.linalg.norm(eval_map(m, res.xi) - eta)) / mag)
+        worst = max(worst, res.residual / mag)
     return worst
 
 

@@ -1,5 +1,7 @@
 """Preimage counting, mapping degree, and injectivity probes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hominv import (
     count_preimages,
     diag_map,
     eval_jacobian,
+    eval_map,
     identity_map,
     injectivity_probe,
     mapping_degree,
@@ -137,6 +140,27 @@ def test_count_preimages_validation():
         count_preimages(m, np.array([1.0, 2.0]), report=rep)
     with pytest.raises(PreconditionError):
         count_preimages(m, np.array([1.0, 0.0, 0.0]))
+
+
+def test_count_preimages_extreme_target_magnitudes():
+    # a bijection has one preimage at every scale; an absolute tolerance
+    # above |eta| once let every start "converge" at tiny targets
+    cases = (
+        ("radial_cube", lambda: radial_cube_map(3), [0.3, -0.5, 0.8]),
+        ("diag", lambda: diag_map((1.0, 2.0, 3.0)), [0.3, -0.5, 0.8]),
+        ("random_admissible", lambda: random_admissible_map(n=4, seed=7, kappa=3.5),
+         [0.3, -0.5, 0.8, 0.1]),
+    )
+    for name, maker, direction in cases:
+        m = maker()
+        rep = report_for(name, maker)
+        d = np.array(direction)
+        for scale in (1e-300, 1e-170, 1.0, 37.0, 1e155):
+            pre = count_preimages(m, scale * d, report=rep)
+            assert [sign for _, sign in pre] == [1]
+            xi = pre[0][0]
+            # divide before taking norms, so that none of them underflows
+            assert math.hypot(*(eval_map(m, xi) / scale - d)) <= 1e-8 * math.hypot(*d)
 
 
 def test_degree_functions_reject_report_of_another_map():

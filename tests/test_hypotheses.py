@@ -255,6 +255,14 @@ def test_report_matches_only_its_map():
     assert not bb_rep.matches(radial_cube_map(3))
 
 
+def test_report_caches_image_norms():
+    rep = check_hypotheses(random_admissible_map(n=4, seed=7, kappa=3.5), count=600)
+    assert np.array_equal(rep.image_norms, np.linalg.norm(rep.images, axis=1))
+    assert rep.c0_empirical <= rep.image_norms.min()
+    assert rep.c_empirical >= rep.image_norms.max()
+    assert "image_norms" not in rep.to_json_dict()
+
+
 def test_check_hypotheses_deterministic():
     a = check_hypotheses(radial_linear_map((1.0, 2.0, 3.0), kappa=2.0), count=1500, seed=3)
     b = check_hypotheses(radial_linear_map((1.0, 2.0, 3.0), kappa=2.0), count=1500, seed=3)

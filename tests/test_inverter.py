@@ -32,6 +32,7 @@ from hominv import (
     roundtrip_check,
     slerp_path,
 )
+from hominv.inverter import _top_k
 
 _REPORTS = {}
 
@@ -213,6 +214,32 @@ def test_invert_extreme_target_magnitudes():
         assert r_lo - slack <= r <= r_hi + slack
 
 
+def test_roundtrip_and_homogeneity_checks_at_extreme_target_magnitudes():
+    # |eta| must be taken without a sum of squares: 1e-170 would read as a
+    # zero target and 1e155 as an infinite one (a silent 0.0 residual)
+    d = np.array([0.3, -0.5, 0.8])
+    for name, maker in (("radial_cube", lambda: radial_cube_map(3)),
+                        ("diag", lambda: diag_map((1.0, 2.0, 3.0)))):
+        m = maker()
+        rep = report_for(name, maker)
+        for scale in (1e-170, 1e155):
+            eta = scale * d
+            worst = roundtrip_check(m, eta, report=rep)
+            xi = invert(m, eta, report=rep).xi
+            want = math.hypot(*(eval_map(m, xi) - eta)) / math.hypot(*eta)
+            assert worst == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert worst <= 1e-8
+            # order 1 keeps |xi| as extreme as |eta|
+            dev = inverse_homogeneity_check(m, eta, taus=[1e-2, 1e2], report=rep)
+            want = max(
+                math.hypot(*(invert(m, tau * eta, report=rep).xi - tau ** (1 / m.kappa) * xi))
+                / (tau ** (1 / m.kappa) * math.hypot(*xi))
+                for tau in (1e-2, 1e2)
+            )
+            assert dev == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert dev <= 1e-7
+
+
 def test_invert_rejects_report_of_another_map():
     rep = check_hypotheses(radial_cube_map(3))
     with pytest.raises(PreconditionError):
@@ -271,6 +298,10 @@ def test_invert_unreachable_tolerance_raises_continuation_failure():
     assert exc.value.last_t is not None
     assert 0.0 <= exc.value.last_t < 1.0
     assert exc.value.last_xi is not None
+    assert len(exc.value.seed_failures) == 2
+    for index, reason in exc.value.seed_failures:
+        assert 0 <= index < rep.sample_count
+        assert reason in ("singular", "diverged", "no-convergence", "residual-over-tol")
 
 
 def test_invert_singular_jacobian_on_path_raises():
@@ -342,6 +373,27 @@ def test_inverse_jacobian_is_matrix_inverse():
     J = eval_jacobian(m, res.xi).entries
     Jinv = inverse_jacobian(m, res.xi)
     assert np.allclose(J @ Jinv, np.eye(3), atol=1e-10)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_top_k_matches_stable_argsort(data):
+    # few distinct values, so most scores tie, and -inf for unusable rows
+    values = st.sampled_from([-np.inf, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+    scores = np.array(data.draw(st.lists(values | st.floats(-1.0, 1.0),
+                                         min_size=1, max_size=120)))
+    k = data.draw(st.integers(1, len(scores) + 3))
+    want = np.argsort(-scores, kind="stable")[:k]
+    assert np.array_equal(_top_k(scores, k), want)
+
+
+def test_invert_with_fewer_sample_rows_than_seed_attempts():
+    m = radial_cube_map(3)
+    rep = check_hypotheses(m, count=8)
+    assert rep.sample_count < ContinuationConfig().seed_attempts
+    eta = np.array([2.0, -3.0, 6.0])
+    res = invert(m, eta, report=rep)
+    assert math.hypot(*(eval_map(m, res.xi) - eta)) <= 1e-10 * math.hypot(*eta)
 
 
 def test_invert_deterministic():
