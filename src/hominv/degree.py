@@ -3,9 +3,10 @@
 For a map that is homogeneous of order ``kappa`` with nonvanishing Jacobian
 off the origin, every preimage of a nonzero value ``eta`` lies in the closed
 annulus given by the coercivity bracket.  A multistart Newton search seeded
-on a widened annulus (low-discrepancy directions crossed with geometric
-radii) therefore finds all preimages with high probability; a second run at
-four times the start count flags searches that look unsaturated.
+on a widened annulus (seeded uniformly random directions crossed with
+geometric radii) therefore finds all preimages with high probability; a
+second run at four times the start count flags searches that look
+unsaturated.
 
 The degree at a regular value is the sum of Jacobian determinant signs over
 the preimages.  An admissible map in dimension ``n >= 3`` is bijective, so a
@@ -20,8 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from ._newton import newton_batch
 from .errors import InvalidInputError, InvalidParameterError, PreconditionError
@@ -76,16 +75,15 @@ class DegreeReport:
 
 
 def _sobol_directions(n: int, count: int, seed: int) -> np.ndarray:
-    """``count`` well-spread unit directions in R^n (scrambled Sobol points
-    mapped through the normal quantile and normalized)."""
+    """``count`` seeded unit directions in R^n, uniform on the sphere:
+    normalized standard-Gaussian rows, as in
+    :func:`~hominv.hypotheses.sample_sphere`; for ``n = 1``, alternating
+    ``+1`` and ``-1``."""
     if n == 1:
         signs = np.ones(count)
         signs[1::2] = -1.0
         return signs[:, None]
-    eng = qmc.Sobol(d=n, scramble=True, seed=np.random.default_rng([seed, _SALT_DIRECTIONS]))
-    m_bits = max(1, int(np.ceil(np.log2(max(count, 2)))))
-    u = eng.random_base2(m_bits)[:count]
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    z = np.random.default_rng([seed, _SALT_DIRECTIONS]).standard_normal((count, n))
     norms = np.linalg.norm(z, axis=1)
     degenerate = norms < 1e-12
     if np.any(degenerate):

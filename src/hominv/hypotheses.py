@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     InvalidInputError,
@@ -115,8 +114,9 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SphereSample:
     norms = np.linalg.norm(block, axis=1)
     if np.all(norms > 1e-12):
         pts = block / norms[:, None]
-        if len(np.unique(pts, axis=0)) == count:
-            return SphereSample(pts, count, _covering_radius(pts), n, int(seed))
+        radius, repeated = _covering_radius(pts)
+        if not repeated:
+            return SphereSample(pts, count, radius, n, int(seed))
     # rare path: duplicates or degenerate rows; rebuild point by point
     seen: dict[bytes, None] = {}
     rows: list[np.ndarray] = []
@@ -139,14 +139,26 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SphereSample:
             _push(row)
         attempts += 1
     pts = np.asarray(rows)
-    return SphereSample(pts, len(rows), _covering_radius(pts), n, int(seed))
+    return SphereSample(pts, len(rows), _covering_radius(pts)[0], n, int(seed))
 
 
-def _covering_radius(points: np.ndarray) -> float:
+def _covering_radius(points: np.ndarray) -> tuple[float, bool]:
+    """``(radius, repeated)`` from one k-d tree query of every point's two
+    nearest sample points (itself and its nearest neighbour).
+
+    ``radius`` is the largest nearest-neighbour distance; ``repeated`` is
+    true when some row occurs twice, which shows as a nearest-neighbour
+    distance of zero.
+    """
     if len(points) < 2:
-        return 2.0  # sphere diameter: the conservative fallback
+        return 2.0, False  # sphere diameter: the conservative fallback
+    # imported here, not at the top: scipy.spatial loads scipy.special too,
+    # which `import hominv` should not pay for
+    from scipy.spatial import cKDTree
+
     dists, _ = cKDTree(points).query(points, k=2)
-    return float(dists[:, 1].max())
+    nearest = dists[:, 1]
+    return float(nearest.max()), bool(np.any(nearest == 0.0))
 
 
 def _fd_tangent_gradient(value_fn, w: np.ndarray, delta: float = 1e-6) -> np.ndarray:
@@ -297,8 +309,12 @@ def certify_c0_lower(m: MapSpec, sample: SphereSample, lipschitz_bound: float | 
     L = poly_lipschitz_bound(m) if lipschitz_bound is None else float(lipschitz_bound)
     if L <= 0.0 or not np.isfinite(L):
         raise InvalidParameterError("the Lipschitz bound must be a positive finite real")
-    ext = estimate_extrema(m, sample)
-    return float(max(0.0, ext.c0 - L * sample.covering_radius_estimate))
+    return _c0_lower(estimate_extrema(m, sample).c0, L, sample)
+
+
+def _c0_lower(c0: float, lipschitz_bound: float, sample: SphereSample) -> float:
+    """The bound of :func:`certify_c0_lower` for an empirical minimum ``c0``."""
+    return float(max(0.0, c0 - lipschitz_bound * sample.covering_radius_estimate))
 
 
 @dataclass(frozen=True)
@@ -452,7 +468,7 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
     if isinstance(m.body, PolyMap):
         L = poly_lipschitz_bound(m)
         if L > 0.0:
-            c0_lower = float(max(0.0, ext.c0 - L * sample.covering_radius_estimate))
+            c0_lower = _c0_lower(ext.c0, L, sample)
             notes.append(
                 "c0_lower is heuristically certified: empirical minimum minus "
                 "Lipschitz bound times the estimated covering radius"

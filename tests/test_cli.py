@@ -1,9 +1,13 @@
 """Command line behaviour: exit codes, JSON reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hominv
 from hominv.cli import main
 
 RADIAL_CUBE = (
@@ -233,3 +237,15 @@ def test_degree_report_byte_identical_modulo_timing(mapfile, tmp_path, capsys):
                      "--seed", "0", "--json", str(out)]) == 0
         runs.append(_report_without_timing(out))
     assert runs[0] == runs[1]
+
+
+def test_import_loads_neither_scipy_stats_nor_special():
+    # every command pays for `import hominv`; these two cost most of it
+    src = os.path.dirname(os.path.dirname(hominv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, hominv, hominv.cli; "
+            "print([k for k in ('scipy.stats', 'scipy.special') if k in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -22,6 +22,7 @@ from hominv import (
     random_admissible_map,
     reflection_map,
 )
+from hominv.degree import _sobol_directions
 
 _REPORTS = {}
 
@@ -204,3 +205,22 @@ def test_count_preimages_deterministic():
     assert len(a) == len(b)
     for (xa, sa), (xb, sb) in zip(a, b):
         assert np.array_equal(xa, xb) and sa == sb
+
+
+def test_multistart_directions_are_seeded_unit_rows():
+    for n in (2, 3, 4):
+        a = _sobol_directions(n, 64 * n, seed=3)
+        assert a.shape == (64 * n, n)
+        assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
+        assert np.array_equal(a, _sobol_directions(n, 64 * n, seed=3))
+        assert not np.any(np.all(a == _sobol_directions(n, 64 * n, seed=4), axis=1))
+    assert _sobol_directions(1, 5, seed=0).ravel().tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
+
+
+def test_complex_square_two_roots_degree_two_for_every_seed():
+    m = complex_square_map()
+    rep = report_for("complex_square", complex_square_map)
+    for seed in range(10):
+        pre = count_preimages(m, np.array([0.3, -0.7]), report=rep, seed=seed)
+        assert len(pre) == 2
+        assert sum(s for _, s in pre) == 2

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from hominv import (
@@ -27,6 +29,7 @@ from hominv import (
     random_admissible_map,
     sample_sphere,
 )
+from hominv.hypotheses import _covering_radius
 
 
 def zero_map(n=3):
@@ -63,6 +66,30 @@ def test_covering_radius_matches_brute_force():
     np.fill_diagonal(D, np.inf)
     brute = float(D.min(axis=1).max())
     assert s.covering_radius_estimate == pytest.approx(brute, rel=1e-12)
+
+
+# few distinct coordinates, so that repeated rows are common; -0.0 and 0.0
+# are the same point although their bytes differ
+_COORD = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_COORD, min_size=n, max_size=n), min_size=2, max_size=12)))
+@example([[0.0, 1.0], [-0.0, 1.0]])
+@example([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]])
+@example([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+def test_covering_radius_flags_repeated_rows_and_matches_brute_force(rows):
+    P = np.array(rows, dtype=float)
+    radius, repeated = _covering_radius(P)
+    assert repeated == (len(np.unique(P, axis=0)) < len(P))
+    D = cdist(P, P)
+    np.fill_diagonal(D, np.inf)
+    assert radius == pytest.approx(float(D.min(axis=1).max()), rel=1e-12, abs=0.0)
+
+
+def test_covering_radius_single_point_falls_back_to_diameter():
+    assert _covering_radius(np.array([[0.0, 1.0, 0.0]])) == (2.0, False)
 
 
 def test_covering_radius_below_p15_at_1e4():
@@ -163,6 +190,13 @@ def test_certify_rejects_nonpositive_lipschitz():
         certify_c0_lower(radial_cube_map(3), s, lipschitz_bound=0.0)
     with pytest.raises(InvalidParameterError):
         certify_c0_lower(radial_cube_map(3), s, lipschitz_bound=-1.0)
+
+
+def test_report_c0_lower_equals_certificate_on_its_sample():
+    for m in (identity_map(3), radial_cube_map(3)):
+        rep = check_hypotheses(m, count=20_000, seed=2)
+        assert rep.c0_lower == certify_c0_lower(m, rep.sample)
+    assert check_hypotheses(identity_map(3), count=20_000, seed=2).c0_lower > 0.0
 
 
 def test_certificate_never_exceeds_empirical_minimum():
