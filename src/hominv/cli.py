@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -46,7 +45,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .hypotheses import _STATUS_WARN, check_hypotheses
-from .inverter import ContinuationConfig, invert
+from .inverter import ContinuationConfig, _roundtrips, invert
 from .mapcore import MapSpec
 from .polyparser import format_map, parse_map
 
@@ -247,9 +246,7 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
         targets = _random_targets(m.n, ns.count, ns.seed)
         entries = []
         worst = 0.0
-        for eta in targets:
-            res = invert(m, eta, cfg, hyp, force=ns.force)
-            rel = res.residual / math.hypot(*eta)
+        for eta, res, rel in _roundtrips(m, targets, cfg, hyp, ns.force):
             worst = max(worst, rel)
             entry = res.to_json_dict(eta=eta)
             entry["relative_residual"] = rel

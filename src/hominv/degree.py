@@ -8,6 +8,11 @@ geometric radii) therefore finds all preimages with high probability; a
 second run at four times the start count flags searches that look
 unsaturated.
 
+The search is array code from start to finish: one batched Newton run from
+every start, one batched polish of the converged rows, a filter on the
+residuals the polish returns, and a greedy dedup in lexicographic order
+that loops once per kept root.
+
 The degree at a regular value is the sum of Jacobian determinant signs over
 the preimages.  An admissible map in dimension ``n >= 3`` is bijective, so a
 count above one at any value is direct evidence against admissibility; the
@@ -22,11 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._newton import newton_batch
+from ._newton import _polish, _row_norms, newton_batch
 from .errors import InvalidInputError, InvalidParameterError, PreconditionError
 from .hypotheses import HypothesisReport, coercivity_bracket
-from .inverter import ContinuationConfig, _polish, _require_report
-from .mapcore import MapSpec, eval_jacobian_batch, eval_map
+from .inverter import ContinuationConfig, _require_report
+from .mapcore import MapSpec, eval_jacobian_batch
 
 __all__ = [
     "DegreeReport",
@@ -93,9 +98,23 @@ def _sobol_directions(n: int, count: int, seed: int) -> np.ndarray:
     return z / norms[:, None]
 
 
+def _dedup(rows: np.ndarray, radius: float) -> np.ndarray:
+    """Greedy dedup of a ``(B, n)`` batch in lexicographic row order: keep
+    the first remaining row, drop every row within ``radius`` of it
+    (distance ``<= radius``), repeat.  A row is kept exactly when it lies
+    farther than ``radius`` from every row kept before it."""
+    rest = rows[np.lexsort(rows.T[::-1])]
+    kept = []
+    while len(rest):
+        kept.append(rest[0])
+        rest = rest[_row_norms(rest - rest[0]) > radius]
+    return np.array(kept).reshape(len(kept), rows.shape[1])
+
+
 def _search_roots(m: MapSpec, eta: np.ndarray, bracket: tuple[float, float],
-                  starts: int, tol: float, seed: int) -> list[np.ndarray]:
-    """All distinct Newton limits x with |f(x) - eta| <= tol*max(1,|eta|)."""
+                  starts: int, tol: float, seed: int) -> np.ndarray:
+    """All distinct Newton limits x with |f(x) - eta| <= tol*max(1,|eta|),
+    as rows in lexicographic order."""
     r_lo, r_hi = bracket
     lo = (1.0 - _ANNULUS_SLACK) * r_lo
     hi = (1.0 + _ANNULUS_SLACK) * r_hi
@@ -106,22 +125,10 @@ def _search_roots(m: MapSpec, eta: np.ndarray, bracket: tuple[float, float],
     radii = np.geomspace(lo, hi, n_radii)
     dirs = _sobol_directions(m.n, n_dirs, seed)
     X0 = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, m.n)
-    roots, ok = newton_batch(m, X0, eta, tol, max_iter=60, radius_cap=100.0 * hi)
-    found = [ _polish(m, x, eta) for x in roots[ok] ]
-    rel = tol * max(1.0, float(np.linalg.norm(eta)))
-    found = [x for x in found if float(np.linalg.norm(eval_map(m, x) - eta)) <= rel]
-    if not found:
-        return []
-    # lexicographic order makes the greedy dedup deterministic
-    arr = np.array(found)
-    order = np.lexsort(arr.T[::-1])
-    arr = arr[order]
-    dedup_radius = _DEDUP_RATIO * max(r_hi, 1e-300)
-    kept: list[np.ndarray] = []
-    for x in arr:
-        if all(float(np.linalg.norm(x - y)) > dedup_radius for y in kept):
-            kept.append(x)
-    return kept
+    roots, ok = newton_batch(m, X0, eta, tol, radius_cap=100.0 * hi, max_iter=60)
+    found, res = _polish(m, roots[ok], eta)
+    found = found[res <= tol * max(1.0, float(np.linalg.norm(eta)))]
+    return _dedup(found, _DEDUP_RATIO * max(r_hi, 1e-300))
 
 
 def count_preimages(m: MapSpec, eta, starts: Optional[int] = None,
@@ -156,9 +163,9 @@ def count_preimages(m: MapSpec, eta, starts: Optional[int] = None,
     omega = e / mag
     bracket = coercivity_bracket(report, omega, m.kappa)
     kept = _search_roots(m, omega, bracket, starts, cfg.tol, seed)
-    if not kept:
+    if len(kept) == 0:
         return []
-    dets = np.linalg.det(eval_jacobian_batch(m, np.array(kept)))
+    dets = np.linalg.det(eval_jacobian_batch(m, kept))
     scale = mag ** (1.0 / m.kappa)
     return [(scale * x, 1 if d > 0 else -1) for x, d in zip(kept, dets)]
 

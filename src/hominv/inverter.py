@@ -19,7 +19,9 @@ bijectivity makes every path lift unique.  The inverter exploits this:
    path never crosses the origin (its magnitude is ``|eta0|**(1-t)``);
 4. track the lifted path with an Euler predictor ``dxi = Df^{-1} dgamma`` and
    Newton correction, adapting the step size;
-5. polish and rescale.
+5. polish: up to two more Newton steps, each kept only when it strictly
+   lowers the residual (the batched :func:`~hominv._newton._polish` on a
+   batch of one row), and rescale.
 
 Residuals are judged relative to ``max(1, |target|)`` throughout.
 """
@@ -32,13 +34,12 @@ from typing import Optional
 
 import numpy as np
 
-from ._newton import newton_correct, solve_guarded
+from ._newton import _polish, newton_correct, solve_guarded
 from .errors import (
     ContinuationFailedError,
     InvalidInputError,
     InvalidParameterError,
     PreconditionError,
-    SingularJacobianError,
 )
 from .hypotheses import _STATUS_WARN, HypothesisReport, coercivity_bracket
 from .mapcore import MapSpec, eval_jacobian, eval_map
@@ -236,27 +237,6 @@ def _continue_path(m: MapSpec, xi0: np.ndarray, eta0: np.ndarray, omega: np.ndar
     return xi, steps, newton_total, waypoints
 
 
-def _polish(m: MapSpec, x: np.ndarray, target: np.ndarray, rounds: int = 2) -> np.ndarray:
-    """A couple of extra Newton steps, keeping only strict improvements."""
-    best = x
-    best_res = float(np.linalg.norm(eval_map(m, best) - target))
-    for _ in range(rounds):
-        if best_res == 0.0:
-            break
-        J = eval_jacobian(m, best).entries
-        try:
-            dx = solve_guarded(J, eval_map(m, best) - target)
-        except SingularJacobianError:
-            break
-        cand = best - dx
-        res = float(np.linalg.norm(eval_map(m, cand) - target))
-        if res < best_res:
-            best, best_res = cand, res
-        else:
-            break
-    return best
-
-
 def _require_report(m: MapSpec, report: HypothesisReport | None, force: bool,
                     allow_warn: bool = False) -> HypothesisReport:
     if report is None:
@@ -363,8 +343,8 @@ def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
             failures.extend(err.seed_failures)
             last_failure = err
             continue
-        xi_unit = _polish(m, xi_unit, omega)
-        xi = scale_back * xi_unit
+        polished, _ = _polish(m, xi_unit[None, :], omega)
+        xi = scale_back * polished[0]
         residual = math.hypot(*(eval_map(m, xi) - e))
         if residual <= cfg.tol * max(1.0, mag):
             return InversionResult(
@@ -414,18 +394,26 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, cfg: ContinuationConfig | N
     return worst
 
 
+def _roundtrips(m: MapSpec, etas, cfg: ContinuationConfig | None,
+                report: HypothesisReport | None, force: bool):
+    """Invert each row of a batch of nonzero targets; yields ``(eta, result,
+    |f(xi) - eta| / |eta|)`` per target, in order."""
+    for eta in np.atleast_2d(np.asarray(etas, dtype=float)):
+        mag = math.hypot(*eta)
+        if mag == 0.0:
+            raise InvalidInputError("roundtrip targets must be nonzero")
+        res = invert(m, eta, cfg, report, force=force)
+        yield eta, res, res.residual / mag
+
+
 def roundtrip_check(m: MapSpec, etas, cfg: ContinuationConfig | None = None,
                     report: HypothesisReport | None = None, *,
                     force: bool = False) -> float:
     """Largest relative roundtrip residual ``|f(invert(eta)) - eta| / |eta|``
     over a batch of nonzero targets."""
     worst = 0.0
-    for eta in np.atleast_2d(np.asarray(etas, dtype=float)):
-        mag = math.hypot(*eta)
-        if mag == 0.0:
-            raise InvalidInputError("roundtrip targets must be nonzero")
-        res = invert(m, eta, cfg, report, force=force)
-        worst = max(worst, res.residual / mag)
+    for _, _, rel in _roundtrips(m, etas, cfg, report, force):
+        worst = max(worst, rel)
     return worst
 
 

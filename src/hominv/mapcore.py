@@ -178,7 +178,8 @@ class PolyMap:
         picks each monomial's factor in variable ``j`` from it, so the basis
         is ``n`` row gathers multiplied together.
         """
-        P = (X.T[None, :, :] ** self._powers).reshape(-1, X.shape[0])
+        # the row count is given, not -1, which an empty batch cannot infer
+        P = (X.T[None, :, :] ** self._powers).reshape(len(self._powers) * self.n, len(X))
         out = P.take(index[0], axis=0)
         for j in range(1, self.n):
             out *= P.take(index[j], axis=0)

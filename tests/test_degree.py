@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hominv import (
     InvalidInputError,
+    MapSpec,
+    PolyMap,
     PreconditionError,
     blackbox_of,
     check_hypotheses,
@@ -22,7 +26,7 @@ from hominv import (
     random_admissible_map,
     reflection_map,
 )
-from hominv.degree import _sobol_directions
+from hominv.degree import _dedup, _sobol_directions
 
 _REPORTS = {}
 
@@ -224,3 +228,53 @@ def test_complex_square_two_roots_degree_two_for_every_seed():
         pre = count_preimages(m, np.array([0.3, -0.7]), report=rep, seed=seed)
         assert len(pre) == 2
         assert sum(s for _, s in pre) == 2
+
+
+def test_count_preimages_of_a_value_outside_the_image_is_empty():
+    # (x^2, y^2) misses (-1, -1): no multistart row converges, so the polish
+    # and the dedup see an empty batch
+    m = MapSpec(PolyMap(2, [[(1.0, (2, 0))], [(1.0, (0, 2))]]))
+    rep = check_hypotheses(m, count=500, seed=0)
+    assert count_preimages(m, np.array([-1.0, -1.0]), report=rep, force=True) == []
+
+
+def _pairwise_dedup(rows, radius):
+    """The dedup that ``_dedup`` replaced: walk the rows in lexicographic
+    order and keep each one that is farther than ``radius`` from every row
+    kept so far."""
+    kept = []
+    for x in rows[np.lexsort(rows.T[::-1])]:
+        if all(float(np.linalg.norm(x - y)) > radius for y in kept):
+            kept.append(x)
+    return kept
+
+
+# half-integer grid points lie exactly 0.5 or 1.0 apart along an axis, and the
+# jitter puts clusters of rows well inside a 1e-6 radius
+_GRID = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 1.5])
+_JITTER = st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 3e-7, 0.25])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.tuples(_GRID, _JITTER), min_size=n, max_size=n), min_size=0, max_size=14)),
+    st.sampled_from([1e-6, 0.5, 1.0]))
+def test_dedup_matches_pairwise_greedy_loop(cells, radius):
+    n = len(cells[0]) if cells else 2
+    rows = np.array([[g + j for g, j in row] for row in cells]).reshape(len(cells), n)
+    kept = _dedup(rows, radius)
+    want = _pairwise_dedup(rows, radius)
+    assert kept.shape == (len(want), n)
+    assert np.array_equal(kept, np.array(want).reshape(len(want), n))
+    # kept rows are pairwise farther apart than the radius, and every row
+    # lies within the radius of a kept row
+    for i, x in enumerate(kept):
+        assert all(np.linalg.norm(x - y) > radius for y in kept[:i])
+    for x in rows:
+        assert any(np.linalg.norm(x - y) <= radius for y in kept)
+
+
+def test_dedup_radius_is_strict():
+    rows = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 2.0]])
+    assert _dedup(rows, 1.0).tolist() == [[0.0, 0.0], [0.0, 2.0]]
+    assert _dedup(rows, 0.999).tolist() == [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]

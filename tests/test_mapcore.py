@@ -185,6 +185,21 @@ def test_jacobian_batch_rejects_origin_row():
 @pytest.mark.parametrize("maker", [
     lambda: radial_cube_map(3),
     lambda: radial_linear_map((1.0, 2.0, 3.0), kappa=2.0),
+    lambda: blackbox_of(radial_cube_map(3)),
+    lambda: blackbox_of(radial_cube_map(3), with_jacobian=True),
+], ids=["plain", "weighted", "blackbox-fd", "blackbox-jacobian"])
+def test_empty_batch_gives_empty_values_and_jacobians(maker):
+    m = maker()
+    empty = np.zeros((0, m.n))
+    values = eval_map(m, empty)
+    jacobians = eval_jacobian_batch(m, empty)
+    assert values.shape == (0, m.n) and values.dtype == float
+    assert jacobians.shape == (0, m.n, m.n) and jacobians.dtype == float
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: radial_cube_map(3),
+    lambda: radial_linear_map((1.0, 2.0, 3.0), kappa=2.0),
     lambda: random_admissible_map(n=4, seed=7, kappa=3.5),
     lambda: complex_square_map(),
 ])

@@ -1,0 +1,135 @@
+"""The shared Newton helpers: the singularity test and the batched polish."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hominv import (
+    BlackBox,
+    MapSpec,
+    SingularJacobianError,
+    acceptance_maps,
+    eval_jacobian,
+    eval_map,
+)
+from hominv._newton import _nonsingular, _polish, _row_norms, solve_guarded
+
+_MAPS = acceptance_maps()
+
+
+def _scalar_polish(m, x, target, rounds=2):
+    """The per-row polish that the batched one replaced: a couple of extra
+    Newton steps on one point, keeping only strict improvements."""
+    best = x
+    best_res = float(np.linalg.norm(eval_map(m, best) - target))
+    for _ in range(rounds):
+        if best_res == 0.0:
+            break
+        J = eval_jacobian(m, best).entries
+        try:
+            dx = solve_guarded(J, eval_map(m, best) - target)
+        except SingularJacobianError:
+            break
+        cand = best - dx
+        res = float(np.linalg.norm(eval_map(m, cand) - target))
+        if res < best_res:
+            best, best_res = cand, res
+        else:
+            break
+    return best
+
+
+def _close(a, b, rel=1e-12):
+    return np.linalg.norm(a - b, axis=-1) <= rel * np.linalg.norm(b, axis=-1)
+
+
+def _problem(name, seed, near, far):
+    """A target ``f(root)`` and rows at relative distances from 0 to 1e-1 of
+    the root (``near``) or at random points of radius 1e-1 to 1e1 (``far``)."""
+    m = _MAPS[name]
+    rng = np.random.default_rng(seed)
+
+    def directions(k):
+        z = rng.standard_normal((k, m.n))
+        return z / np.linalg.norm(z, axis=1)[:, None]
+
+    root = directions(1)[0] * 10.0 ** rng.uniform(-1.0, 1.0)
+    target = eval_map(m, root)
+    offsets = rng.choice([0.0, 1e-15, 1e-10, 1e-6, 1e-3, 1e-1], size=near)
+    rows_near = root * (1.0 + offsets[:, None] * rng.standard_normal((near, m.n)))
+    rows_far = directions(far) * 10.0 ** rng.uniform(-1.0, 1.0, size=(far, 1))
+    return m, target, np.vstack([rows_near, rows_far])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_MAPS)), st.integers(0, 2**32 - 1),
+       st.integers(0, 6), st.integers(0, 6))
+def test_batched_polish_matches_scalar_polish_row_by_row(name, seed, near, far):
+    m, target, rows = _problem(name, seed, near, far)
+    X, res = _polish(m, rows, target)
+    assert X.shape == rows.shape and res.shape == (len(rows),)
+    # a row equals the scalar polish of that row alone
+    for x, row in zip(X, rows):
+        assert _close(x, _scalar_polish(m, row, target))
+    # no row's residual rises
+    before = np.array([np.linalg.norm(r) for r in eval_map(m, rows) - target])
+    assert np.all(res <= before)
+    # each returned residual is |f(x) - target| at the returned row, up to the
+    # rounding of evaluating f
+    F = eval_map(m, X)
+    scale = np.linalg.norm(F, axis=1) + np.linalg.norm(target)
+    assert np.all(np.abs(res - np.linalg.norm(F - target, axis=1)) <= 1e-13 * scale)
+    # a row's result does not depend on the other rows of its batch
+    if len(rows):
+        for i, row in enumerate(rows):
+            alone, _ = _polish(m, row[None, :], target)
+            assert _close(alone[0], X[i])
+        order = np.random.default_rng(seed).permutation(len(rows))
+        shuffled, _ = _polish(m, np.vstack([rows[order], rows[:1]]), target)
+        assert np.all(_close(shuffled[:-1], X[order]))
+
+
+def test_polish_of_an_empty_batch_is_empty():
+    m = _MAPS["random_admissible4"]
+    X, res = _polish(m, np.zeros((0, 4)), np.ones(4))
+    assert X.shape == (0, 4) and res.shape == (0,)
+
+
+def test_polish_keeps_an_exact_root_untouched():
+    m = _MAPS["diag123"]
+    root = np.array([0.5, -1.0, 2.0])
+    X, res = _polish(m, root[None, :], eval_map(m, root))
+    assert np.array_equal(X[0], root) and res[0] == 0.0
+
+
+def test_polish_does_not_take_a_step_that_only_ties_the_residual():
+    # f(x) = x with a Jacobian callback that misleads Newton: from 1.5 toward
+    # 1 the step lands on 0.5, at the same residual 0.5, and is not taken
+    m = MapSpec(BlackBox(eval=lambda x: x, declared_kappa=1.0,
+                         jacobian=lambda x: np.array([[0.5 if x[0] > 1.0 else 1.0 / 3.0]])),
+                n=1)
+    X, res = _polish(m, np.array([[1.5]]), np.array([1.0]))
+    assert X.tolist() == [[1.5]] and res.tolist() == [0.5]
+
+
+def test_row_norms_equal_the_vector_norm_of_each_row():
+    scales = 10.0 ** np.linspace(-150.0, 150.0, 500)
+    R = np.random.default_rng(5).standard_normal((500, 4)) * scales[:, None]
+    assert np.array_equal(_row_norms(R), [np.linalg.norm(r) for r in R])
+
+
+def test_nonsingular_agrees_on_one_matrix_and_on_a_stack():
+    # the test is relative to the row norms: a tiny but well-conditioned
+    # determinant passes, a nearly dependent row does not
+    J = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-13]),
+                  [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-13]],
+                  np.ones((3, 3)), np.full((3, 3), np.nan), 1e200 * np.eye(3)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        stacked = _nonsingular(J)
+        singles = [bool(_nonsingular(j)) for j in J]
+    assert stacked.tolist() == [True, True, False, False, False, False]
+    assert singles == stacked.tolist()
+    for j in J[~stacked]:
+        with pytest.raises(SingularJacobianError), np.errstate(invalid="ignore", over="ignore"):
+            solve_guarded(j, np.ones(3))
