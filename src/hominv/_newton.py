@@ -1,13 +1,11 @@
 """Guarded linear solves and Newton iterations shared by the inverter and the
-preimage counter.
+preimage counter, on the unvalidated kernels of :mod:`hominv.mapcore`.
 
-One test, :func:`_nonsingular`, decides for a single Jacobian or a stack of
-them whether it is numerically singular; :func:`solve_guarded`,
-:func:`newton_batch` and :func:`_polish` all use it.  ``newton_correct`` is
-the scalar corrector of the path tracker; ``newton_batch`` runs multistart
-Newton on a batch of rows with a mask per row; ``_polish`` takes up to two
-more Newton steps on each row of a batch and keeps a step only when it
-strictly lowers that row's residual.
+One test, :func:`_nonsingular`, decides for one Jacobian or a stack of them
+whether it is numerically singular.  :func:`newton_batch` is the one Newton
+loop: the multistart of the preimage counter and the corrector of the path
+tracker.  ``_polish`` takes up to two more Newton steps on each row of a
+batch and keeps a step only when it strictly lowers that row's residual.
 """
 
 from __future__ import annotations
@@ -15,14 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularJacobianError
-from .mapcore import MapSpec, eval_jacobian_batch, eval_map
+from .mapcore import MapSpec, _eval_batch, _jacobian_batch
 
 # |det J| below this multiple of the row-norm product (which bounds the
 # determinant from above) counts as numerically singular; the ratio is a
 # scale-free conditioning proxy
 SINGULAR_RATIO = 1e-12
-
-_DIVERGE_NORM = 1e12
 
 _POLISH_ROUNDS = 2
 
@@ -48,110 +44,93 @@ def _row_norms(R: np.ndarray) -> np.ndarray:
 def solve_guarded(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``J x = rhs``; raise when J is numerically singular."""
     if not _nonsingular(J):
-        det = abs(float(np.linalg.det(J)))
-        raise SingularJacobianError(f"|det J| = {det:.3e} is below the singularity threshold")
+        raise _singular_error(J)
     return np.linalg.solve(J, rhs)
 
 
-def newton_correct(m: MapSpec, x0: np.ndarray, target: np.ndarray, tol: float, max_iter: int):
-    """Newton iteration for ``f(x) = target`` from ``x0``.
-
-    Returns ``(x, ok, iters, mode)`` with ``mode`` one of ``"converged"``,
-    ``"singular"``, ``"diverged"``, ``"no-convergence"``.  Convergence is
-    ``|f(x) - target| <= tol * max(1, |target|)``.
-    """
-    x = np.array(x0, dtype=float)
-    scale = tol * max(1.0, float(np.linalg.norm(target)))
-    for it in range(max_iter + 1):
-        r = eval_map(m, x) - target
-        if float(np.linalg.norm(r)) <= scale:
-            return x, True, it, "converged"
-        if it == max_iter:
-            break
-        J = eval_jacobian_batch(m, x[None, :])[0]
-        try:
-            dx = solve_guarded(J, r)
-        except SingularJacobianError:
-            return x, False, it, "singular"
-        x = x - dx
-        if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > _DIVERGE_NORM:
-            return x, False, it, "diverged"
-    return x, False, max_iter, "no-convergence"
+def _singular_error(J: np.ndarray) -> SingularJacobianError:
+    det = abs(float(np.linalg.det(J)))
+    return SingularJacobianError(f"|det J| = {det:.3e} is below the singularity threshold")
 
 
 def newton_batch(m: MapSpec, starts: np.ndarray, target: np.ndarray, tol: float,
                  radius_cap: float, max_iter: int = 60):
-    """Run Newton simultaneously from every row of ``starts``.
+    """Newton from every row of ``starts`` toward ``target`` (one vector, or
+    one row per start) until ``|f(x) - target| <= tol * max(1, |target|)``.
 
-    Rows whose Jacobian goes numerically singular, that leave the ball of
-    radius ``radius_cap``, or that fail to converge within ``max_iter`` are
-    dropped.  Returns ``(roots, converged_mask)`` where ``roots`` is
-    ``starts``-shaped with the final iterates.
+    A row stops as ``"singular"`` at a numerically singular Jacobian or at
+    the origin, as ``"diverged"`` when a step is not finite or leaves the
+    ball of radius ``radius_cap``, and as ``"no-convergence"`` after
+    ``max_iter`` steps.  Returns ``(X, converged, iters, mode)`` per row: last
+    iterate (before a failed step), convergence, steps taken and mode.
     """
     X = np.array(starts, dtype=float)
-    B, n = X.shape
-    active = np.ones(B, dtype=bool)
-    converged = np.zeros(B, dtype=bool)
-    scale = tol * max(1.0, float(np.linalg.norm(target)))
-    for _ in range(max_iter + 1):
-        idx = np.where(active)[0]
-        if idx.size == 0:
+    T = target if target.ndim == 2 else np.repeat(target[None, :], len(X), axis=0)
+    iters, mode = np.full(len(X), max_iter), np.full(len(X), "no-convergence")
+    # the rows still iterating, compressed; a row that stops is written out
+    idx, x, t, scale = np.arange(len(X)), X, T, tol * np.maximum(1.0, _row_norms(T))
+
+    def stop(rows, it, why) -> bool:
+        """Stop ``rows`` at step ``it``; returns whether any row is left."""
+        nonlocal idx, x, t, R, scale
+        if np.count_nonzero(rows) == rows.size:
+            iters[idx], mode[idx] = it, why
+            return False
+        X[idx[rows]], iters[idx[rows]], mode[idx[rows]] = x[rows], it, why
+        keep = ~rows
+        idx, x, t, R, scale = idx[keep], x[keep], t[keep], R[keep], scale[keep]
+        return True
+
+    for it in range(max_iter + 1):
+        R = _eval_batch(m, x) - t
+        done = _row_norms(R) <= scale
+        if np.count_nonzero(done) and not stop(done, it, "converged") or it == max_iter:
             break
-        Xa = X[idx]
-        R = eval_map(m, Xa) - target[None, :]
-        res = np.linalg.norm(R, axis=1)
-        done = res <= scale
-        converged[idx[done]] = True
-        active[idx[done]] = False
-        idx = idx[~done]
-        if idx.size == 0:
-            continue
-        Xa = X[idx]
-        R = R[~done]
-        # rows at the origin have no Jacobian; drop them before differentiating
-        alive = np.linalg.norm(Xa, axis=1) > 0.0
-        active[idx[~alive]] = False
-        idx = idx[alive]
-        if idx.size == 0:
-            continue
-        Xa, R = Xa[alive], R[alive]
-        J = eval_jacobian_batch(m, Xa)
+        nonzero = x.any(axis=1)
+        if np.count_nonzero(nonzero) < nonzero.size and not stop(~nonzero, it, "singular"):
+            break
+        J = _jacobian_batch(m, x)
         good = _nonsingular(J)
-        active[idx[~good]] = False
-        idx = idx[good]
-        if idx.size == 0:
-            continue
-        step = np.linalg.solve(J[good], R[good][:, :, None])[:, :, 0]
-        Xn = Xa[good] - step
-        ok = np.all(np.isfinite(Xn), axis=1) & (np.linalg.norm(Xn, axis=1) <= radius_cap)
-        X[idx[ok]] = Xn[ok]
-        active[idx[~ok]] = False
-    return X, converged
+        if np.count_nonzero(good) < good.size:
+            if not stop(~good, it, "singular"):
+                break
+            J = J[good]
+        x_new = x - np.linalg.solve(J, R[:, :, None])[:, :, 0]
+        # a step that is not finite has a norm that is not either
+        ok = _row_norms(x_new) <= radius_cap
+        if np.count_nonzero(ok) < ok.size:
+            if not stop(~ok, it, "diverged"):
+                break
+            x_new = x_new[ok]
+        x = x_new
+    X[idx] = x
+    return X, mode == "converged", iters, mode
 
 
 def _polish(m: MapSpec, rows: np.ndarray, target: np.ndarray):
-    """Up to two more Newton steps toward ``target`` on each row of a
-    ``(B, n)`` batch of nonzero rows, keeping a step only when it strictly
-    lowers that row's residual ``|f(x) - target|``.
+    """Up to two more Newton steps toward ``target`` (one vector for all rows,
+    or one per row) on each row of a ``(B, n)`` batch of nonzero rows, keeping
+    a step only when it strictly lowers that row's residual ``|f(x) - target|``.
 
     A row stops at its first step that does not lower its residual, or whose
     Jacobian is numerically singular, or whose candidate is not finite.
     Returns ``(polished rows, their residual norms)``.
     """
     X = np.array(rows, dtype=float)
-    R = eval_map(m, X) - target
+    T = target if target.ndim == 2 else np.repeat(target[None, :], len(X), axis=0)
+    R = _eval_batch(m, X) - T
     res = _row_norms(R)
     idx = np.flatnonzero(res > 0.0)
     for _ in range(_POLISH_ROUNDS):
         if idx.size == 0:
             break
-        J = eval_jacobian_batch(m, X[idx])
+        J = _jacobian_batch(m, X[idx])
         good = _nonsingular(J)
         idx = idx[good]
         cand = X[idx] - np.linalg.solve(J[good], R[idx, :, None])[:, :, 0]
         finite = np.isfinite(cand).all(axis=1)
         idx, cand = idx[finite], cand[finite]
-        R_cand = eval_map(m, cand) - target
+        R_cand = _eval_batch(m, cand) - T[idx]
         res_cand = _row_norms(R_cand)
         better = res_cand < res[idx]
         idx = idx[better]

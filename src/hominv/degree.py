@@ -125,7 +125,7 @@ def _search_roots(m: MapSpec, eta: np.ndarray, bracket: tuple[float, float],
     radii = np.geomspace(lo, hi, n_radii)
     dirs = _sobol_directions(m.n, n_dirs, seed)
     X0 = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, m.n)
-    roots, ok = newton_batch(m, X0, eta, tol, radius_cap=100.0 * hi, max_iter=60)
+    roots, ok, _, _ = newton_batch(m, X0, eta, tol, radius_cap=100.0 * hi, max_iter=60)
     found, res = _polish(m, roots[ok], eta)
     found = found[res <= tol * max(1.0, float(np.linalg.norm(eta)))]
     return _dedup(found, _DEDUP_RATIO * max(r_hi, 1e-300))

@@ -85,8 +85,10 @@ class ContinuationFailedError(HominvError):
     ``seed_failures`` holds one ``(sample index, reason)`` pair per seed
     tried, in the order tried.  ``reason`` is the mode of the last failed
     Newton correction on that seed's path (``"singular"``, ``"diverged"`` or
-    ``"no-convergence"``), or ``"residual-over-tol"`` for a path tracked to
-    ``t = 1`` whose rescaled residual missed the tolerance."""
+    ``"no-convergence"``), ``"residual-over-tol"`` for a path tracked to
+    ``t = 1`` whose rescaled residual missed the tolerance, or
+    ``"antipodal"`` for a seed whose image points opposite the target in
+    ``R^1``, where no path between them avoids the origin."""
 
     def __init__(self, message: str, last_t: float | None = None, last_xi=None,
                  seed_failures: tuple = ()):

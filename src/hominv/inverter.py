@@ -3,25 +3,22 @@
 For an admissible map (homogeneous of order ``kappa``, continuously
 differentiable off the origin, nonvanishing Jacobian determinant, ``n >= 3``)
 the restriction to ``R^n \\ {0}`` is a covering map onto ``R^n \\ {0}``, and
-bijectivity makes every path lift unique.  The inverter exploits this:
+bijectivity makes every path lift unique.  The inverter exploits this on a
+batch of targets at once (:func:`invert` is a batch of one):
 
-1. reduce the target to the unit sphere, ``omega = eta / |eta|`` (the full
-   preimage is recovered afterwards as ``|eta|**(1/kappa) * xi_unit``);
-2. rank the hypothesis-check sample by how well each image direction aligns
-   with ``omega``: the score of row ``i`` is ``(f(w_i) . omega) / |f(w_i)|``,
-   read from the images and their norms cached on the report (rows with a
-   zero or non-finite image score ``-inf`` and are never tried).  The best
-   ``seed_attempts`` rows are picked with a partition around the k-th largest
-   score, and only the rows at or above it are sorted (stably, so ties keep
-   sample order); these are the candidate seeds ``xi0``, best-aligned first;
-3. connect ``eta0 = f(xi0)`` to ``omega`` by a path that interpolates the
-   magnitude geometrically and the direction along the great circle, so the
-   path never crosses the origin (its magnitude is ``|eta0|**(1-t)``);
-4. track the lifted path with an Euler predictor ``dxi = Df^{-1} dgamma`` and
-   Newton correction, adapting the step size;
+1. reduce each target to the unit sphere, ``omega = eta / |eta|``;
+2. take as candidate seeds ``xi0`` the ``seed_attempts`` sample rows whose
+   images align best with ``omega`` (score ``(f(w_i) . omega) / |f(w_i)|``
+   from the images and norms cached on the report; ties in sample order);
+3. join ``eta0 = f(xi0)`` to ``omega`` by a path that interpolates the
+   magnitude geometrically and the direction along the great circle, so it
+   never crosses the origin;
+4. track every target's path in lock-step, each with its own ``t``, step
+   size and streak: an Euler predictor ``dxi = Df^{-1} dgamma``, then one
+   Newton correction of all live paths.  Round ``a`` tracks each target
+   still unsolved from its ``a``-th seed;
 5. polish: up to two more Newton steps, each kept only when it strictly
-   lowers the residual (the batched :func:`~hominv._newton._polish` on a
-   batch of one row), and rescale.
+   lowers the residual, and rescale by ``|eta|**(1/kappa)``.
 
 Residuals are judged relative to ``max(1, |target|)`` throughout.
 """
@@ -30,31 +27,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 import numpy as np
 
-from ._newton import _polish, newton_correct, solve_guarded
-from .errors import (
-    ContinuationFailedError,
-    InvalidInputError,
-    InvalidParameterError,
-    PreconditionError,
-)
-from .hypotheses import _STATUS_WARN, HypothesisReport, coercivity_bracket
-from .mapcore import MapSpec, eval_jacobian, eval_map
+from ._newton import _nonsingular, _polish, _row_norms, _singular_error, newton_batch, solve_guarded
+from .errors import (ContinuationFailedError, InvalidInputError, InvalidParameterError,
+                     PreconditionError, SingularJacobianError)
+from .hypotheses import _STATUS_WARN, HypothesisReport, check_hypotheses, coercivity_bracket
+from .mapcore import MapSpec, _eval_batch, _jacobian_batch, eval_jacobian
 
-__all__ = [
-    "ContinuationConfig",
-    "InversionResult",
-    "slerp_path",
-    "invert",
-    "inverse_homogeneity_check",
-    "roundtrip_check",
-    "inverse_jacobian",
-]
+__all__ = ["ContinuationConfig", "InversionResult", "slerp_path", "invert",
+           "inverse_homogeneity_check", "roundtrip_check", "inverse_jacobian"]
 
 _ANTIPODAL_TOL = 1e-8
+# the corrector gives up on a row that leaves this ball
+_DIVERGE_NORM = 1e12
+# the most (target, sample row) scores computed at once
+_SCORE_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -105,48 +96,64 @@ class InversionResult:
     path_waypoints: Optional[tuple] = None
 
     def to_json_dict(self, eta=None) -> dict:
-        out: dict = {}
-        if eta is not None:
-            out["eta"] = [float(v) for v in eta]
-        out.update(
-            {
-                "xi": [float(v) for v in self.xi],
-                "residual": self.residual,
-                "steps": self.steps,
-                "newton_iters_total": self.newton_iters_total,
-                "bracket": [self.bracket[0], self.bracket[1]],
-            }
-        )
+        out: dict = {} if eta is None else {"eta": [float(v) for v in eta]}
+        out.update(xi=[float(v) for v in self.xi], residual=self.residual, steps=self.steps,
+                   newton_iters_total=self.newton_iters_total, bracket=list(self.bracket))
         if self.path_waypoints is not None:
             out["path_waypoints"] = [
-                {
-                    "t": t,
-                    "gamma": [float(v) for v in g],
-                    "xi": [float(v) for v in x],
-                }
-                for t, g, x in self.path_waypoints
-            ]
+                {"t": t, "gamma": [float(v) for v in g], "xi": [float(v) for v in x]}
+                for t, g, x in self.path_waypoints]
         return out
 
 
-def _orthogonal_unit(u: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to ``u``: Gram--Schmidt applied to
-    the coordinate axis least aligned with ``u`` (lowest index on ties)."""
-    k = int(np.argmin(np.abs(u)))
-    w = np.zeros_like(u)
-    w[k] = 1.0
-    w = w - float(np.dot(w, u)) * u
-    return w / np.linalg.norm(w)
+_Paths = namedtuple("_Paths", "m0 m1 antipodal blocked ends theta sine small")
 
 
-def _slerp_dir(u0: np.ndarray, u1: np.ndarray, t: float) -> np.ndarray:
-    c = float(np.clip(np.dot(u0, u1), -1.0, 1.0))
-    theta = float(np.arccos(c))
-    if theta < 1e-8:
-        v = (1.0 - t) * u0 + t * u1
-        return v / np.linalg.norm(v)
-    s = np.sin(theta)
-    return (np.sin((1.0 - t) * theta) * u0 + np.sin(t * theta) * u1) / s
+def _paths(start: np.ndarray, end: np.ndarray) -> _Paths:
+    """The paths from each row of ``start`` (``t = 0``) to the same row of
+    ``end`` (``t = 1``): endpoint norms and great-circle segments from
+    ``ends[:, k]`` to ``ends[:, k + 1]``, two for an ``antipodal`` path (via a
+    waypoint orthogonal to its start), else one; ``small`` segments (under
+    1e-8 rad) interpolate linearly.  ``blocked`` marks antipodal endpoints in
+    ``R^1``, which no path joins without crossing the origin."""
+    m0, m1 = _row_norms(start), _row_norms(end)
+    u0, u1 = start / m0[:, None], end / m1[:, None]
+    antipodal = (u0 * u1).sum(axis=1) <= -1.0 + _ANTIPODAL_TOL
+    blocked = antipodal & (start.shape[1] == 1)
+    antipodal ^= blocked
+    # the waypoint of an antipodal path: Gram--Schmidt on the coordinate axis
+    # least aligned with its start (lowest index on ties)
+    waypoint = u1.copy()
+    for i in np.flatnonzero(antipodal):
+        w = np.zeros(start.shape[1])
+        w[np.argmin(np.abs(u0[i]))] = 1.0
+        w -= float(np.dot(w, u0[i])) * u0[i]
+        waypoint[i] = w / np.linalg.norm(w)
+    ends = np.array([u0, waypoint, u1]).transpose(1, 0, 2)
+    theta = np.arccos(np.minimum(np.maximum((ends[:, :2] * ends[:, 1:]).sum(axis=2), -1.0), 1.0))
+    small = theta < 1e-8
+    return _Paths(m0, m1, antipodal, blocked, ends, theta, np.where(small, 1.0, np.sin(theta)),
+                  small)
+
+
+def _path_points(p: _Paths, t: np.ndarray) -> np.ndarray:
+    """``gamma(t)`` on every path, one ``t`` per path: magnitude ``m0**(1-t)
+    m1**t``, direction along the segment (at ``2t`` or ``2t - 1`` on the
+    halves of an antipodal path)."""
+    if np.count_nonzero(p.antipodal):
+        k = (p.antipodal & (t > 0.5)).astype(np.intp)
+        s = np.where(p.antipodal, 2.0 * t - k, t)
+        r = np.arange(len(t))
+        a, b, theta, sine, small = (p.ends[r, k], p.ends[r, k + 1], p.theta[r, k],
+                                    p.sine[r, k], p.small[r, k])
+    else:
+        s, a, b = t, p.ends[:, 0], p.ends[:, 1]
+        theta, sine, small = p.theta[:, 0], p.sine[:, 0], p.small[:, 0]
+    d = (np.sin((1.0 - s) * theta)[:, None] * a + np.sin(s * theta)[:, None] * b) / sine[:, None]
+    if np.count_nonzero(small):
+        v = (1.0 - s)[:, None] * a + s[:, None] * b
+        d = np.where(small[:, None], v / _row_norms(v)[:, None], d)
+    return (p.m0 ** (1.0 - t) * p.m1**t)[:, None] * d
 
 
 def slerp_path(eta0, eta1, t: float) -> np.ndarray:
@@ -157,110 +164,107 @@ def slerp_path(eta0, eta1, t: float) -> np.ndarray:
     ``min_t |gamma(t)| = min(|eta0|, |eta1|) > 0``.  Antipodal directions
     (within ``1e-8`` of opposite) are routed through a deterministic
     intermediate waypoint orthogonal to both, giving two great-circle
-    segments.  Zero endpoints are rejected.
+    segments.  Zero endpoints are rejected, and so are antipodal ones in
+    ``R^1``, which no origin-avoiding path joins.
     """
-    a = np.asarray(eta0, dtype=float)
-    b = np.asarray(eta1, dtype=float)
+    a, b = np.asarray(eta0, dtype=float), np.asarray(eta1, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise InvalidInputError("endpoints must be vectors of equal length")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise InvalidInputError("endpoints must be finite")
-    m0 = float(np.linalg.norm(a))
-    m1 = float(np.linalg.norm(b))
-    if m0 == 0.0 or m1 == 0.0:
+    if np.linalg.norm(a) == 0.0 or np.linalg.norm(b) == 0.0:
         raise InvalidInputError("slerp endpoints must be nonzero")
-    u0 = a / m0
-    u1 = b / m1
-    t = float(t)
-    mag = m0 ** (1.0 - t) * m1**t
-    if float(np.dot(u0, u1)) <= -1.0 + _ANTIPODAL_TOL:
-        w = _orthogonal_unit(u0)
-        if t <= 0.5:
-            direction = _slerp_dir(u0, w, 2.0 * t)
-        else:
-            direction = _slerp_dir(w, u1, 2.0 * t - 1.0)
-    else:
-        direction = _slerp_dir(u0, u1, t)
-    return mag * direction
+    p = _paths(a[None, :], b[None, :])
+    if p.blocked[0]:
+        raise InvalidInputError("antipodal endpoints in R^1 have no origin-avoiding path")
+    return _path_points(p, np.array([float(t)]))[0]
 
 
-def _continue_path(m: MapSpec, xi0: np.ndarray, eta0: np.ndarray, omega: np.ndarray,
-                   cfg: ContinuationConfig, trace: bool, seed_index: int):
-    """Track f(xi(t)) = gamma(t) from t=0 to t=1; returns (xi, steps, newton, waypoints).
+def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, cfg: ContinuationConfig, trace: bool):
+    """Track ``f(xi(t)) = gamma(t)`` from ``xi(0) = xi0[i]`` to ``t = 1`` on
+    every path at once, each with its own ``t``, step size and streak.
+    Returns ``(xi, t, steps, newton, why, waypoints)`` per path; ``why`` is
+    ``""`` at ``t = 1``, ``"antipodal"`` for a blocked path, the
+    :class:`SingularJacobianError` of a singular Jacobian on the path, or the
+    mode of the last failed correction when the step fell below ``min_step``.
+    """
+    P = len(xi0)
+    X, T, why = np.array(xi0, dtype=float), np.zeros(P), np.full(P, "", dtype=object)
+    steps, newton, streak, ns, nt = np.zeros((5, P), dtype=int)
+    # the paths still tracked, compressed; a path that stops is written out
+    live, x, t, g, step = np.arange(P), X, T, _path_points(p, T), np.full(P, cfg.initial_step)
+    waypoints = [[(0.0, g[i].copy(), x[i].copy())] for i in range(P)] if trace else None
 
-    A step-size underflow raises :class:`ContinuationFailedError` whose
-    ``seed_failures`` names ``seed_index`` and the mode of the last failed
-    correction."""
-    path = lambda t: slerp_path(eta0, omega, t)
-    xi = np.array(xi0, dtype=float)
-    t = 0.0
-    gamma_t = path(0.0)
-    step = cfg.initial_step
-    steps = 0
-    newton_total = 0
-    streak = 0
-    waypoints = [(0.0, gamma_t.copy(), xi.copy())] if trace else None
-    while t < 1.0:
-        dt = min(step, 1.0 - t)
-        t_next = t + dt
-        g_next = path(t_next)
-        # the current point sits on the path, so a singular Jacobian here is
-        # genuine evidence against the hypotheses -- let it propagate
-        J = eval_jacobian(m, xi).entries
-        predictor = xi + solve_guarded(J, g_next - gamma_t)
-        x_new, ok, iters, mode = newton_correct(m, predictor, g_next, cfg.tol, cfg.max_newton)
-        newton_total += iters
-        if ok and float(np.linalg.norm(x_new)) > 0.0:
-            xi = x_new
-            t = t_next
-            gamma_t = g_next
-            steps += 1
-            if trace:
-                waypoints.append((t, g_next.copy(), xi.copy()))
-            streak = streak + 1 if iters <= 3 else 0
-            if streak >= 3:
-                step = min(step * 2.0, cfg.initial_step)
-                streak = 0
-        else:
-            step *= 0.5
-            streak = 0
-            if step < cfg.min_step:
-                # a correction that "converged" onto the origin failed because
-                # Df is undefined there
-                reason = mode if not ok else "singular"
-                raise ContinuationFailedError(
-                    f"continuation step underflowed below {cfg.min_step:g} at t = {t:.6f}",
-                    last_t=t,
-                    last_xi=xi.copy(),
-                    seed_failures=((seed_index, reason),),
-                )
-    return xi, steps, newton_total, waypoints
+    def stop(rows, reasons):
+        nonlocal live, x, t, g, step, streak, ns, nt, p
+        out = live[rows]
+        X[out], T[out], why[out] = x[rows], t[rows], reasons
+        steps[out], newton[out], keep = ns[rows], nt[rows], ~rows
+        live, x, t, g, step, streak, ns, nt = (
+            v[keep] for v in (live, x, t, g, step, streak, ns, nt))
+        p = _Paths._make(v[keep] for v in p)
+
+    if np.count_nonzero(p.blocked):
+        stop(p.blocked, "antipodal")
+    while live.size:
+        t_next = t + np.minimum(step, 1.0 - t)
+        g_next = _path_points(p, t_next)
+        # the current points sit on their paths, so a singular Jacobian there
+        # is genuine evidence against the hypotheses
+        J = _jacobian_batch(m, x)
+        good = _nonsingular(J)
+        if np.count_nonzero(good) < good.size:
+            stop(~good, [_singular_error(j) for j in J[~good]])
+            if not live.size:
+                break
+            J, t_next, g_next = J[good], t_next[good], g_next[good]
+        predictor = x + np.linalg.solve(J, (g_next - g)[:, :, None])[:, :, 0]
+        x_new, ok, iters, mode = newton_batch(m, predictor, g_next, cfg.tol, _DIVERGE_NORM,
+                                              cfg.max_newton)
+        # a correction that "converged" onto the origin failed: Df is undefined there
+        accept = ok & x_new.any(axis=1)
+        every = np.count_nonzero(accept) == accept.size
+        if not every:
+            x_new, g_next = (np.where(accept[:, None], new, old)
+                              for new, old in ((x_new, x), (g_next, g)))
+            t_next = np.where(accept, t_next, t)
+        x, t, g, ns, nt = x_new, t_next, g_next, ns + accept, nt + iters
+        # three easy acceptances in a row double the step, up to initial_step,
+        # and restart the streak; a rejection halves the step
+        streak = np.where(accept & (iters <= 3), streak + 1, 0)
+        grow = streak == 3
+        if not every or np.count_nonzero(grow):
+            step = np.minimum(step * np.where(accept, 1.0 + grow, 0.5), cfg.initial_step)
+            streak %= 3
+        if trace:
+            for i in np.flatnonzero(accept):
+                waypoints[live[i]].append((float(t[i]), g[i].copy(), x[i].copy()))
+        out = t >= 1.0
+        if not every:
+            out |= step < cfg.min_step
+        if np.count_nonzero(out):
+            stop(out, np.where(t >= 1.0, "", np.where(ok, "singular", mode))[out])
+    return X, T, steps, newton, why, waypoints
 
 
 def _require_report(m: MapSpec, report: HypothesisReport | None, force: bool,
                     allow_warn: bool = False) -> HypothesisReport:
     if report is None:
         if not force:
-            raise PreconditionError(
-                "hypotheses not checked: run the hypothesis checks first, or "
-                "force the computation to proceed at your own risk"
-            )
+            raise PreconditionError("hypotheses not checked: run the hypothesis checks first, or "
+                                    "force the computation to proceed at your own risk")
         # forcing an unchecked map still needs the sample and the sphere
         # extrema, so run the checks here and ignore the verdict
-        from .hypotheses import check_hypotheses
-
         return check_hypotheses(m)
     if not report.matches(m):
-        raise PreconditionError(
-            "the hypothesis report was computed for a different map (dimension, "
-            "order or body differ); check this map and pass its own report"
-        )
+        raise PreconditionError("the hypothesis report was computed for a different map "
+                                "(dimension, order or body differ); check this map and pass "
+                                "its own report")
     acceptable = ("pass", _STATUS_WARN) if allow_warn else ("pass",)
     if report.status not in acceptable and not force:
-        raise PreconditionError(
-            f"hypothesis check did not pass (status '{report.status}', reasons "
-            f"{list(report.reasons)}); force the computation to override"
-        )
+        raise PreconditionError(f"hypothesis check did not pass (status '{report.status}', "
+                                f"reasons {list(report.reasons)}); force the computation to "
+                                f"override")
     return report
 
 
@@ -269,11 +273,96 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     their number), largest first, ties in index order: the same list as
     ``np.argsort(-scores, kind="stable")[:k]`` without sorting every score.
     ``scores`` must hold no NaN."""
-    n = len(scores)
-    k = min(k, n)
-    kth = np.partition(scores, n - k)[n - k]
+    k = min(k, len(scores))
+    # the k-th largest of a prefix is at most that of all: a threshold to filter by
+    head = scores[:max(k, 4096)]
+    kth = np.partition(head, len(head) - k)[len(head) - k]
     candidates = np.flatnonzero(scores >= kth)
     return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
+
+
+def _target_rows(m: MapSpec, etas, ndim: int = 2) -> np.ndarray:
+    """One target (``ndim=1``) or a batch as a ``(B, n)`` array of finite targets."""
+    E = np.asarray(etas, dtype=float)
+    if E.ndim not in (1, ndim) or E.shape[-1] != m.n:
+        raise InvalidInputError(f"eta must be a vector of length {m.n}")
+    if not np.all(np.isfinite(E)):
+        raise InvalidInputError("eta contains non-finite components")
+    return E.reshape(-1, m.n)
+
+
+def _seeds(report: HypothesisReport, omega: np.ndarray, k: int):
+    """Each unit target's ``k`` candidate seeds (step 2), best first, and
+    whether each is usable; targets are scored ``_SCORE_CELLS`` cells at a time."""
+    images, norms = report.images, report.image_norms
+    usable = np.isfinite(norms) & (norms > 0.0)
+    # an index list, not a mask: usually empty, and then nearly free to apply
+    unusable, block = np.flatnonzero(~usable), max(1, _SCORE_CELLS // len(norms))
+    seeds = np.empty((len(omega), min(k, len(norms))), dtype=np.intp)
+    for lo in range(0, len(omega), block):
+        # one matrix-vector product per target: the bits of images @ omega
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = (images @ omega[lo:lo + block, :, None])[:, :, 0] / norms
+        scores[:, unusable] = -np.inf
+        for i, row in enumerate(scores):
+            seeds[lo + i] = _top_k(row, k)
+    return seeds, usable[seeds]
+
+
+def _invert_batch(m: MapSpec, etas: np.ndarray, cfg: ContinuationConfig,
+                  report: HypothesisReport, trace: bool = False) -> list:
+    """Invert every row of a ``(B, n)`` array of finite targets, given this
+    map's own report; a zero row returns the origin.  Each target ends with
+    an :class:`InversionResult` or an error; the error of the lowest-index
+    target that has one is raised, as inverting one at a time would."""
+    nonzero = [math.hypot(*e) for e in etas]
+    nz = [i for i, mag in enumerate(nonzero) if mag]
+    E, mags = etas[nz], [nonzero[i] for i in nz]
+    brackets = [coercivity_bracket(report, e, m.kappa) for e in E]
+    omega = E / np.array(mags).reshape(-1, 1)
+    seeds, usable = _seeds(report, omega, cfg.seed_attempts)
+    results, errors, unsolved = [None] * len(nz), [None] * len(nz), np.ones(len(nz), bool)
+    for a in range(seeds.shape[1]):
+        if not np.count_nonzero(unsolved):
+            break
+        rows = np.flatnonzero(unsolved & usable[:, a])
+        k = seeds[rows, a]
+        X, T, steps, newton, why, waypoints = _track(
+            m, _paths(report.images[k], omega[rows]), report.sample.points[k], cfg, trace)
+        # step 5 on the paths that reached t = 1
+        done = np.flatnonzero(why == "")
+        polished, _ = _polish(m, X[done], omega[rows[done]])
+        xis = np.array([mags[j] ** (1.0 / m.kappa) for j in rows[done]]).reshape(-1, 1) * polished
+        reached = iter(zip(xis, [math.hypot(*r) for r in _eval_batch(m, xis) - E[rows[done]]]))
+        for i, (j, s) in enumerate(zip(rows.tolist(), k.tolist())):
+            reason, last_t, last_xi = why[i], float(T[i]), X[i].copy()
+            if isinstance(reason, SingularJacobianError):
+                errors[j], unsolved[j] = reason, False
+                continue
+            if reason == "":
+                last_t, (last_xi, residual) = 1.0, next(reached)
+                if residual <= cfg.tol * max(1.0, mags[j]):
+                    results[j] = InversionResult(last_xi, residual, int(steps[i]), int(newton[i]),
+                                                 brackets[j], waypoints and tuple(waypoints[i]))
+                    unsolved[j] = False
+                    continue
+                reason, message = "residual-over-tol", (
+                    f"tracked to t = 1 but the rescaled residual {residual:.3e} exceeds tolerance")
+            else:
+                message = ("seed image antipodal to the target in R^1" if reason == "antipodal"
+                           else f"continuation step underflowed below {cfg.min_step:g} at "
+                           f"t = {last_t:.6f}")
+            seen = errors[j].seed_failures if errors[j] else ()
+            errors[j] = ContinuationFailedError(message, last_t, last_xi, seen + ((s, reason),))
+    for result, err in zip(results, errors):
+        if result is None:
+            raise err or ContinuationFailedError("no usable seed: every sample image was zero")
+    out = iter(results)
+    return [next(out) if mag else _origin(m.n, trace) for mag in nonzero]
+
+
+def _origin(n: int, trace: bool) -> InversionResult:
+    return InversionResult(np.zeros(n), 0.0, 0, 0, (0.0, 0.0), () if trace else None)
 
 
 def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
@@ -293,79 +382,17 @@ def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
         No report, a report computed for another map (even with ``force``),
         or a non-passing one without ``force``.
     ContinuationFailedError
-        Step-size underflow on every candidate seed; carries the furthest
-        waypoint reached.
+        No path tracked to the target from any candidate seed; carries the
+        furthest waypoint reached.
     SingularJacobianError
         A numerically singular Jacobian at a point on the tracked path
         (evidence the nonvanishing-determinant hypothesis fails).
     """
-    if cfg is None:
-        cfg = ContinuationConfig()
-    e = np.asarray(eta, dtype=float)
-    if e.ndim != 1 or e.shape[0] != m.n:
-        raise InvalidInputError(f"eta must be a vector of length {m.n}")
-    if not np.all(np.isfinite(e)):
-        raise InvalidInputError("eta contains non-finite components")
-    # hypot, unlike the norm, neither underflows nor overflows at extreme |eta|
-    mag = math.hypot(*e)
-    if mag == 0.0:
-        return InversionResult(
-            xi=np.zeros(m.n),
-            residual=0.0,
-            steps=0,
-            newton_iters_total=0,
-            bracket=(0.0, 0.0),
-            path_waypoints=() if trace else None,
-        )
-    report = _require_report(m, report, force)
-    bracket = coercivity_bracket(report, e, m.kappa)
-    omega = e / mag
-    scale_back = mag ** (1.0 / m.kappa)
-
-    points = report.sample.points
-    images = report.images
-    norms = report.image_norms
-    usable = np.isfinite(norms) & (norms > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = (images @ omega) / norms
-    scores[~usable] = -np.inf
-
-    failures: list[tuple[int, str]] = []
-    last_failure: ContinuationFailedError | None = None
-    for k in _top_k(scores, cfg.seed_attempts).tolist():
-        if not usable[k]:
-            continue
-        try:
-            xi_unit, steps, newects, waypoints = _continue_path(
-                m, points[k], images[k], omega, cfg, trace, k
-            )
-        except ContinuationFailedError as err:
-            failures.extend(err.seed_failures)
-            last_failure = err
-            continue
-        polished, _ = _polish(m, xi_unit[None, :], omega)
-        xi = scale_back * polished[0]
-        residual = math.hypot(*(eval_map(m, xi) - e))
-        if residual <= cfg.tol * max(1.0, mag):
-            return InversionResult(
-                xi=xi,
-                residual=residual,
-                steps=steps,
-                newton_iters_total=newects,
-                bracket=bracket,
-                path_waypoints=tuple(waypoints) if trace else None,
-            )
-        failures.append((k, "residual-over-tol"))
-        last_failure = ContinuationFailedError(
-            f"tracked to t = 1 but the rescaled residual {residual:.3e} exceeds "
-            f"tolerance",
-            last_t=1.0,
-            last_xi=xi,
-        )
-    if last_failure is not None:
-        last_failure.seed_failures = tuple(failures)
-        raise last_failure
-    raise ContinuationFailedError("no usable seed: every sample image was zero")
+    E = _target_rows(m, eta, ndim=1)
+    if not E.any():
+        return _origin(m.n, trace)
+    return _invert_batch(m, E, cfg or ContinuationConfig(), _require_report(m, report, force),
+                         trace)[0]
 
 
 def inverse_homogeneity_check(m: MapSpec, eta, taus, cfg: ContinuationConfig | None = None,
@@ -377,33 +404,30 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, cfg: ContinuationConfig | N
     For an exact inverse this is zero because the inverse of an order-``kappa``
     homogeneous bijection is homogeneous of order ``1/kappa``.
     """
-    base = invert(m, eta, cfg, report, force=force)
-    base_norm = math.hypot(*base.xi)
-    if base_norm == 0.0:
+    e = _target_rows(m, eta, ndim=1)[0]
+    if not e.any():
         raise InvalidInputError("eta must be nonzero for a homogeneity check")
-    worst = 0.0
-    e = np.asarray(eta, dtype=float)
-    for tau in taus:
-        tau = float(tau)
-        if tau <= 0.0:
-            raise InvalidParameterError("tau values must be positive")
-        scaled = invert(m, tau * e, cfg, report, force=force)
-        factor = tau ** (1.0 / m.kappa)
-        dev = math.hypot(*(scaled.xi - factor * base.xi)) / (factor * base_norm)
-        worst = max(worst, dev)
-    return worst
+    report = _require_report(m, report, force)
+    taus = [float(tau) for tau in taus]
+    if any(tau <= 0.0 for tau in taus):
+        raise InvalidParameterError("tau values must be positive")
+    etas = _target_rows(m, np.array([e] + [tau * e for tau in taus]))  # tau * e may overflow
+    base, *scaled = _invert_batch(m, etas, cfg or ContinuationConfig(), report)
+    base_norm = math.hypot(*base.xi)
+    return max((math.hypot(*(res.xi - tau ** (1.0 / m.kappa) * base.xi))
+                / (tau ** (1.0 / m.kappa) * base_norm) for tau, res in zip(taus, scaled)),
+               default=0.0)
 
 
 def _roundtrips(m: MapSpec, etas, cfg: ContinuationConfig | None,
-                report: HypothesisReport | None, force: bool):
-    """Invert each row of a batch of nonzero targets; yields ``(eta, result,
-    |f(xi) - eta| / |eta|)`` per target, in order."""
-    for eta in np.atleast_2d(np.asarray(etas, dtype=float)):
-        mag = math.hypot(*eta)
-        if mag == 0.0:
-            raise InvalidInputError("roundtrip targets must be nonzero")
-        res = invert(m, eta, cfg, report, force=force)
-        yield eta, res, res.residual / mag
+                report: HypothesisReport | None, force: bool) -> list:
+    """Invert a batch of nonzero targets as one batch; returns ``(eta,
+    result, |f(xi) - eta| / |eta|)`` per target, in order."""
+    E = _target_rows(m, etas)
+    if not E.any(axis=1).all():
+        raise InvalidInputError("roundtrip targets must be nonzero")
+    results = _invert_batch(m, E, cfg or ContinuationConfig(), _require_report(m, report, force))
+    return [(eta, res, res.residual / math.hypot(*eta)) for eta, res in zip(E, results)]
 
 
 def roundtrip_check(m: MapSpec, etas, cfg: ContinuationConfig | None = None,
@@ -411,10 +435,7 @@ def roundtrip_check(m: MapSpec, etas, cfg: ContinuationConfig | None = None,
                     force: bool = False) -> float:
     """Largest relative roundtrip residual ``|f(invert(eta)) - eta| / |eta|``
     over a batch of nonzero targets."""
-    worst = 0.0
-    for _, _, rel in _roundtrips(m, etas, cfg, report, force):
-        worst = max(worst, rel)
-    return worst
+    return max((rel for _, _, rel in _roundtrips(m, etas, cfg, report, force)), default=0.0)
 
 
 def inverse_jacobian(m: MapSpec, xi) -> np.ndarray:

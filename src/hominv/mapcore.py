@@ -356,6 +356,12 @@ def eval_jacobian_batch(m: MapSpec, points) -> np.ndarray:
     X, _ = _as_matrix(points, m.n)
     if np.any(np.all(X == 0.0, axis=1)):
         raise UndefinedAtOriginError("the Jacobian is undefined at the origin")
+    return _jacobian_batch(m, X)
+
+
+def _jacobian_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
+    """:func:`eval_jacobian_batch` without validation: ``X`` must be a finite
+    ``(B, n)`` array of nonzero rows."""
     body = m.body
     if isinstance(body, PolyMap):
         if m.radial_exponent == 0.0:

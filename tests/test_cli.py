@@ -125,6 +125,15 @@ def test_invert_unreachable_tolerance_exits_three(mapfile):
     assert rc == 3
 
 
+def test_invert_with_no_origin_avoiding_path_exits_three(mapfile, capsys):
+    # in R^1 every image of x^2 is positive: -1 is a numerical failure (3),
+    # not a usage error (1)
+    rc = main(["invert", mapfile("sq.map", "n = 1; f1 = x1^2;\n"), "--target=-1", "--force",
+               "--samples", "8"])
+    assert rc == 3
+    assert "ContinuationFailedError" in capsys.readouterr().err
+
+
 def test_degree_planar_counterexample(mapfile, tmp_path, capsys):
     out = tmp_path / "r.json"
     rc = main(["degree", mapfile("cs.map", COMPLEX_SQUARE), "--target", "1,0",

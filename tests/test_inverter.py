@@ -1,6 +1,7 @@
 """Continuation-based inversion: paths, preimages, preconditions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from hominv import (
     roundtrip_check,
     slerp_path,
 )
-from hominv.inverter import _top_k
+from hominv.inverter import _invert_batch, _top_k
+from hominv.polyparser import parse_map
 
 _REPORTS = {}
 
@@ -115,6 +117,28 @@ def test_slerp_antipodal_detour():
     eps = 1e-9
     d = np.linalg.norm(slerp_path(a, b, 0.5 + eps) - slerp_path(a, b, 0.5 - eps))
     assert d < 1e-6
+
+
+def test_slerp_rejects_antipodal_endpoints_in_one_dimension():
+    # R^1 has no direction orthogonal to both, so no path avoids the origin
+    with pytest.raises(InvalidInputError):
+        slerp_path([1.0], [-2.0], 0.3)
+    assert slerp_path([1.0], [2.0], 0.5)[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def test_invert_fails_as_antipodal_when_every_seed_image_points_away():
+    # every image of x^2 is positive, so no seed has a path to -1
+    m = parse_map("n = 1; f1 = x1^2;")
+    rep = check_hypotheses(m, count=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContinuationFailedError) as exc:
+            invert(m, [-1.0], report=rep, force=True)
+    # the unit sphere of R^1 is {-1, 1}: two seeds, both failed
+    assert [reason for _, reason in exc.value.seed_failures] == ["antipodal", "antipodal"]
+    assert exc.value.last_t == 0.0
+    # the positive half line is reachable
+    assert invert(m, [4.0], report=rep, force=True).xi[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_slerp_rejects_zero_endpoints():
@@ -358,6 +382,13 @@ def test_inverse_homogeneity_order():
     assert dev <= 1e-7
 
 
+def test_inverse_homogeneity_check_rejects_a_scaled_target_that_overflows():
+    m = radial_cube_map(3)
+    rep = report_for("radial_cube", lambda: radial_cube_map(3))
+    with pytest.raises(InvalidInputError), np.errstate(over="ignore"):
+        inverse_homogeneity_check(m, np.array([1e300, 0.0, 0.0]), taus=[1e10], report=rep)
+
+
 def test_roundtrip_check_batch():
     m = radial_linear_map((1.0, 2.0, 3.0), kappa=2.0)
     rep = report_for("radial_linear", lambda: radial_linear_map((1.0, 2.0, 3.0), kappa=2.0))
@@ -387,6 +418,20 @@ def test_top_k_matches_stable_argsort(data):
     assert np.array_equal(_top_k(scores, k), want)
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(4097, 20_000), st.integers(1, 40),
+       st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_top_k_past_its_prefix_matches_stable_argsort(seed, n, k, ties, low_head):
+    # past 4096 scores the threshold comes from a prefix; ties and a prefix
+    # of low scores must not change the list
+    rng = np.random.default_rng(seed)
+    scores = (rng.choice([-np.inf, -1.0, 0.0, 0.5, 1.0], n) if ties
+              else rng.standard_normal(n))
+    if low_head:
+        scores[:4096] -= 10.0
+    assert np.array_equal(_top_k(scores, k), np.argsort(-scores, kind="stable")[:k])
+
+
 def test_invert_with_fewer_sample_rows_than_seed_attempts():
     m = radial_cube_map(3)
     rep = check_hypotheses(m, count=8)
@@ -404,3 +449,51 @@ def test_invert_deterministic():
     b = invert(m, eta, report=rep)
     assert np.array_equal(a.xi, b.xi)
     assert a.residual == b.residual and a.steps == b.steps
+
+
+_BATCH_MAPS = {"radial_cube": lambda: radial_cube_map(3),
+               "random_admissible": lambda: random_admissible_map(n=4, seed=7, kappa=3.5)}
+_MAGNITUDES = st.one_of(st.sampled_from([0.0, 1e-300, 1e-170, 1.0, 1e150, 1e155]),
+                        st.floats(-300.0, 150.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(_BATCH_MAPS)), st.lists(_MAGNITUDES, min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_batch_inversion_matches_one_target_at_a_time(name, mags, seed):
+    m, rep = _BATCH_MAPS[name](), report_for(name, _BATCH_MAPS[name])
+    z = np.random.default_rng(seed).standard_normal((len(mags), m.n))
+    etas = z / np.linalg.norm(z, axis=1)[:, None] * np.array(mags)[:, None]
+    cfg = ContinuationConfig()
+    results = _invert_batch(m, etas, cfg, rep)
+    assert len(results) == len(etas)
+    for eta, res in zip(etas, results):
+        if not eta.any():
+            assert np.array_equal(res.xi, np.zeros(m.n)) and res.residual == 0.0
+            continue
+        alone = invert(m, eta, cfg, report=rep)
+        assert math.hypot(*(res.xi - alone.xi)) <= 1e-12 * math.hypot(*alone.xi)
+        assert res.residual <= cfg.tol * max(1.0, math.hypot(*eta))
+        # the residual is rounding noise; evaluated again it may differ by as much
+        assert abs(math.hypot(*(eval_map(m, res.xi) - eta)) - res.residual) \
+            <= 1e-14 * max(1.0, math.hypot(*eta))
+    if not etas.any(axis=1).all():
+        with pytest.raises(InvalidInputError):
+            roundtrip_check(m, etas, report=rep)
+
+
+def test_batch_raises_the_error_of_the_lowest_index_target():
+    # no path reaches tol 1e-30, so the second and third targets both fail;
+    # the second one's error is raised, as inverting in order would, and it
+    # names that target's own seeds
+    m = radial_cube_map(3)
+    rep = report_for("radial_cube", lambda: radial_cube_map(3))
+    cfg = ContinuationConfig(tol=1e-30, min_step=1e-3, seed_attempts=2)
+    etas = np.array([[0.0, 0.0, 0.0], [0.7, -0.2, 1.1], [-1.0, 2.0, 3.0]])
+    with pytest.raises(ContinuationFailedError) as exc:
+        _invert_batch(m, etas, cfg, rep)
+    seeds = [[s for s, _ in err.seed_failures] for err in (
+        pytest.raises(ContinuationFailedError, invert, m, eta, cfg, report=rep).value
+        for eta in etas[1:])]
+    assert seeds[0] != seeds[1]
+    assert [s for s, _ in exc.value.seed_failures] == seeds[0]

@@ -1,4 +1,5 @@
-"""The shared Newton helpers: the singularity test and the batched polish."""
+"""The shared Newton helpers: the singularity test, the one Newton loop and
+the batched polish."""
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hominv import (
     MapSpec,
     SingularJacobianError,
     acceptance_maps,
+    axis_cube_map,
     eval_jacobian,
     eval_map,
 )
-from hominv._newton import _nonsingular, _polish, _row_norms, solve_guarded
+from hominv._newton import _nonsingular, _polish, _row_norms, newton_batch, solve_guarded
 
 _MAPS = acceptance_maps()
 
@@ -133,3 +135,97 @@ def test_nonsingular_agrees_on_one_matrix_and_on_a_stack():
     for j in J[~stacked]:
         with pytest.raises(SingularJacobianError), np.errstate(invalid="ignore", over="ignore"):
             solve_guarded(j, np.ones(3))
+
+
+def _scalar_newton(m, x0, target, tol, radius_cap, max_iter):
+    """The scalar corrector that ``newton_batch`` replaced in the path
+    tracker, with its divergence radius (1e12) made a parameter and a point
+    at the origin, where it raised, leaving as singular."""
+    x = np.array(x0, dtype=float)
+    scale = tol * max(1.0, float(np.linalg.norm(target)))
+    for it in range(max_iter + 1):
+        r = eval_map(m, x) - target
+        if float(np.linalg.norm(r)) <= scale:
+            return x, True, it, "converged"
+        if it == max_iter:
+            break
+        if not x.any():
+            return x, False, it, "singular"
+        J = eval_jacobian(m, x).entries
+        try:
+            dx = solve_guarded(J, r)
+        except SingularJacobianError:
+            return x, False, it, "singular"
+        x = x - dx
+        if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > radius_cap:
+            return x, False, it, "diverged"
+    return x, False, max_iter, "no-convergence"
+
+
+_NEWTON_MAPS = dict(_MAPS, axis_cube3=axis_cube_map(3))
+
+
+def _newton_problem(name, seed, near, far, planar, per_row):
+    """Targets ``f(root)``, one for all rows or one per row, and rows near
+    their root (relative distance 0 to 1e-1), far from it (radius 1e-1 to
+    1e1) and on a coordinate plane (where axis_cube3 is singular)."""
+    m = _NEWTON_MAPS[name]
+    rng = np.random.default_rng(seed)
+    count = near + far + planar
+
+    def directions(k):
+        z = rng.standard_normal((k, m.n))
+        return z / np.linalg.norm(z, axis=1)[:, None]
+
+    k = count if per_row else 1
+    roots = directions(k) * 10.0 ** rng.uniform(-1.0, 1.0, (k, 1))
+    target = eval_map(m, roots) if per_row else eval_map(m, roots[0])
+    offsets = rng.choice([0.0, 1e-15, 1e-10, 1e-6, 1e-3, 1e-1], size=(near, 1))
+    rows_near = roots[:near] * (1.0 + offsets * rng.standard_normal((near, m.n)))
+    rows_far = directions(far + planar) * 10.0 ** rng.uniform(-1.0, 1.0, size=(far + planar, 1))
+    rows_far[far:, rng.integers(0, m.n)] = 0.0
+    return m, target, np.vstack([rows_near, rows_far])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_NEWTON_MAPS)), st.integers(0, 2**32 - 1),
+       st.integers(0, 5), st.integers(0, 5), st.integers(0, 3), st.booleans(),
+       st.sampled_from([1e12, 1.5]), st.sampled_from([1, 2, 20]))
+def test_newton_batch_matches_the_scalar_loop_row_by_row(name, seed, near, far, planar,
+                                                         per_row, radius_cap, max_iter):
+    m, target, rows = _newton_problem(name, seed, near, far, planar, per_row)
+    tol = 1e-10
+    X, converged, iters, mode = newton_batch(m, rows, target, tol, radius_cap, max_iter)
+    targets = np.broadcast_to(target, rows.shape)
+    for i, row in enumerate(rows):
+        x, ok, it, why = _scalar_newton(m, row, targets[i], tol, radius_cap, max_iter)
+        assert (mode[i], iters[i], converged[i]) == (why, it, ok)
+        if ok:
+            assert _close(X[i], x)
+    # a row's outcome does not depend on the other rows of its batch
+    for i, row in enumerate(rows):
+        alone = newton_batch(m, row[None, :], targets[i][None, :], tol, radius_cap, max_iter)
+        assert (alone[3][0], alone[2][0]) == (mode[i], iters[i])
+        assert _close(alone[0][0], X[i]) or not converged[i]
+    if len(rows):
+        order = np.random.default_rng(seed).permutation(len(rows))
+        shuffled = newton_batch(m, rows[order], targets[order], tol, radius_cap, max_iter)
+        assert shuffled[3].tolist() == mode[order].tolist()
+        assert shuffled[2].tolist() == iters[order].tolist()
+        assert np.all(_close(shuffled[0], X[order]) | ~converged[order])
+
+
+def test_newton_batch_of_no_rows_is_empty():
+    X, converged, iters, mode = newton_batch(_MAPS["diag123"], np.zeros((0, 3)), np.ones(3),
+                                             1e-10, 1e12)
+    assert X.shape == (0, 3) and converged.shape == iters.shape == mode.shape == (0,)
+
+
+def test_newton_batch_stops_a_row_at_the_origin_as_singular():
+    # f(x) = x has a Jacobian at the origin too, but a homogeneous map in
+    # general has none there, so a row at the origin always stops
+    m = _MAPS["identity3"]
+    X, converged, iters, mode = newton_batch(m, np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]),
+                                             np.array([1.0, 2.0, 3.5]), 1e-10, 1e12)
+    assert mode.tolist() == ["singular", "converged"] and iters.tolist() == [0, 1]
+    assert converged.tolist() == [False, True]
