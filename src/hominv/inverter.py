@@ -26,8 +26,8 @@ Residuals are judged relative to ``max(1, |target|)`` throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections import namedtuple
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -230,11 +230,11 @@ def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, cfg: ContinuationConfig, trac
             t_next = np.where(accept, t_next, t)
         x, t, g, ns, nt = x_new, t_next, g_next, ns + accept, nt + iters
         # three easy acceptances in a row double the step, up to initial_step,
-        # and restart the streak; a rejection halves the step
-        streak = np.where(accept & (iters <= 3), streak + 1, 0)
-        grow = streak == 3
-        if not every or np.count_nonzero(grow):
-            step = np.minimum(step * np.where(accept, 1.0 + grow, 0.5), cfg.initial_step)
+        # and restart the streak; a rejection halves the step and clears the
+        # streak.  That is the only way off the cap, where the streak is moot
+        if not every or np.count_nonzero(step < cfg.initial_step):
+            streak = np.where(accept & (iters <= 3), streak + 1, 0)
+            step = np.minimum(step * np.where(accept, 1.0 + (streak == 3), 0.5), cfg.initial_step)
             streak %= 3
         if trace:
             for i in np.flatnonzero(accept):
@@ -315,9 +315,9 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, cfg: ContinuationConfig,
     map's own report; a zero row returns the origin.  Each target ends with
     an :class:`InversionResult` or an error; the error of the lowest-index
     target that has one is raised, as inverting one at a time would."""
-    nonzero = [math.hypot(*e) for e in etas]
-    nz = [i for i, mag in enumerate(nonzero) if mag]
-    E, mags = etas[nz], [nonzero[i] for i in nz]
+    norms = [math.hypot(*e) for e in etas]
+    nz = [i for i, mag in enumerate(norms) if mag]
+    E, mags = etas[nz], [norms[i] for i in nz]
     brackets = [coercivity_bracket(report, e, m.kappa) for e in E]
     omega = E / np.array(mags).reshape(-1, 1)
     seeds, usable = _seeds(report, omega, cfg.seed_attempts)
@@ -358,7 +358,7 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, cfg: ContinuationConfig,
         if result is None:
             raise err or ContinuationFailedError("no usable seed: every sample image was zero")
     out = iter(results)
-    return [next(out) if mag else _origin(m.n, trace) for mag in nonzero]
+    return [next(out) if mag else _origin(m.n, trace) for mag in norms]
 
 
 def _origin(n: int, trace: bool) -> InversionResult:
