@@ -20,10 +20,14 @@ gradient, not certified bounds.  The one exception is
 :func:`certify_c0_lower`, which combines the empirical minimum with a
 Lipschitz bound and the sample's covering-radius estimate; it is labelled
 heuristically certified because the covering radius itself is estimated.
+The estimate, the sample's largest nearest-neighbour distance, is computed
+exactly with numpy alone (a pruned cell-grid search), and the same search
+detects repeated sample rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,6 +39,7 @@ from .errors import (
     InvalidParameterError,
     NoBracketError,
 )
+from ._newton import _row_norms
 from .mapcore import (
     MapSpec,
     PolyMap,
@@ -86,9 +91,9 @@ class SphereSample:
     """A seeded quasi-uniform sample of the unit sphere ``S^{n-1}``.
 
     ``covering_radius_estimate`` is the largest nearest-neighbour distance
-    within the sample: a mesh-fineness heuristic, not a certified covering
-    radius.  For ``n = 1`` the sphere has only two points, so ``count`` may
-    saturate below the requested size.
+    within the sample, computed exactly: a mesh-fineness heuristic, not a
+    certified covering radius of the sphere.  For ``n = 1`` the sphere has
+    only two points, so ``count`` may saturate below the requested size.
     """
 
     points: np.ndarray
@@ -117,48 +122,191 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SphereSample:
         radius, repeated = _covering_radius(pts)
         if not repeated:
             return SphereSample(pts, count, radius, n, int(seed))
-    # rare path: duplicates or degenerate rows; rebuild point by point
-    seen: dict[bytes, None] = {}
-    rows: list[np.ndarray] = []
+    pts = _distinct_unit_rows(block, rng, count)
+    return SphereSample(pts, len(pts), _covering_radius(pts)[0], n, int(seed))
 
-    def _push(row: np.ndarray) -> None:
-        nrm = float(np.linalg.norm(row))
-        if nrm <= 1e-12 or not np.isfinite(nrm):
-            return
-        u = row / nrm
-        key = u.tobytes()
-        if key not in seen:
-            seen[key] = None
-            rows.append(u)
 
-    for row in block:
-        _push(row)
-    attempts = 0
-    while len(rows) < count and attempts < 64:
-        for row in rng.standard_normal((count - len(rows), n)):
-            _push(row)
-        attempts += 1
-    pts = np.asarray(rows)
-    return SphereSample(pts, len(rows), _covering_radius(pts)[0], n, int(seed))
+def _distinct_unit_rows(block: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The rare path of :func:`sample_sphere`: normalize each row of
+    ``block`` on its own, drop degenerate and non-finite rows and every
+    repeat of an earlier row, then top up with fresh draws of the missing
+    number of rows, at most 64 times.
+
+    A repeat has the same bytes as an earlier row, so ``-0.0`` and ``0.0``
+    differ.  Rows keep the order in which they were drawn.
+    """
+    n = block.shape[1]
+    kept = np.empty((0, n))
+    draw, rounds = block, 0
+    while True:
+        norms = _row_norms(draw)  # bit for bit the norm of each row alone
+        ok = (norms > 1e-12) & np.isfinite(norms)
+        units = draw[ok] / norms[ok, None]
+        # first occurrence of each bit pattern among the kept rows and then
+        # this draw's rows: the sort is stable, so each run of equal
+        # patterns starts with the earliest
+        both = np.concatenate([kept, units])
+        bits = both.view(np.uint64)
+        order = np.lexsort(bits.T[::-1])
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = np.any(bits[order[1:]] != bits[order[:-1]], axis=1)
+        new = np.sort(order[head & (order >= len(kept))])
+        kept = np.concatenate([kept, both[new]])
+        if len(kept) >= count or rounds == 64:
+            return kept
+        draw, rounds = rng.standard_normal((count - len(kept), n)), rounds + 1
+
+
+# Tuning of the covering-radius search; none changes its result.
+#: rows on each side, in the sorted order, that give each row's upper bound
+_CR_SORT_NEIGHBOURS = 16
+#: rows searched exactly at a time, largest upper bounds first
+_CR_BLOCK = 256
+#: cell side over the expected largest nearest-neighbour distance on the
+#: unit sphere
+_CR_CELL_FACTOR = 1.25
+#: candidate pairs expanded at a time, which bounds the search's memory
+_CR_PAIR_CHUNK = 16_384
+#: relative slack for rounding in the cell index: a neighbourhood settles a
+#: row only when its minimum is below ``(1 - margin) * h``
+_CR_CELL_MARGIN = 1e-5
+
+
+def _sq_dists(C: np.ndarray, i, j) -> np.ndarray:
+    """Squared distances between the rows ``i`` and ``j`` of the column
+    array ``C`` (one row per coordinate), summed in coordinate order."""
+    s = C[0, i] - C[0, j]
+    s *= s
+    for c in C[1:]:
+        d = c[i] - c[j]
+        d *= d
+        s += d
+    return s
+
+
+def _cell_side(N: int, n: int, widest: float) -> float:
+    """Cell side of the covering-radius grid for ``N`` rows in ``R^n``
+    whose bounding box is ``widest`` across on its widest axis."""
+    # N uniform points on the unit sphere: the largest nearest-neighbour
+    # distance r solves N * exp(-N * ball * r**(n-1) / area) = 1
+    area = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
+    ball = math.pi ** ((n - 1) / 2) / math.gamma((n + 1) / 2)
+    r = (area * math.log(N) / (N * ball)) ** (1.0 / max(n - 1, 1))
+    # scaled to the rows' extent; at most 2**(60 // n) cells an axis, so
+    # that the cell keys fit in an int64
+    return max(0.5 * widest * _CR_CELL_FACTOR * r, widest / 2.0 ** (60 // n))
 
 
 def _covering_radius(points: np.ndarray) -> tuple[float, bool]:
-    """``(radius, repeated)`` from one k-d tree query of every point's two
-    nearest sample points (itself and its nearest neighbour).
+    """``(radius, repeated)`` of a set of finite rows, exactly.
 
-    ``radius`` is the largest nearest-neighbour distance; ``repeated`` is
-    true when some row occurs twice, which shows as a nearest-neighbour
-    distance of zero.
+    ``radius`` is the largest nearest-neighbour distance: the largest, over
+    the rows, of the distance to the nearest other row.  ``repeated`` is
+    true when two rows coincide (``-0.0`` equals ``0.0``).  Fewer than two
+    rows give the sphere's diameter, 2.0, as a conservative fallback.
+
+    A fixed-radius cell grid (Bentley, Stanat and Williams, 1977), pruned to
+    the rows that can hold the maximum:
+
+    - cells of side ``h`` cover the rows' bounding box, ``h`` a little
+      above the expected largest nearest-neighbour distance of that many
+      uniform points on the unit sphere; the rows are sorted by cell, then
+      by first coordinate, and by every coordinate when two rows of a cell
+      share the first, so equal rows are adjacent;
+    - each row's distance to the nearest of its neighbours in that order is
+      an upper bound on its nearest-neighbour distance, and a zero one shows
+      a repeated row;
+    - rows are searched exactly in blocks, largest upper bound first: among
+      the ``3**n`` cells around the row, and among all rows when nothing
+      there is nearer than ``h``.  A row whose upper bound does not exceed
+      the largest exact distance so far cannot hold the maximum.
+
+    Each distance is the square root of the squared coordinate differences
+    summed in coordinate order.  Up to seven coordinates that is also the
+    arithmetic of scipy's ``cKDTree``, so the two agree to the bit; it sums
+    eight or more coordinates in four interleaved partial sums.
     """
-    if len(points) < 2:
-        return 2.0, False  # sphere diameter: the conservative fallback
-    # imported here, not at the top: scipy.spatial loads scipy.special too,
-    # which `import hominv` should not pay for
-    from scipy.spatial import cKDTree
+    N, n = points.shape
+    if N < 2:
+        return 2.0, False
+    C = np.ascontiguousarray(points.T, dtype=float)  # one row per coordinate
+    lo = C.min(axis=1)
+    widest = float((C.max(axis=1) - lo).max())
+    if 0.0 < widest < math.inf:
+        h = _cell_side(N, n, widest)
+        cells = np.floor((C - lo[:, None]) / h).astype(np.int64)
+    else:  # all rows equal, or a span beyond the float range: one cell
+        h = math.inf
+        cells = np.zeros(C.shape, dtype=np.int64)
+    dims = cells.max(axis=1) + 1
+    key = cells[0]
+    for j in range(1, n):  # row-major: the last axis is the fastest
+        key = key * dims[j] + cells[j]
+    # by cell, then by first coordinate; a tie between rows of one cell
+    # needs every coordinate to make equal rows adjacent
+    order = np.argsort(C[0])
+    order = order[np.argsort(key[order], kind="stable")]
+    k_sorted, x_sorted = key[order], C[0, order]
+    if np.any((k_sorted[1:] == k_sorted[:-1]) & (x_sorted[1:] == x_sorted[:-1])):
+        order = np.lexsort((*C[::-1], key))
+    C, key, cells = C[:, order], key[order], cells[:, order]
 
-    dists, _ = cKDTree(points).query(points, k=2)
-    nearest = dists[:, 1]
-    return float(nearest.max()), bool(np.any(nearest == 0.0))
+    ub = np.full(N, np.inf)
+    for k in range(1, min(_CR_SORT_NEIGHBOURS, N - 1) + 1):
+        s = _sq_dists(C, slice(k, None), slice(None, -k))
+        np.minimum(ub[:-k], s, out=ub[:-k])
+        np.minimum(ub[k:], s, out=ub[k:])
+    repeated = bool(ub.min() == 0.0)
+    if n == 1:  # the sorted neighbours are the nearest
+        return float(np.sqrt(ub.max())), repeated
+
+    near = (h * (1.0 - _CR_CELL_MARGIN)) ** 2
+    # offsets to the neighbouring cells on every axis but the last: the last
+    # axis is the fastest in the key, so its three cells are one key range
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n - 1)),
+                       dtype=np.int64).T.reshape(n - 1, 1, -1)
+
+    def nearest(q: np.ndarray) -> np.ndarray:
+        """Exact squared nearest-neighbour distance of each row in ``q``."""
+        nb = cells[:-1, q, None] + offsets  # (n - 1, len(q), 3**(n-1))
+        inside = np.all((nb >= 0) & (nb < dims[:-1, None, None]), axis=0)
+        base = nb[0]
+        for j in range(1, n - 1):
+            base = base * dims[j] + nb[j]
+        base = base * dims[-1]
+        last = cells[-1, q, None]
+        start = np.searchsorted(key, base + np.maximum(last - 1, 0), "left")
+        stop = np.searchsorted(key, base + np.minimum(last + 1, dims[-1] - 1), "right")
+        lengths = np.where(inside, stop - start, 0)
+        per_row = lengths.sum(axis=1)  # >= 1: the row's own cell holds it
+        ends = np.cumsum(per_row)
+        best = np.empty(len(q))
+        a = 0
+        while a < len(q):
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - per_row[a] + _CR_PAIR_CHUNK,
+                                               "right")))
+            run, first = lengths[a:b].ravel(), start[a:b].ravel()
+            j = np.repeat(first - (np.cumsum(run) - run), run) + np.arange(run.sum())
+            i = np.repeat(q[a:b], per_row[a:b])
+            d = _sq_dists(C, i, j)
+            d[i == j] = np.inf
+            best[a:b] = np.minimum.reduceat(d, ends[a:b] - ends[a] - per_row[a:b] + per_row[a])
+            a = b
+        for f in np.flatnonzero(~(best < near)):  # the neighbourhood may miss it
+            d = _sq_dists(C, q[f], slice(None))
+            d[q[f]] = np.inf
+            best[f] = d.min()
+        return best
+
+    radius_sq = 0.0
+    while True:
+        rows = np.flatnonzero(ub > radius_sq)
+        if len(rows) == 0:
+            return float(np.sqrt(radius_sq)), repeated
+        if len(rows) > _CR_BLOCK:
+            rows = rows[np.argpartition(ub[rows], len(rows) - _CR_BLOCK)[-_CR_BLOCK:]]
+        radius_sq = max(radius_sq, float(nearest(rows).max()))
+        ub[rows] = -np.inf  # searched
 
 
 def _fd_tangent_gradient(value_fn, w: np.ndarray, delta: float = 1e-6) -> np.ndarray:

@@ -258,3 +258,21 @@ def test_import_loads_neither_scipy_stats_nor_special():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_check_and_invert_load_no_scipy(mapfile):
+    # the covering radius is numpy alone, so no command needs scipy at all
+    path = mapfile("rc.map", RADIAL_CUBE)
+    src = os.path.dirname(os.path.dirname(hominv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys\n"
+        "from hominv.cli import main\n"
+        f"assert main(['check', {path!r}]) == 0\n"
+        f"assert main(['invert', {path!r}, '--target', '1,-2,0.5', '--samples', '2000']) == 0\n"
+        "print([k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"

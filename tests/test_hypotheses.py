@@ -1,5 +1,7 @@
 """Sphere sampling, extrema estimation, and the hypothesis verdicts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +31,7 @@ from hominv import (
     random_admissible_map,
     sample_sphere,
 )
-from hominv.hypotheses import _covering_radius
+from hominv.hypotheses import _cell_side, _covering_radius, _distinct_unit_rows
 
 
 def zero_map(n=3):
@@ -95,6 +97,154 @@ def test_covering_radius_single_point_falls_back_to_diameter():
 def test_covering_radius_below_p15_at_1e4():
     s = sample_sphere(3, 10_000, seed=0)
     assert s.covering_radius_estimate < 0.15
+
+
+def _rare_path_loop(block, rng, count):
+    """The per-row rare path of ``sample_sphere`` that ``_distinct_unit_rows``
+    replaced, kept as its reference."""
+    seen, rows = {}, []
+
+    def push(row):
+        nrm = float(np.linalg.norm(row))
+        if nrm <= 1e-12 or not np.isfinite(nrm):
+            return
+        u = row / nrm
+        key = u.tobytes()
+        if key not in seen:
+            seen[key] = None
+            rows.append(u)
+
+    for row in block:
+        push(row)
+    attempts = 0
+    while len(rows) < count and attempts < 64:
+        for row in rng.standard_normal((count - len(rows), block.shape[1])):
+            push(row)
+        attempts += 1
+    return np.asarray(rows).reshape(-1, block.shape[1])
+
+
+# zero, tiny, non-finite and signed-zero coordinates among ordinary ones
+_RARE_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-13, 1e-300, np.inf, np.nan]),
+    st.floats(-3.0, 3.0),
+)
+
+
+@st.composite
+def _rare_blocks(draw):
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(_RARE_COORD, min_size=n, max_size=n),
+                         min_size=1, max_size=count))
+    # repeats of drawn rows, some with the sign of their zeros flipped
+    for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=count - len(rows))):
+        flip = draw(st.booleans())
+        rows.append([(-c if flip and c == 0.0 else c) for c in rows[k]])
+    return np.array(rows, dtype=float), count, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rare_blocks())
+@example((np.zeros((1, 1)), 3, 0))
+@example((np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]), 3, 1))
+def test_distinct_unit_rows_equals_the_per_row_loop(case):
+    block, count, seed = case
+    ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ours = _distinct_unit_rows(block, ours_rng, count)
+    ref = _rare_path_loop(block, ref_rng, count)
+    assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+    # the same draws were taken
+    assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sample_sphere_in_one_dimension_keeps_both_points():
+    s = sample_sphere(1, 10_000, seed=0)
+    assert s.count == 2 and sorted(s.points.ravel()) == [-1.0, 1.0]
+    assert s.covering_radius_estimate == 2.0
+
+
+_KD_CASES = ([(n, 10_000 * n, seed) for n in (2, 3, 4) for seed in range(5)]
+             + [(n, 2000, 0) for n in (2, 3, 4)] + [(5, 5000, 0)])
+
+
+@pytest.mark.parametrize("n,count,seed", _KD_CASES)
+def test_covering_radius_equals_the_kd_tree_to_the_bit(n, count, seed):
+    cKDTree = pytest.importorskip("scipy.spatial").cKDTree
+    s = sample_sphere(n, count, seed)
+    dists, _ = cKDTree(s.points).query(s.points, k=2)
+    nearest = dists[:, 1]
+    expected = (float(nearest.max()), bool(np.any(nearest == 0.0)))
+    assert _covering_radius(s.points) == expected
+    assert s.covering_radius_estimate == expected[0]
+
+
+def _brute_covering_radius(P):
+    """Every pair in the search's arithmetic: squared differences summed in
+    coordinate order, the square root taken last."""
+    best, repeated = 0.0, False
+    for a in range(0, len(P), 256):
+        rows = P[a:a + 256]
+        d = np.zeros((len(rows), len(P)))
+        for c in range(P.shape[1]):
+            diff = rows[:, None, c] - P[None, :, c]
+            d += diff * diff
+        d[np.arange(len(rows)), a + np.arange(len(rows))] = np.inf
+        nearest = d.min(axis=1)
+        best = max(best, float(nearest.max()))
+        repeated = repeated or bool(np.any(nearest == 0.0))
+    return math.sqrt(best), repeated
+
+
+def _point_set(n, N, seed, kinds):
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((N, n))
+    P /= np.linalg.norm(P, axis=1)[:, None]
+    if "caps" in kinds:  # three tight clusters
+        centres = P[rng.integers(0, N, 3)]
+        P = centres[rng.integers(0, 3, N)] + 1e-3 * rng.standard_normal((N, n))
+    if "far" in kinds:  # isolated rows, beyond every neighbourhood
+        far = rng.choice(N, min(N, 3), replace=False)
+        P[far] = 10.0 * np.arange(1, len(far) + 1)[:, None] * P[far]
+    if "duplicates" in kinds:  # copies, and copies with -0.0 for 0.0
+        src, dst = rng.integers(0, N, (2, N // 10 + 1))
+        P[src, 0] = np.where(rng.random(len(src)) < 0.5, 0.0, P[src, 0])
+        P[dst] = P[src]
+        P[dst, 0] = np.where(P[src, 0] == 0.0, -0.0, P[dst, 0])
+    lo = P.min(axis=0)
+    widest = float((P.max(axis=0) - lo).max())
+    if "boundaries" in kinds and widest > 0.0:  # rows exactly on cell boundaries
+        h = _cell_side(N, n, widest)
+        keep = np.zeros(N, dtype=bool)  # the rows that span the bounding box
+        keep[P.argmin(axis=0)] = keep[P.argmax(axis=0)] = True
+        moved = np.flatnonzero(~keep & (rng.random(N) < 0.5))
+        P[moved] = lo + np.floor((P[moved] - lo) / h) * h
+    return P
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), N=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1),
+       kinds=st.sets(st.sampled_from(["caps", "far", "duplicates", "boundaries"])))
+@example(n=3, N=2, seed=0, kinds=set())
+@example(n=2, N=3000, seed=1, kinds={"far", "duplicates", "boundaries"})
+@example(n=4, N=500, seed=2, kinds={"caps", "duplicates"})
+def test_covering_radius_equals_the_brute_force_on_hard_point_sets(n, N, seed, kinds):
+    P = _point_set(n, N, seed, kinds)
+    assert _covering_radius(P) == _brute_covering_radius(P)
+
+
+def test_covering_radius_finds_a_repeat_among_rows_sharing_a_first_coordinate():
+    # 200 rows of one cell share their first coordinate (a far row makes the
+    # cells wide); only the last row repeats one of them
+    rows = np.column_stack([np.full(200, 0.5), np.linspace(0.0, 1e-3, 200)])
+    P = np.vstack([rows, [[10.5, 0.0]], rows[:1]])
+    assert _covering_radius(P) == _brute_covering_radius(P)
+    assert _covering_radius(P)[1]
+
+
+def test_covering_radius_of_equal_rows_is_zero():
+    P = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+    assert _covering_radius(P) == (0.0, True)
 
 
 def test_sample_sphere_rejects_bad_arguments():
