@@ -162,9 +162,18 @@ def _distinct_unit_rows(block: np.ndarray, rng: np.random.Generator, count: int)
 _CR_SORT_NEIGHBOURS = 16
 #: rows searched exactly at a time, largest upper bounds first
 _CR_BLOCK = 256
+#: neighbouring key ranges looked up at a time, which bounds the memory of a
+#: block: fewer rows go in one when each has more than
+#: ``_CR_RANGE_CHUNK / _CR_BLOCK`` ranges
+_CR_RANGE_CHUNK = 32_768
 #: cell side over the expected largest nearest-neighbour distance on the
 #: unit sphere
 _CR_CELL_FACTOR = 1.25
+#: the grid divides at most this many axes, the first ones: a row's
+#: neighbourhood is 3**(axes - 1) key ranges, and from about ten dimensions
+#: on a cell is a third of the sphere's width, so that more axes would cost
+#: ranges and exclude few rows
+_CR_GRID_AXES = 8
 #: candidate pairs expanded at a time, which bounds the search's memory
 _CR_PAIR_CHUNK = 16_384
 #: relative slack for rounding in the cell index: a neighbourhood settles a
@@ -186,15 +195,18 @@ def _sq_dists(C: np.ndarray, i, j) -> np.ndarray:
 
 def _cell_side(N: int, n: int, widest: float) -> float:
     """Cell side of the covering-radius grid for ``N`` rows in ``R^n``
-    whose bounding box is ``widest`` across on its widest axis."""
+    whose bounding box is ``widest`` across on the grid's widest axis."""
     # N uniform points on the unit sphere: the largest nearest-neighbour
-    # distance r solves N * exp(-N * ball * r**(n-1) / area) = 1
-    area = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
-    ball = math.pi ** ((n - 1) / 2) / math.gamma((n + 1) / 2)
-    r = (area * math.log(N) / (N * ball)) ** (1.0 / max(n - 1, 1))
-    # scaled to the rows' extent; at most 2**(60 // n) cells an axis, so
+    # distance r solves N * exp(-N * ball * r**(n-1) / area) = 1; the
+    # logarithms keep the gamma function finite in any dimension
+    log_area = math.log(2.0) + n / 2 * math.log(math.pi) - math.lgamma(n / 2)
+    log_ball = (n - 1) / 2 * math.log(math.pi) - math.lgamma((n + 1) / 2)
+    r = math.exp((log_area + math.log(math.log(N)) - math.log(N) - log_ball)
+                 / max(n - 1, 1))
+    # scaled to the rows' extent; at most 2**(60 // axes) cells an axis, so
     # that the cell keys fit in an int64
-    return max(0.5 * widest * _CR_CELL_FACTOR * r, widest / 2.0 ** (60 // n))
+    axes = min(n, _CR_GRID_AXES)
+    return max(0.5 * widest * _CR_CELL_FACTOR * r, widest / 2.0 ** (60 // axes))
 
 
 def _covering_radius(points: np.ndarray) -> tuple[float, bool]:
@@ -208,18 +220,22 @@ def _covering_radius(points: np.ndarray) -> tuple[float, bool]:
     A fixed-radius cell grid (Bentley, Stanat and Williams, 1977), pruned to
     the rows that can hold the maximum:
 
-    - cells of side ``h`` cover the rows' bounding box, ``h`` a little
-      above the expected largest nearest-neighbour distance of that many
-      uniform points on the unit sphere; the rows are sorted by cell, then
-      by first coordinate, and by every coordinate when two rows of a cell
-      share the first, so equal rows are adjacent;
+    - cells of side ``h`` divide the rows' bounding box on its first ``g =
+      min(n, _CR_GRID_AXES)`` axes, ``h`` a little above the expected
+      largest nearest-neighbour distance of that many uniform points on the
+      unit sphere (a pair is no nearer than it is on those axes, so every
+      row nearer than ``h`` lies in one of the ``3**g`` cells around a
+      row); the rows are sorted by cell, then by first coordinate,
+      and by every coordinate when two rows of a cell share the first, so
+      equal rows are adjacent;
     - each row's distance to the nearest of its neighbours in that order is
       an upper bound on its nearest-neighbour distance, and a zero one shows
       a repeated row;
     - rows are searched exactly in blocks, largest upper bound first: among
-      the ``3**n`` cells around the row, and among all rows when nothing
-      there is nearer than ``h``.  A row whose upper bound does not exceed
-      the largest exact distance so far cannot hold the maximum.
+      the rows of the ``3**g`` cells around the row, and among all rows when
+      nothing there is nearer than ``h``; a block's memory is bounded in
+      any dimension.  A row whose upper bound does not
+      exceed the largest exact distance so far cannot hold the maximum.
 
     Each distance is the square root of the squared coordinate differences
     summed in coordinate order.  Up to seven coordinates that is also the
@@ -230,20 +246,22 @@ def _covering_radius(points: np.ndarray) -> tuple[float, bool]:
     if N < 2:
         return 2.0, False
     C = np.ascontiguousarray(points.T, dtype=float)  # one row per coordinate
-    lo = C.min(axis=1)
-    widest = float((C.max(axis=1) - lo).max())
+    g = min(n, _CR_GRID_AXES)
+    lo = C[:g].min(axis=1)
+    widest = float((C[:g].max(axis=1) - lo).max())
     if 0.0 < widest < math.inf:
         h = _cell_side(N, n, widest)
-        cells = np.floor((C - lo[:, None]) / h).astype(np.int64)
-    else:  # all rows equal, or a span beyond the float range: one cell
+        cells = np.floor((C[:g] - lo[:, None]) / h).astype(np.int64)
+    else:  # the grid's axes are constant, or span beyond the float range
         h = math.inf
-        cells = np.zeros(C.shape, dtype=np.int64)
+        cells = np.zeros((g, N), dtype=np.int64)
     dims = cells.max(axis=1) + 1
     key = cells[0]
-    for j in range(1, n):  # row-major: the last axis is the fastest
+    for j in range(1, g):  # row-major: the last grid axis is the fastest
         key = key * dims[j] + cells[j]
     # by cell, then by first coordinate; a tie between rows of one cell
-    # needs every coordinate to make equal rows adjacent
+    # needs every coordinate to make equal rows adjacent (a lexsort of every
+    # coordinate each time makes the whole search 1.4 to 1.8 times slower)
     order = np.argsort(C[0])
     order = order[np.argsort(key[order], kind="stable")]
     k_sorted, x_sorted = key[order], C[0, order]
@@ -261,17 +279,17 @@ def _covering_radius(points: np.ndarray) -> tuple[float, bool]:
         return float(np.sqrt(ub.max())), repeated
 
     near = (h * (1.0 - _CR_CELL_MARGIN)) ** 2
-    # offsets to the neighbouring cells on every axis but the last: the last
-    # axis is the fastest in the key, so its three cells are one key range
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n - 1)),
-                       dtype=np.int64).T.reshape(n - 1, 1, -1)
+    # offsets to the neighbouring cells on every grid axis but the last: the
+    # last is the fastest in the key, so its three cells are one key range
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=g - 1)),
+                       dtype=np.int64).T.reshape(g - 1, 1, -1)
 
     def nearest(q: np.ndarray) -> np.ndarray:
         """Exact squared nearest-neighbour distance of each row in ``q``."""
-        nb = cells[:-1, q, None] + offsets  # (n - 1, len(q), 3**(n-1))
+        nb = cells[:-1, q, None] + offsets  # (g - 1, len(q), 3**(g-1))
         inside = np.all((nb >= 0) & (nb < dims[:-1, None, None]), axis=0)
         base = nb[0]
-        for j in range(1, n - 1):
+        for j in range(1, g - 1):
             base = base * dims[j] + nb[j]
         base = base * dims[-1]
         last = cells[-1, q, None]
@@ -298,13 +316,14 @@ def _covering_radius(points: np.ndarray) -> tuple[float, bool]:
             best[f] = d.min()
         return best
 
+    block = max(1, min(_CR_BLOCK, _CR_RANGE_CHUNK // offsets.shape[2]))
     radius_sq = 0.0
     while True:
         rows = np.flatnonzero(ub > radius_sq)
         if len(rows) == 0:
             return float(np.sqrt(radius_sq)), repeated
-        if len(rows) > _CR_BLOCK:
-            rows = rows[np.argpartition(ub[rows], len(rows) - _CR_BLOCK)[-_CR_BLOCK:]]
+        if len(rows) > block:
+            rows = rows[np.argpartition(ub[rows], len(rows) - block)[-block:]]
         radius_sq = max(radius_sq, float(nearest(rows).max()))
         ub[rows] = -np.inf  # searched
 

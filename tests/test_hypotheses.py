@@ -1,6 +1,7 @@
 """Sphere sampling, extrema estimation, and the hypothesis verdicts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,31 @@ def _point_set(n, N, seed, kinds):
 def test_covering_radius_equals_the_brute_force_on_hard_point_sets(n, N, seed, kinds):
     P = _point_set(n, N, seed, kinds)
     assert _covering_radius(P) == _brute_covering_radius(P)
+
+
+@pytest.mark.parametrize("n,N,kinds", [
+    (9, 1500, set()),
+    (12, 1200, {"far"}),
+    (12, 800, {"caps", "duplicates"}),
+    (16, 600, {"duplicates", "far"}),
+    (400, 60, {"duplicates"}),
+])
+def test_covering_radius_equals_the_brute_force_in_many_dimensions(n, N, kinds):
+    P = _point_set(n, N, n, kinds)
+    assert _covering_radius(P) == _brute_covering_radius(P)
+
+
+def test_covering_radius_memory_does_not_grow_with_the_dimension():
+    # a neighbourhood of 3**(n-1) cells for each row of a block would take
+    # gigabytes at n = 16
+    P = _point_set(16, 2000, 0, set())
+    tracemalloc.start()
+    try:
+        _covering_radius(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_covering_radius_finds_a_repeat_among_rows_sharing_a_first_coordinate():
