@@ -3,9 +3,9 @@ Checking the inversion hypotheses on sample maps
 ================================================
 
 Walks through the diagnostic pipeline that every map goes through
-before inversion: sphere sampling, image-norm extrema, the certified
-lower bound, the Jacobian nonvanishing test, and the aggregated
-verdict.  Run from anywhere; map files are resolved relative to this
+before inversion: sphere sampling, image-norm extrema and the
+coercivity bracket they give, the Jacobian nonvanishing test, and the
+aggregated verdict.  Run from anywhere; map files are resolved relative to this
 script.
 """
 
@@ -16,13 +16,12 @@ import numpy as np
 from hominv import (
     blackbox_of,
     check_hypotheses,
-    certify_c0_lower,
     check_jacobian_nonvanishing,
+    coercivity_bracket,
     estimate_extrema,
     homogeneity_residual,
     parse_map,
     perturbed_radial_blackbox,
-    poly_lipschitz_bound,
     sample_sphere,
 )
 
@@ -38,31 +37,36 @@ m = parse_map((MAPS / "radial_cube3.map").read_text())
 print("radial cube: n =", m.n, " kappa =", m.kappa)
 
 sample = sample_sphere(m.n, 4000, seed=0)
-print("sphere sample: count =", sample.count,
-      " covering radius ~", round(sample.covering_radius_estimate, 4))
+print("sphere sample: count =", sample.count, " n =", sample.n)
 
 ext = estimate_extrema(m, sample)
 print("sampled extrema:  c0 =", ext.c0_sampled, " C =", ext.c_max_sampled)
 print("refined extrema:  c0 =", ext.c0, " C =", ext.c_max)
 
-# The certificate subtracts a Lipschitz-times-covering-radius margin
-# from the sampled minimum, so it sits below the empirical value but
-# converges to it as the sample grows.  The automatic coefficient
-# bound is conservative (27 here); the true sphere Lipschitz constant
-# of this map is 3, and passing it sharpens the certificate.
-print("automatic Lipschitz bound:", poly_lipschitz_bound(m))
-for count in (1000, 10000, 100000):
-    s = sample_sphere(m.n, count, seed=0)
-    auto = certify_c0_lower(m, s)
-    sharp = certify_c0_lower(m, s, lipschitz_bound=3.0)
-    print("certified c0 lower bound at N =", count,
-          ": auto", round(auto, 6), " sharp", round(sharp, 6))
+# Here |f| is constant on the sphere, so there is nothing to refine.
+# On diag(1, 2, 3) it ranges over [1, 3].  Samples of one seed are
+# nested, so the sampled minimum can only fall and the sampled maximum
+# only rise as the sample grows; the projected-gradient refinement
+# then walks from the sampled arg-extrema to 1 and 3 at every size.
+# Both are estimates, not certified bounds.
+diag = parse_map((MAPS / "diag123.map").read_text())
+for count in (100, 1000, 10000):
+    e = estimate_extrema(diag, sample_sphere(diag.n, count, seed=0))
+    print("diag123, N =", count, ": sampled", (e.c0_sampled, e.c_max_sampled),
+          " refined", (e.c0, e.c_max))
 
 jc = check_jacobian_nonvanishing(m, sample)
 print("min |det Df| on the sphere:", jc.min_abs_det, " verdict:", jc.verdict)
 
 report = check_hypotheses(m, count=4000)
 print("aggregated status:", report.status, " reasons:", report.reasons)
+
+# By homogeneity c0 |xi|^3 <= |f(xi)| <= C |xi|^3, so every preimage
+# of eta lies in the shell r_lo <= |xi| <= r_hi.  Here |f| = 1 on the
+# sphere, so the shell is the single radius |eta|^(1/3) = 2.
+eta = np.array([0.0, 0.0, 8.0])
+print("coercivity bracket for eta =", eta, ":",
+      coercivity_bracket(report, eta, m.kappa))
 print()
 
 # ---------------------------------------------------------------

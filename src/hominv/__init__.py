@@ -47,12 +47,10 @@ from .hypotheses import (
     HypothesisReport,
     JacobianCheck,
     SphereSample,
-    certify_c0_lower,
     check_hypotheses,
     check_jacobian_nonvanishing,
     coercivity_bracket,
     estimate_extrema,
-    poly_lipschitz_bound,
     sample_sphere,
 )
 from .inverter import (
@@ -66,7 +64,6 @@ from .inverter import (
 )
 from .mapcore import (
     BlackBox,
-    JacobianMatrix,
     MapSpec,
     PolyMap,
     eval_jacobian,
@@ -90,7 +87,6 @@ __all__ = [
     "PolyMap",
     "BlackBox",
     "MapSpec",
-    "JacobianMatrix",
     "eval_map",
     "eval_jacobian",
     "eval_jacobian_batch",
@@ -106,8 +102,6 @@ __all__ = [
     "sample_sphere",
     "ExtremaEstimate",
     "estimate_extrema",
-    "poly_lipschitz_bound",
-    "certify_c0_lower",
     "JacobianCheck",
     "check_jacobian_nonvanishing",
     "HypothesisReport",

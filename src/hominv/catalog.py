@@ -204,7 +204,7 @@ def blackbox_of(m: MapSpec, with_jacobian: bool = False) -> MapSpec:
     Useful for testing the finite-difference Jacobian path against the exact
     symbolic one on the same underlying function.
     """
-    jac = (lambda x: eval_jacobian(m, x).entries) if with_jacobian else None
+    jac = (lambda x: eval_jacobian(m, x)) if with_jacobian else None
     body = BlackBox(eval=lambda x: eval_map(m, x), declared_kappa=m.kappa, jacobian=jac)
     return MapSpec(body, n=m.n)
 

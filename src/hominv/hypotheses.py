@@ -16,21 +16,13 @@ the checks can all pass while injectivity still fails (the planar squaring
 map is the canonical example), so ``n >= 3`` is reported as its own gate.
 
 All estimates are empirical: sampled quantities refined by projected
-gradient, not certified bounds.  The one exception is
-:func:`certify_c0_lower`, which combines the empirical minimum with a
-Lipschitz bound and the sample's covering-radius estimate; it is labelled
-heuristically certified because the covering radius itself is estimated.
-The estimate, the sample's largest nearest-neighbour distance, is computed
-exactly with numpy alone (a pruned cell-grid search), and the same search
-detects repeated sample rows.
+gradient, not certified bounds.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -56,8 +48,6 @@ __all__ = [
     "HypothesisReport",
     "sample_sphere",
     "estimate_extrema",
-    "poly_lipschitz_bound",
-    "certify_c0_lower",
     "check_jacobian_nonvanishing",
     "check_hypotheses",
     "coercivity_bracket",
@@ -90,15 +80,12 @@ _STATUS_WARN = "hypotheses-met-but-n<3"
 class SphereSample:
     """A seeded quasi-uniform sample of the unit sphere ``S^{n-1}``.
 
-    ``covering_radius_estimate`` is the largest nearest-neighbour distance
-    within the sample, computed exactly: a mesh-fineness heuristic, not a
-    certified covering radius of the sphere.  For ``n = 1`` the sphere has
-    only two points, so ``count`` may saturate below the requested size.
+    The rows are distinct unit vectors.  For ``n = 1`` the sphere has only
+    two points, so ``count`` may saturate below the requested size.
     """
 
     points: np.ndarray
     count: int
-    covering_radius_estimate: float
     n: int
     seed: int
 
@@ -119,18 +106,32 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SphereSample:
     norms = np.linalg.norm(block, axis=1)
     if np.all(norms > 1e-12):
         pts = block / norms[:, None]
-        radius, repeated = _covering_radius(pts)
-        if not repeated:
-            return SphereSample(pts, count, radius, n, int(seed))
+        if not _has_repeated_rows(pts):
+            return SphereSample(pts, count, n, int(seed))
     pts = _distinct_unit_rows(block, rng, count)
-    return SphereSample(pts, len(pts), _covering_radius(pts)[0], n, int(seed))
+    return SphereSample(pts, len(pts), n, int(seed))
+
+
+def _has_repeated_rows(points: np.ndarray) -> bool:
+    """True when two rows of ``points`` are equal (``-0.0`` equals ``0.0``).
+
+    Equal rows share their first coordinate, so one sort of the first column
+    settles almost every draw; only a shared first coordinate calls for a
+    sort by every column.
+    """
+    first = np.sort(points[:, 0])
+    if not np.any(first[1:] == first[:-1]):
+        return False
+    order = np.lexsort(points.T[::-1])
+    return bool(np.any(np.all(points[order[1:]] == points[order[:-1]], axis=1)))
 
 
 def _distinct_unit_rows(block: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
     """The rare path of :func:`sample_sphere`: normalize each row of
     ``block`` on its own, drop degenerate and non-finite rows and every
     repeat of an earlier row, then top up with fresh draws of the missing
-    number of rows, at most 64 times.
+    number of rows, at most 64 times, or until ``n = 1`` has both of its
+    points.
 
     A repeat has the same bytes as an earlier row, so ``-0.0`` and ``0.0``
     differ.  Rows keep the order in which they were drawn.
@@ -152,180 +153,9 @@ def _distinct_unit_rows(block: np.ndarray, rng: np.random.Generator, count: int)
         head[1:] = np.any(bits[order[1:]] != bits[order[:-1]], axis=1)
         new = np.sort(order[head & (order >= len(kept))])
         kept = np.concatenate([kept, both[new]])
-        if len(kept) >= count or rounds == 64:
+        if len(kept) >= count or rounds == 64 or (n == 1 and len(kept) == 2):
             return kept
         draw, rounds = rng.standard_normal((count - len(kept), n)), rounds + 1
-
-
-# Tuning of the covering-radius search; none changes its result.
-#: rows on each side, in the sorted order, that give each row's upper bound
-_CR_SORT_NEIGHBOURS = 16
-#: rows searched exactly at a time, largest upper bounds first
-_CR_BLOCK = 256
-#: neighbouring key ranges looked up at a time, which bounds the memory of a
-#: block: fewer rows go in one when each has more than
-#: ``_CR_RANGE_CHUNK / _CR_BLOCK`` ranges
-_CR_RANGE_CHUNK = 32_768
-#: cell side over the expected largest nearest-neighbour distance on the
-#: unit sphere
-_CR_CELL_FACTOR = 1.25
-#: the grid divides at most this many axes, the first ones: a row's
-#: neighbourhood is 3**(axes - 1) key ranges, and from about ten dimensions
-#: on a cell is a third of the sphere's width, so that more axes would cost
-#: ranges and exclude few rows
-_CR_GRID_AXES = 8
-#: candidate pairs expanded at a time, which bounds the search's memory
-_CR_PAIR_CHUNK = 16_384
-#: relative slack for rounding in the cell index: a neighbourhood settles a
-#: row only when its minimum is below ``(1 - margin) * h``
-_CR_CELL_MARGIN = 1e-5
-
-
-def _sq_dists(C: np.ndarray, i, j) -> np.ndarray:
-    """Squared distances between the rows ``i`` and ``j`` of the column
-    array ``C`` (one row per coordinate), summed in coordinate order."""
-    s = C[0, i] - C[0, j]
-    s *= s
-    for c in C[1:]:
-        d = c[i] - c[j]
-        d *= d
-        s += d
-    return s
-
-
-def _cell_side(N: int, n: int, widest: float) -> float:
-    """Cell side of the covering-radius grid for ``N`` rows in ``R^n``
-    whose bounding box is ``widest`` across on the grid's widest axis."""
-    # N uniform points on the unit sphere: the largest nearest-neighbour
-    # distance r solves N * exp(-N * ball * r**(n-1) / area) = 1; the
-    # logarithms keep the gamma function finite in any dimension
-    log_area = math.log(2.0) + n / 2 * math.log(math.pi) - math.lgamma(n / 2)
-    log_ball = (n - 1) / 2 * math.log(math.pi) - math.lgamma((n + 1) / 2)
-    r = math.exp((log_area + math.log(math.log(N)) - math.log(N) - log_ball)
-                 / max(n - 1, 1))
-    # scaled to the rows' extent; at most 2**(60 // axes) cells an axis, so
-    # that the cell keys fit in an int64
-    axes = min(n, _CR_GRID_AXES)
-    return max(0.5 * widest * _CR_CELL_FACTOR * r, widest / 2.0 ** (60 // axes))
-
-
-def _covering_radius(points: np.ndarray) -> tuple[float, bool]:
-    """``(radius, repeated)`` of a set of finite rows, exactly.
-
-    ``radius`` is the largest nearest-neighbour distance: the largest, over
-    the rows, of the distance to the nearest other row.  ``repeated`` is
-    true when two rows coincide (``-0.0`` equals ``0.0``).  Fewer than two
-    rows give the sphere's diameter, 2.0, as a conservative fallback.
-
-    A fixed-radius cell grid (Bentley, Stanat and Williams, 1977), pruned to
-    the rows that can hold the maximum:
-
-    - cells of side ``h`` divide the rows' bounding box on its first ``g =
-      min(n, _CR_GRID_AXES)`` axes, ``h`` a little above the expected
-      largest nearest-neighbour distance of that many uniform points on the
-      unit sphere (a pair is no nearer than it is on those axes, so every
-      row nearer than ``h`` lies in one of the ``3**g`` cells around a
-      row); the rows are sorted by cell, then by first coordinate,
-      and by every coordinate when two rows of a cell share the first, so
-      equal rows are adjacent;
-    - each row's distance to the nearest of its neighbours in that order is
-      an upper bound on its nearest-neighbour distance, and a zero one shows
-      a repeated row;
-    - rows are searched exactly in blocks, largest upper bound first: among
-      the rows of the ``3**g`` cells around the row, and among all rows when
-      nothing there is nearer than ``h``; a block's memory is bounded in
-      any dimension.  A row whose upper bound does not
-      exceed the largest exact distance so far cannot hold the maximum.
-
-    Each distance is the square root of the squared coordinate differences
-    summed in coordinate order.  Up to seven coordinates that is also the
-    arithmetic of scipy's ``cKDTree``, so the two agree to the bit; it sums
-    eight or more coordinates in four interleaved partial sums.
-    """
-    N, n = points.shape
-    if N < 2:
-        return 2.0, False
-    C = np.ascontiguousarray(points.T, dtype=float)  # one row per coordinate
-    g = min(n, _CR_GRID_AXES)
-    lo = C[:g].min(axis=1)
-    widest = float((C[:g].max(axis=1) - lo).max())
-    if 0.0 < widest < math.inf:
-        h = _cell_side(N, n, widest)
-        cells = np.floor((C[:g] - lo[:, None]) / h).astype(np.int64)
-    else:  # the grid's axes are constant, or span beyond the float range
-        h = math.inf
-        cells = np.zeros((g, N), dtype=np.int64)
-    dims = cells.max(axis=1) + 1
-    key = cells[0]
-    for j in range(1, g):  # row-major: the last grid axis is the fastest
-        key = key * dims[j] + cells[j]
-    # by cell, then by first coordinate; a tie between rows of one cell
-    # needs every coordinate to make equal rows adjacent (a lexsort of every
-    # coordinate each time makes the whole search 1.4 to 1.8 times slower)
-    order = np.argsort(C[0])
-    order = order[np.argsort(key[order], kind="stable")]
-    k_sorted, x_sorted = key[order], C[0, order]
-    if np.any((k_sorted[1:] == k_sorted[:-1]) & (x_sorted[1:] == x_sorted[:-1])):
-        order = np.lexsort((*C[::-1], key))
-    C, key, cells = C[:, order], key[order], cells[:, order]
-
-    ub = np.full(N, np.inf)
-    for k in range(1, min(_CR_SORT_NEIGHBOURS, N - 1) + 1):
-        s = _sq_dists(C, slice(k, None), slice(None, -k))
-        np.minimum(ub[:-k], s, out=ub[:-k])
-        np.minimum(ub[k:], s, out=ub[k:])
-    repeated = bool(ub.min() == 0.0)
-    if n == 1:  # the sorted neighbours are the nearest
-        return float(np.sqrt(ub.max())), repeated
-
-    near = (h * (1.0 - _CR_CELL_MARGIN)) ** 2
-    # offsets to the neighbouring cells on every grid axis but the last: the
-    # last is the fastest in the key, so its three cells are one key range
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=g - 1)),
-                       dtype=np.int64).T.reshape(g - 1, 1, -1)
-
-    def nearest(q: np.ndarray) -> np.ndarray:
-        """Exact squared nearest-neighbour distance of each row in ``q``."""
-        nb = cells[:-1, q, None] + offsets  # (g - 1, len(q), 3**(g-1))
-        inside = np.all((nb >= 0) & (nb < dims[:-1, None, None]), axis=0)
-        base = nb[0]
-        for j in range(1, g - 1):
-            base = base * dims[j] + nb[j]
-        base = base * dims[-1]
-        last = cells[-1, q, None]
-        start = np.searchsorted(key, base + np.maximum(last - 1, 0), "left")
-        stop = np.searchsorted(key, base + np.minimum(last + 1, dims[-1] - 1), "right")
-        lengths = np.where(inside, stop - start, 0)
-        per_row = lengths.sum(axis=1)  # >= 1: the row's own cell holds it
-        ends = np.cumsum(per_row)
-        best = np.empty(len(q))
-        a = 0
-        while a < len(q):
-            b = max(a + 1, int(np.searchsorted(ends, ends[a] - per_row[a] + _CR_PAIR_CHUNK,
-                                               "right")))
-            run, first = lengths[a:b].ravel(), start[a:b].ravel()
-            j = np.repeat(first - (np.cumsum(run) - run), run) + np.arange(run.sum())
-            i = np.repeat(q[a:b], per_row[a:b])
-            d = _sq_dists(C, i, j)
-            d[i == j] = np.inf
-            best[a:b] = np.minimum.reduceat(d, ends[a:b] - ends[a] - per_row[a:b] + per_row[a])
-            a = b
-        for f in np.flatnonzero(~(best < near)):  # the neighbourhood may miss it
-            d = _sq_dists(C, q[f], slice(None))
-            d[q[f]] = np.inf
-            best[f] = d.min()
-        return best
-
-    block = max(1, min(_CR_BLOCK, _CR_RANGE_CHUNK // offsets.shape[2]))
-    radius_sq = 0.0
-    while True:
-        rows = np.flatnonzero(ub > radius_sq)
-        if len(rows) == 0:
-            return float(np.sqrt(radius_sq)), repeated
-        if len(rows) > block:
-            rows = rows[np.argpartition(ub[rows], len(rows) - block)[-block:]]
-        radius_sq = max(radius_sq, float(nearest(rows).max()))
-        ub[rows] = -np.inf  # searched
 
 
 def _fd_tangent_gradient(value_fn, w: np.ndarray, delta: float = 1e-6) -> np.ndarray:
@@ -430,7 +260,7 @@ def estimate_extrema(m: MapSpec, sample: SphereSample,
         return float(v @ v)
 
     def grad(w):
-        J = eval_jacobian(m, w).entries
+        J = eval_jacobian(m, w)
         return 2.0 * (J.T @ eval_map(m, w))
 
     w_min, v_min = _refine_on_sphere(sq, sample.points[i0], "min", grad_fn=grad)
@@ -445,43 +275,6 @@ def estimate_extrema(m: MapSpec, sample: SphereSample,
         c0_sampled=float(mags[i0]),
         c_max_sampled=float(mags[i1]),
     )
-
-
-def poly_lipschitz_bound(m: MapSpec) -> float:
-    """Conservative Lipschitz bound for ``|f|`` along the unit sphere.
-
-    For a polynomial body this is ``sum_i sum_terms |coeff| * d``: each
-    degree-``d`` monomial's gradient norm is at most ``d`` times its
-    coefficient magnitude on the closed unit ball, and the radial weight is
-    constant on the sphere.  Deliberately crude; it only needs to be valid.
-    """
-    if not isinstance(m.body, PolyMap):
-        raise InvalidParameterError("a Lipschitz bound can only be derived for polynomial bodies")
-    total = 0.0
-    for terms in m.body.components:
-        for coeff, _ in terms:
-            total += abs(coeff) * m.body.degree
-    return float(total)
-
-
-def certify_c0_lower(m: MapSpec, sample: SphereSample, lipschitz_bound: float | None = None) -> float:
-    """Heuristically certified lower bound for ``min_{|w|=1} |f(w)|``.
-
-    Uses ``max(0, c0_empirical - L * covering_radius_estimate)``: between any
-    sphere point and its nearest sample point, ``|f|`` can drop by at most
-    ``L`` times the distance.  ``lipschitz_bound`` defaults to
-    :func:`poly_lipschitz_bound` for polynomial bodies and must be supplied
-    (positive) for black-box bodies.
-    """
-    L = poly_lipschitz_bound(m) if lipschitz_bound is None else float(lipschitz_bound)
-    if L <= 0.0 or not np.isfinite(L):
-        raise InvalidParameterError("the Lipschitz bound must be a positive finite real")
-    return _c0_lower(estimate_extrema(m, sample).c0, L, sample)
-
-
-def _c0_lower(c0: float, lipschitz_bound: float, sample: SphereSample) -> float:
-    """The bound of :func:`certify_c0_lower` for an empirical minimum ``c0``."""
-    return float(max(0.0, c0 - lipschitz_bound * sample.covering_radius_estimate))
 
 
 @dataclass(frozen=True)
@@ -513,7 +306,7 @@ def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample) -> JacobianChe
     i0 = int(np.argmin(dets))
 
     def abs_det(w):
-        return float(abs(np.linalg.det(eval_jacobian(m, w).entries)))
+        return float(abs(np.linalg.det(eval_jacobian(m, w))))
 
     w_min, v = _refine_on_sphere(abs_det, sample.points[i0], "min")
     min_det = min(float(max(v, 0.0)), float(dets[i0]))
@@ -548,7 +341,6 @@ class HypothesisReport:
     seed: int
     c0_empirical: float
     c_empirical: float
-    c0_lower: Optional[float]
     min_abs_det_j: float
     homogeneity_residual: float
     n_verdict: str
@@ -582,7 +374,6 @@ class HypothesisReport:
             "seed": self.seed,
             "c0_empirical": self.c0_empirical,
             "c_empirical": self.c_empirical,
-            "c0_lower": self.c0_lower,
             "min_abs_det_j": self.min_abs_det_j,
             "homogeneity_residual": self.homogeneity_residual,
             "n_verdict": self.n_verdict,
@@ -631,15 +422,6 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
         resid = float("inf")
 
     notes = []
-    c0_lower = None
-    if isinstance(m.body, PolyMap):
-        L = poly_lipschitz_bound(m)
-        if L > 0.0:
-            c0_lower = _c0_lower(ext.c0, L, sample)
-            notes.append(
-                "c0_lower is heuristically certified: empirical minimum minus "
-                "Lipschitz bound times the estimated covering radius"
-            )
     if defaulted:
         notes.append(
             f"sample size defaulted to {DEFAULT_SAMPLES_PER_DIM} * n = {n_points} (pragmatic choice)"
@@ -668,7 +450,6 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
         seed=int(seed),
         c0_empirical=ext.c0,
         c_empirical=ext.c_max,
-        c0_lower=c0_lower,
         min_abs_det_j=jac.min_abs_det,
         homogeneity_residual=resid,
         n_verdict="pass" if n_ok else "fail",

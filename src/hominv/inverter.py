@@ -442,5 +442,5 @@ def inverse_jacobian(m: MapSpec, xi) -> np.ndarray:
     """Derivative of the inverse at ``f(xi)``: the matrix inverse of
     ``Df(xi)`` (inverse function theorem).  ``xi`` is the preimage returned
     by :func:`invert`."""
-    J = eval_jacobian(m, xi).entries
+    J = eval_jacobian(m, xi)
     return np.asarray(solve_guarded(J, np.eye(m.n)))

@@ -36,7 +36,6 @@ __all__ = [
     "PolyMap",
     "BlackBox",
     "MapSpec",
-    "JacobianMatrix",
     "eval_map",
     "eval_jacobian",
     "eval_jacobian_batch",
@@ -279,18 +278,6 @@ class MapSpec:
         return f"MapSpec(n={self.n}, kappa={self.kappa}, body={kind})"
 
 
-@dataclass(frozen=True)
-class JacobianMatrix:
-    """An ``n x n`` derivative together with the point it was taken at."""
-
-    entries: np.ndarray
-    point: np.ndarray
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries))
-
-
 def eval_map(m: MapSpec, xi) -> np.ndarray:
     """Evaluate ``f`` at a point or at a ``(B, n)`` batch of points.
 
@@ -386,8 +373,8 @@ def _jacobian_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_jacobian(m: MapSpec, xi) -> JacobianMatrix:
-    """Jacobian of ``f`` at a single nonzero point.
+def eval_jacobian(m: MapSpec, xi) -> np.ndarray:
+    """Jacobian of ``f`` at a single nonzero point, an ``(n, n)`` array.
 
     Raises
     ------
@@ -399,8 +386,7 @@ def eval_jacobian(m: MapSpec, xi) -> JacobianMatrix:
     x = np.asarray(xi, dtype=float)
     if x.ndim != 1:
         raise InvalidInputError("eval_jacobian expects a single point")
-    entries = eval_jacobian_batch(m, x[None, :])[0]
-    return JacobianMatrix(entries=entries, point=x.copy())
+    return eval_jacobian_batch(m, x[None, :])[0]
 
 
 def extend_at_origin(m: MapSpec) -> np.ndarray:

@@ -261,7 +261,7 @@ def test_import_loads_neither_scipy_stats_nor_special():
 
 
 def test_check_and_invert_load_no_scipy(mapfile):
-    # the covering radius is numpy alone, so no command needs scipy at all
+    # hominv is numpy alone, so no command needs scipy at all
     path = mapfile("rc.map", RADIAL_CUBE)
     src = os.path.dirname(os.path.dirname(hominv.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,13 +1,9 @@
 """Sphere sampling, extrema estimation, and the hypothesis verdicts."""
 
-import math
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
 
 from hominv import (
     InvalidInputError,
@@ -17,7 +13,6 @@ from hominv import (
     MapSpec,
     axis_cube_map,
     blackbox_of,
-    certify_c0_lower,
     check_hypotheses,
     check_jacobian_nonvanishing,
     coercivity_bracket,
@@ -26,13 +21,12 @@ from hominv import (
     estimate_extrema,
     identity_map,
     perturbed_radial_blackbox,
-    poly_lipschitz_bound,
     radial_cube_map,
     radial_linear_map,
     random_admissible_map,
     sample_sphere,
 )
-from hominv.hypotheses import _cell_side, _covering_radius, _distinct_unit_rows
+from hominv.hypotheses import _distinct_unit_rows, _has_repeated_rows
 
 
 def zero_map(n=3):
@@ -45,6 +39,7 @@ def zero_map(n=3):
 def test_sample_sphere_unit_norms():
     s = sample_sphere(3, 500, seed=1)
     assert np.allclose(np.linalg.norm(s.points, axis=1), 1.0, atol=1e-12)
+    assert len(np.unique(s.points, axis=0)) == s.count
     assert s.count == 500 and s.n == 3 and s.seed == 1
 
 
@@ -52,7 +47,6 @@ def test_sample_sphere_deterministic():
     a = sample_sphere(3, 1000, seed=7)
     b = sample_sphere(3, 1000, seed=7)
     assert np.array_equal(a.points, b.points)
-    assert a.covering_radius_estimate == b.covering_radius_estimate
 
 
 def test_sample_sphere_nested_prefix():
@@ -61,14 +55,6 @@ def test_sample_sphere_nested_prefix():
     small = sample_sphere(3, 400, seed=5)
     big = sample_sphere(3, 1600, seed=5)
     assert np.array_equal(big.points[:400], small.points)
-
-
-def test_covering_radius_matches_brute_force():
-    s = sample_sphere(3, 400, seed=2)
-    D = cdist(s.points, s.points)
-    np.fill_diagonal(D, np.inf)
-    brute = float(D.min(axis=1).max())
-    assert s.covering_radius_estimate == pytest.approx(brute, rel=1e-12)
 
 
 # few distinct coordinates, so that repeated rows are common; -0.0 and 0.0
@@ -82,27 +68,38 @@ _COORD = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
 @example([[0.0, 1.0], [-0.0, 1.0]])
 @example([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]])
 @example([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-def test_covering_radius_flags_repeated_rows_and_matches_brute_force(rows):
+def test_has_repeated_rows_matches_unique(rows):
     P = np.array(rows, dtype=float)
-    radius, repeated = _covering_radius(P)
-    assert repeated == (len(np.unique(P, axis=0)) < len(P))
-    D = cdist(P, P)
-    np.fill_diagonal(D, np.inf)
-    assert radius == pytest.approx(float(D.min(axis=1).max()), rel=1e-12, abs=0.0)
+    assert _has_repeated_rows(P) == (len(np.unique(P, axis=0)) < len(P))
 
 
-def test_covering_radius_single_point_falls_back_to_diameter():
-    assert _covering_radius(np.array([[0.0, 1.0, 0.0]])) == (2.0, False)
+def test_has_repeated_rows_among_rows_sharing_a_first_coordinate():
+    # every row shares its first coordinate, so only the sort by every
+    # column tells the rows apart; the last row repeats the first
+    rows = np.column_stack([np.full(200, 0.5), np.linspace(0.0, 1e-3, 200)])
+    assert not _has_repeated_rows(rows)
+    assert _has_repeated_rows(np.vstack([rows, rows[:1]]))
+    # -0.0 and 0.0 are the same point, in the first column and elsewhere
+    assert _has_repeated_rows(np.array([[0.0, 1.0], [0.5, 0.5], [-0.0, 1.0]]))
+    assert _has_repeated_rows(np.array([[0.5, 0.0], [0.5, 1.0], [0.5, -0.0]]))
 
 
-def test_covering_radius_below_p15_at_1e4():
-    s = sample_sphere(3, 10_000, seed=0)
-    assert s.covering_radius_estimate < 0.15
+def test_has_repeated_rows_on_equal_rows():
+    P = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+    assert _has_repeated_rows(P)
+    assert not _has_repeated_rows(P[:1])
+
+
+def test_has_repeated_rows_in_one_dimension():
+    assert not _has_repeated_rows(np.array([[1.0], [-1.0]]))
+    assert _has_repeated_rows(np.array([[1.0], [-1.0], [1.0]]))
+    assert _has_repeated_rows(np.array([[0.0], [-0.0]]))
 
 
 def _rare_path_loop(block, rng, count):
     """The per-row rare path of ``sample_sphere`` that ``_distinct_unit_rows``
-    replaced, kept as its reference."""
+    replaced, kept as its reference; like it, it stops drawing once ``n = 1``
+    has both of its points."""
     seen, rows = {}, []
 
     def push(row):
@@ -117,9 +114,9 @@ def _rare_path_loop(block, rng, count):
 
     for row in block:
         push(row)
-    attempts = 0
-    while len(rows) < count and attempts < 64:
-        for row in rng.standard_normal((count - len(rows), block.shape[1])):
+    n, attempts = block.shape[1], 0
+    while len(rows) < count and attempts < 64 and not (n == 1 and len(rows) == 2):
+        for row in rng.standard_normal((count - len(rows), n)):
             push(row)
         attempts += 1
     return np.asarray(rows).reshape(-1, block.shape[1])
@@ -162,115 +159,29 @@ def test_distinct_unit_rows_equals_the_per_row_loop(case):
 def test_sample_sphere_in_one_dimension_keeps_both_points():
     s = sample_sphere(1, 10_000, seed=0)
     assert s.count == 2 and sorted(s.points.ravel()) == [-1.0, 1.0]
-    assert s.covering_radius_estimate == 2.0
 
 
-_KD_CASES = ([(n, 10_000 * n, seed) for n in (2, 3, 4) for seed in range(5)]
-             + [(n, 2000, 0) for n in (2, 3, 4)] + [(5, 5000, 0)])
+class _CountingGenerator:
+    """A generator that counts the rows it is asked to draw."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), 0
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        return self.rng.standard_normal(shape)
 
 
-@pytest.mark.parametrize("n,count,seed", _KD_CASES)
-def test_covering_radius_equals_the_kd_tree_to_the_bit(n, count, seed):
-    cKDTree = pytest.importorskip("scipy.spatial").cKDTree
-    s = sample_sphere(n, count, seed)
-    dists, _ = cKDTree(s.points).query(s.points, k=2)
-    nearest = dists[:, 1]
-    expected = (float(nearest.max()), bool(np.any(nearest == 0.0)))
-    assert _covering_radius(s.points) == expected
-    assert s.covering_radius_estimate == expected[0]
-
-
-def _brute_covering_radius(P):
-    """Every pair in the search's arithmetic: squared differences summed in
-    coordinate order, the square root taken last."""
-    best, repeated = 0.0, False
-    for a in range(0, len(P), 256):
-        rows = P[a:a + 256]
-        d = np.zeros((len(rows), len(P)))
-        for c in range(P.shape[1]):
-            diff = rows[:, None, c] - P[None, :, c]
-            d += diff * diff
-        d[np.arange(len(rows)), a + np.arange(len(rows))] = np.inf
-        nearest = d.min(axis=1)
-        best = max(best, float(nearest.max()))
-        repeated = repeated or bool(np.any(nearest == 0.0))
-    return math.sqrt(best), repeated
-
-
-def _point_set(n, N, seed, kinds):
-    rng = np.random.default_rng(seed)
-    P = rng.standard_normal((N, n))
-    P /= np.linalg.norm(P, axis=1)[:, None]
-    if "caps" in kinds:  # three tight clusters
-        centres = P[rng.integers(0, N, 3)]
-        P = centres[rng.integers(0, 3, N)] + 1e-3 * rng.standard_normal((N, n))
-    if "far" in kinds:  # isolated rows, beyond every neighbourhood
-        far = rng.choice(N, min(N, 3), replace=False)
-        P[far] = 10.0 * np.arange(1, len(far) + 1)[:, None] * P[far]
-    if "duplicates" in kinds:  # copies, and copies with -0.0 for 0.0
-        src, dst = rng.integers(0, N, (2, N // 10 + 1))
-        P[src, 0] = np.where(rng.random(len(src)) < 0.5, 0.0, P[src, 0])
-        P[dst] = P[src]
-        P[dst, 0] = np.where(P[src, 0] == 0.0, -0.0, P[dst, 0])
-    lo = P.min(axis=0)
-    widest = float((P.max(axis=0) - lo).max())
-    if "boundaries" in kinds and widest > 0.0:  # rows exactly on cell boundaries
-        h = _cell_side(N, n, widest)
-        keep = np.zeros(N, dtype=bool)  # the rows that span the bounding box
-        keep[P.argmin(axis=0)] = keep[P.argmax(axis=0)] = True
-        moved = np.flatnonzero(~keep & (rng.random(N) < 0.5))
-        P[moved] = lo + np.floor((P[moved] - lo) / h) * h
-    return P
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 5), N=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1),
-       kinds=st.sets(st.sampled_from(["caps", "far", "duplicates", "boundaries"])))
-@example(n=3, N=2, seed=0, kinds=set())
-@example(n=2, N=3000, seed=1, kinds={"far", "duplicates", "boundaries"})
-@example(n=4, N=500, seed=2, kinds={"caps", "duplicates"})
-def test_covering_radius_equals_the_brute_force_on_hard_point_sets(n, N, seed, kinds):
-    P = _point_set(n, N, seed, kinds)
-    assert _covering_radius(P) == _brute_covering_radius(P)
-
-
-@pytest.mark.parametrize("n,N,kinds", [
-    (9, 1500, set()),
-    (12, 1200, {"far"}),
-    (12, 800, {"caps", "duplicates"}),
-    (16, 600, {"duplicates", "far"}),
-    (400, 60, {"duplicates"}),
-])
-def test_covering_radius_equals_the_brute_force_in_many_dimensions(n, N, kinds):
-    P = _point_set(n, N, n, kinds)
-    assert _covering_radius(P) == _brute_covering_radius(P)
-
-
-def test_covering_radius_memory_does_not_grow_with_the_dimension():
-    # a neighbourhood of 3**(n-1) cells for each row of a block would take
-    # gigabytes at n = 16
-    P = _point_set(16, 2000, 0, set())
-    tracemalloc.start()
-    try:
-        _covering_radius(P)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
-
-
-def test_covering_radius_finds_a_repeat_among_rows_sharing_a_first_coordinate():
-    # 200 rows of one cell share their first coordinate (a far row makes the
-    # cells wide); only the last row repeats one of them
-    rows = np.column_stack([np.full(200, 0.5), np.linspace(0.0, 1e-3, 200)])
-    P = np.vstack([rows, [[10.5, 0.0]], rows[:1]])
-    assert _covering_radius(P) == _brute_covering_radius(P)
-    assert _covering_radius(P)[1]
-
-
-def test_covering_radius_of_equal_rows_is_zero():
-    P = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
-    assert _covering_radius(P) == (0.0, True)
+def test_distinct_unit_rows_stops_drawing_once_one_dimension_has_both_points():
+    # S^0 = {-1, 1}: no top-up round can add a row once both are kept
+    block = np.array([[2.0], [-0.5], [3.0]])
+    rng = _CountingGenerator(0)
+    rows = _distinct_unit_rows(block, rng, 10_000)
+    assert rows.tolist() == [[1.0], [-1.0]] and rng.draws == 0
+    # a draw of one sign keeps drawing until the other sign comes
+    rng = _CountingGenerator(0)
+    rows = _distinct_unit_rows(np.array([[2.0], [3.0]]), rng, 10_000)
+    assert sorted(rows.ravel()) == [-1.0, 1.0] and rng.draws == 1
 
 
 def test_sample_sphere_rejects_bad_arguments():
@@ -338,56 +249,6 @@ def test_reported_extrema_monotone_within_refinement_slack():
         assert rep.c0_empirical <= prev_min + 1e-9
         assert rep.c_empirical >= prev_max - 1e-9
         prev_min, prev_max = rep.c0_empirical, rep.c_empirical
-
-
-# -------------------------------------------------------------- certificates
-
-
-def test_certify_radial_cube():
-    s = sample_sphere(3, 100_000, seed=0)
-    lower = certify_c0_lower(radial_cube_map(3), s, lipschitz_bound=3.0)
-    assert lower > 0.9
-
-
-def test_certify_identity():
-    s = sample_sphere(3, 100_000, seed=0)
-    lower = certify_c0_lower(identity_map(3), s, lipschitz_bound=1.0)
-    assert lower > 0.9
-
-
-def test_certify_zero_map_is_zero():
-    s = sample_sphere(3, 500, seed=0)
-    assert certify_c0_lower(zero_map(3), s, lipschitz_bound=1.0) == 0.0
-
-
-def test_certify_rejects_nonpositive_lipschitz():
-    s = sample_sphere(3, 100, seed=0)
-    with pytest.raises(InvalidParameterError):
-        certify_c0_lower(radial_cube_map(3), s, lipschitz_bound=0.0)
-    with pytest.raises(InvalidParameterError):
-        certify_c0_lower(radial_cube_map(3), s, lipschitz_bound=-1.0)
-
-
-def test_report_c0_lower_equals_certificate_on_its_sample():
-    for m in (identity_map(3), radial_cube_map(3)):
-        rep = check_hypotheses(m, count=20_000, seed=2)
-        assert rep.c0_lower == certify_c0_lower(m, rep.sample)
-    assert check_hypotheses(identity_map(3), count=20_000, seed=2).c0_lower > 0.0
-
-
-def test_certificate_never_exceeds_empirical_minimum():
-    s = sample_sphere(3, 5000, seed=4)
-    for m in (radial_cube_map(3), diag_map((1.0, 2.0, 3.0))):
-        ext = estimate_extrema(m, s)
-        assert certify_c0_lower(m, s) <= ext.c0 + 1e-15
-
-
-def test_poly_lipschitz_bound_values():
-    # sum over monomials of |coeff| * degree
-    assert poly_lipschitz_bound(radial_cube_map(3)) == 27.0
-    assert poly_lipschitz_bound(identity_map(3)) == 3.0
-    with pytest.raises(InvalidParameterError):
-        poly_lipschitz_bound(blackbox_of(identity_map(3)))
 
 
 # ------------------------------------------------------------ Jacobian check
@@ -484,7 +345,7 @@ def test_report_json_dict_key_order():
     keys = list(rep.to_json_dict().keys())
     assert keys == [
         "n", "kappa", "sample_count", "seed", "c0_empirical", "c_empirical",
-        "c0_lower", "min_abs_det_j", "homogeneity_residual", "n_verdict",
+        "min_abs_det_j", "homogeneity_residual", "n_verdict",
         "overall", "status", "reasons", "notes", "argmin_f", "argmax_f",
         "argmin_det",
     ]

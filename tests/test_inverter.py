@@ -401,7 +401,7 @@ def test_inverse_jacobian_is_matrix_inverse():
     m = radial_cube_map(3)
     rep = report_for("radial_cube", lambda: radial_cube_map(3))
     res = invert(m, np.array([0.4, 1.2, -0.7]), report=rep)
-    J = eval_jacobian(m, res.xi).entries
+    J = eval_jacobian(m, res.xi)
     Jinv = inverse_jacobian(m, res.xi)
     assert np.allclose(J @ Jinv, np.eye(3), atol=1e-10)
 

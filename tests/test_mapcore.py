@@ -146,8 +146,8 @@ def test_blackbox_bad_output_shape_rejected():
 def test_jacobian_identity():
     m = identity_map(3)
     J = eval_jacobian(m, np.array([0.3, -0.4, 1.0]))
-    assert np.allclose(J.entries, np.eye(3))
-    assert J.det == pytest.approx(1.0)
+    assert np.allclose(J, np.eye(3))
+    assert np.linalg.det(J) == pytest.approx(1.0)
 
 
 def test_jacobian_complex_square_closed_form():
@@ -155,8 +155,8 @@ def test_jacobian_complex_square_closed_form():
     m = complex_square_map()
     x, y = 0.7, -1.3
     J = eval_jacobian(m, np.array([x, y]))
-    assert np.allclose(J.entries, [[2 * x, -2 * y], [2 * y, 2 * x]])
-    assert J.det == pytest.approx(4 * (x * x + y * y))
+    assert np.allclose(J, [[2 * x, -2 * y], [2 * y, 2 * x]])
+    assert np.linalg.det(J) == pytest.approx(4 * (x * x + y * y))
 
 
 def test_jacobian_radial_cube_determinant_closed_form():
@@ -164,7 +164,7 @@ def test_jacobian_radial_cube_determinant_closed_form():
     # so det = 3 |xi|^6 in dimension 3.
     m = radial_cube_map(3)
     xi = np.array([1.0, 2.0, 3.0])
-    d = eval_jacobian(m, xi).det
+    d = np.linalg.det(eval_jacobian(m, xi))
     assert d == pytest.approx(3.0 * 14.0**3, rel=1e-12)
 
 
@@ -211,8 +211,8 @@ def test_jacobian_homogeneity_order_kappa_minus_one(maker):
         xi = rng.standard_normal(m.n)
         xi /= np.linalg.norm(xi)
         tau = 10.0 ** rng.uniform(-2, 2)
-        J1 = eval_jacobian(m, tau * xi).entries
-        J0 = eval_jacobian(m, xi).entries
+        J1 = eval_jacobian(m, tau * xi)
+        J0 = eval_jacobian(m, xi)
         scale = tau ** (m.kappa - 1.0)
         assert np.max(np.abs(J1 - scale * J0)) <= 1e-9 * scale * max(
             1.0, np.max(np.abs(J0))
@@ -229,8 +229,8 @@ def test_symbolic_jacobian_matches_finite_differences():
         for _ in range(50):
             w = rng.standard_normal(m.n)
             w /= np.linalg.norm(w)
-            Js = eval_jacobian(m, w).entries
-            Jf = eval_jacobian(fd, w).entries
+            Js = eval_jacobian(m, w)
+            Jf = eval_jacobian(fd, w)
             assert np.max(np.abs(Js - Jf)) <= 1e-6 * max(1.0, np.max(np.abs(Js)))
 
 
@@ -238,7 +238,7 @@ def test_blackbox_supplied_jacobian_used_exactly():
     m = radial_cube_map(3)
     bb = blackbox_of(m, with_jacobian=True)
     w = np.array([0.3, -0.5, 0.81])
-    assert np.array_equal(eval_jacobian(bb, w).entries, eval_jacobian(m, w).entries)
+    assert np.array_equal(eval_jacobian(bb, w), eval_jacobian(m, w))
 
 
 def test_homogeneity_residual_tiny_for_exact_maps():

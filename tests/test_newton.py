@@ -28,7 +28,7 @@ def _scalar_polish(m, x, target, rounds=2):
     for _ in range(rounds):
         if best_res == 0.0:
             break
-        J = eval_jacobian(m, best).entries
+        J = eval_jacobian(m, best)
         try:
             dx = solve_guarded(J, eval_map(m, best) - target)
         except SingularJacobianError:
@@ -151,7 +151,7 @@ def _scalar_newton(m, x0, target, tol, radius_cap, max_iter):
             break
         if not x.any():
             return x, False, it, "singular"
-        J = eval_jacobian(m, x).entries
+        J = eval_jacobian(m, x)
         try:
             dx = solve_guarded(J, r)
         except SingularJacobianError:
