@@ -61,6 +61,25 @@ def test_sample_sphere_nested_prefix():
 # are the same point although their bytes differ
 _COORD = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
 
+# The tests named for the covering radius check the repeated-row test that
+# took over from the covering-radius search's flag: a sample has a repeated
+# row exactly when some row's nearest-neighbour gap is zero.
+
+
+def _brute_repeated(P):
+    """Every pair in blocks: squared differences summed in coordinate order;
+    True when some row's nearest other row is at distance zero."""
+    for a in range(0, len(P), 256):
+        rows = P[a:a + 256]
+        d = np.zeros((len(rows), len(P)))
+        for c in range(P.shape[1]):
+            diff = rows[:, None, c] - P[None, :, c]
+            d += diff * diff
+        d[np.arange(len(rows)), a + np.arange(len(rows))] = np.inf
+        if np.any(d == 0.0):
+            return True
+    return False
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 3).flatmap(
@@ -68,12 +87,13 @@ _COORD = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
 @example([[0.0, 1.0], [-0.0, 1.0]])
 @example([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]])
 @example([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-def test_has_repeated_rows_matches_unique(rows):
+def test_covering_radius_flags_repeated_rows_and_matches_brute_force(rows):
     P = np.array(rows, dtype=float)
-    assert _has_repeated_rows(P) == (len(np.unique(P, axis=0)) < len(P))
+    expected = len(np.unique(P, axis=0)) < len(P)
+    assert _has_repeated_rows(P) == expected == _brute_repeated(P)
 
 
-def test_has_repeated_rows_among_rows_sharing_a_first_coordinate():
+def test_covering_radius_finds_a_repeat_among_rows_sharing_a_first_coordinate():
     # every row shares its first coordinate, so only the sort by every
     # column tells the rows apart; the last row repeats the first
     rows = np.column_stack([np.full(200, 0.5), np.linspace(0.0, 1e-3, 200)])
@@ -84,9 +104,9 @@ def test_has_repeated_rows_among_rows_sharing_a_first_coordinate():
     assert _has_repeated_rows(np.array([[0.5, 0.0], [0.5, 1.0], [0.5, -0.0]]))
 
 
-def test_has_repeated_rows_on_equal_rows():
+def test_covering_radius_of_equal_rows_is_zero():
     P = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
-    assert _has_repeated_rows(P)
+    assert _has_repeated_rows(P) and _brute_repeated(P)
     assert not _has_repeated_rows(P[:1])
 
 
@@ -94,6 +114,76 @@ def test_has_repeated_rows_in_one_dimension():
     assert not _has_repeated_rows(np.array([[1.0], [-1.0]]))
     assert _has_repeated_rows(np.array([[1.0], [-1.0], [1.0]]))
     assert _has_repeated_rows(np.array([[0.0], [-0.0]]))
+
+
+def test_covering_radius_below_p15_at_1e4():
+    # the largest nearest-neighbour gap of a default-size sample at n = 3
+    cKDTree = pytest.importorskip("scipy.spatial").cKDTree
+    s = sample_sphere(3, 10_000, seed=0)
+    dists, _ = cKDTree(s.points).query(s.points, k=2)
+    assert 0.0 < float(dists[:, 1].max()) < 0.15
+
+
+_KD_CASES = ([(n, 10_000 * n, seed) for n in (2, 3, 4) for seed in range(5)]
+             + [(n, 2000, 0) for n in (2, 3, 4)] + [(5, 5000, 0)])
+
+
+@pytest.mark.parametrize("n,count,seed", _KD_CASES)
+def test_covering_radius_equals_the_kd_tree_to_the_bit(n, count, seed):
+    # on full-size samples, and on them with one row repeated, the
+    # repeated-row test agrees with a k-d tree's zero nearest-neighbour gap
+    cKDTree = pytest.importorskip("scipy.spatial").cKDTree
+    s = sample_sphere(n, count, seed)
+    rng = np.random.default_rng(seed)
+    copied = np.insert(s.points, rng.integers(0, count + 1), s.points[rng.integers(0, count)],
+                       axis=0)
+    for P in (s.points, copied):
+        dists, _ = cKDTree(P).query(P, k=2)
+        assert _has_repeated_rows(P) == bool(np.any(dists[:, 1] == 0.0))
+    assert not _has_repeated_rows(s.points) and _has_repeated_rows(copied)
+
+
+def _point_set(n, N, seed, kinds):
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((N, n))
+    P /= np.linalg.norm(P, axis=1)[:, None]
+    if "caps" in kinds:  # three tight clusters
+        centres = P[rng.integers(0, N, 3)]
+        P = centres[rng.integers(0, 3, N)] + 1e-3 * rng.standard_normal((N, n))
+    if "far" in kinds:  # isolated rows
+        far = rng.choice(N, min(N, 3), replace=False)
+        P[far] = 10.0 * np.arange(1, len(far) + 1)[:, None] * P[far]
+    if "duplicates" in kinds:  # copies, and copies with -0.0 for 0.0
+        src, dst = rng.integers(0, N, (2, N // 10 + 1))
+        P[src, 0] = np.where(rng.random(len(src)) < 0.5, 0.0, P[src, 0])
+        P[dst] = P[src]
+        P[dst, 0] = np.where(P[src, 0] == 0.0, -0.0, P[dst, 0])
+    if "ties" in kinds:  # half the rows share their first coordinate
+        P[rng.random(N) < 0.5, 0] = 0.25
+    return P
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), N=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1),
+       kinds=st.sets(st.sampled_from(["caps", "far", "duplicates", "ties"])))
+@example(n=3, N=2, seed=0, kinds=set())
+@example(n=2, N=3000, seed=1, kinds={"far", "duplicates", "ties"})
+@example(n=4, N=500, seed=2, kinds={"caps", "duplicates"})
+def test_covering_radius_equals_the_brute_force_on_hard_point_sets(n, N, seed, kinds):
+    P = _point_set(n, N, seed, kinds)
+    assert _has_repeated_rows(P) == _brute_repeated(P)
+
+
+@pytest.mark.parametrize("n,N,kinds", [
+    (9, 1500, set()),
+    (12, 1200, {"far", "ties"}),
+    (12, 800, {"caps", "duplicates"}),
+    (16, 600, {"duplicates", "far"}),
+    (400, 60, {"duplicates", "ties"}),
+])
+def test_covering_radius_equals_the_brute_force_in_many_dimensions(n, N, kinds):
+    P = _point_set(n, N, n, kinds)
+    assert _has_repeated_rows(P) == _brute_repeated(P)
 
 
 def _rare_path_loop(block, rng, count):
