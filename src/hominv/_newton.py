@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularJacobianError
-from .mapcore import MapSpec, _eval_batch, _jacobian_batch
+from .mapcore import MapSpec, _eval_batch, _jacobian_batch, _row_norms
 
 # |det J| below this multiple of the row-norm product (which bounds the
 # determinant from above) counts as numerically singular; the ratio is a
@@ -33,12 +33,6 @@ def _nonsingular(J: np.ndarray):
     # handling; this runs at every continuation step
     row_norms = np.sqrt((J * J).sum(axis=-1))
     return det > SINGULAR_RATIO * row_norms.prod(axis=-1)
-
-
-def _row_norms(R: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of ``R``, bit for bit ``np.linalg.norm``
-    of the row as a vector (the ``axis=1`` form rounds differently)."""
-    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
 
 
 def solve_guarded(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .hypotheses import _STATUS_WARN, check_hypotheses
 from .inverter import ContinuationConfig, _roundtrips, invert
-from .mapcore import MapSpec
+from .mapcore import MapSpec, _gaussian_directions
 from .polyparser import format_map, parse_map
 
 __all__ = ["main", "console_main"]
@@ -140,14 +140,9 @@ def _random_targets(n: int, count: int, seed: int) -> np.ndarray:
     """Seeded batch of nonzero targets with magnitudes log-uniform in
     [1e-3, 1e3]."""
     rng = np.random.default_rng([seed, _SALT_TARGETS])
-    dirs = rng.standard_normal((count, n))
-    norms = np.linalg.norm(dirs, axis=1)
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        dirs[bad] = rng.standard_normal((int(bad.sum()), n))
-        norms = np.linalg.norm(dirs, axis=1)
+    dirs = _gaussian_directions(rng, count, n)
     mags = 10.0 ** rng.uniform(-3.0, 3.0, size=count)
-    return dirs / norms[:, None] * mags[:, None]
+    return dirs * mags[:, None]
 
 
 def _new_report(m: MapSpec) -> dict:

@@ -27,11 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._newton import _polish, _row_norms, newton_batch
+from ._newton import _polish, newton_batch
 from .errors import InvalidInputError, InvalidParameterError, PreconditionError
 from .hypotheses import HypothesisReport, coercivity_bracket
 from .inverter import ContinuationConfig, _require_report
-from .mapcore import MapSpec, eval_jacobian_batch
+from .mapcore import MapSpec, _row_norms, eval_jacobian_batch
 
 __all__ = [
     "DegreeReport",

@@ -31,10 +31,10 @@ from .errors import (
     InvalidParameterError,
     NoBracketError,
 )
-from ._newton import _row_norms
 from .mapcore import (
     MapSpec,
     PolyMap,
+    _row_norms,
     eval_jacobian,
     eval_jacobian_batch,
     eval_map,

@@ -32,11 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._newton import _nonsingular, _polish, _row_norms, _singular_error, newton_batch, solve_guarded
+from ._newton import _nonsingular, _polish, _singular_error, newton_batch, solve_guarded
 from .errors import (ContinuationFailedError, InvalidInputError, InvalidParameterError,
                      PreconditionError, SingularJacobianError)
 from .hypotheses import _STATUS_WARN, HypothesisReport, check_hypotheses, coercivity_bracket
-from .mapcore import MapSpec, _eval_batch, _jacobian_batch, eval_jacobian
+from .mapcore import MapSpec, _eval_batch, _jacobian_batch, _row_norms, eval_jacobian
 
 __all__ = ["ContinuationConfig", "InversionResult", "slerp_path", "invert",
            "inverse_homogeneity_check", "roundtrip_check", "inverse_jacobian"]

@@ -212,9 +212,11 @@ class BlackBox:
     """Opaque evaluator for a map assumed positively homogeneous.
 
     ``eval`` must accept a length-``n`` float array and return one, and must
-    be defined for every nonzero point.  ``jacobian``, when provided, returns
-    the exact ``n x n`` derivative; otherwise central finite differences with
-    step ``eps**(1/3) * max(1, |xi|)`` are used.  ``declared_kappa`` is the
+    be defined for every nonzero point; it is called once per nonzero row of
+    a batch, and the origin maps to zero without a call.  ``jacobian``, when
+    provided, returns the exact ``n x n`` derivative; otherwise central finite
+    differences with step ``eps**(1/3) * max(1, |xi|)`` are used, whose
+    shifted rows go through ``eval`` in the same way.  ``declared_kappa`` is the
     claimed homogeneity order; it is *trusted* for evaluation and *measured*
     by :func:`hominv.hypotheses.check_hypotheses`.
     """
@@ -296,6 +298,27 @@ def eval_map(m: MapSpec, xi) -> np.ndarray:
     return out[0] if single else out
 
 
+def _row_norms(R: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``R``, bit for bit ``np.linalg.norm``
+    of the row as a vector (the ``axis=1`` form rounds differently)."""
+    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+
+
+def _rows(fn: Callable[[np.ndarray], np.ndarray], X: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``fn`` called once on each nonzero row of ``X``, its results as floats
+    of ``shape`` stacked in row order; zero rows give zeros (the continuous
+    extension), and any other shape raises :class:`InvalidInputError`."""
+    out = np.zeros((len(X),) + shape)
+    for k in np.flatnonzero(X.any(axis=1)):
+        val = np.asarray(fn(X[k]), dtype=float)
+        if val.shape != shape:
+            raise InvalidInputError(
+                f"black-box body returned shape {val.shape}, expected {shape}"
+            )
+        out[k] = val
+    return out
+
+
 def _eval_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
     body = m.body
     if isinstance(body, PolyMap):
@@ -309,26 +332,7 @@ def _eval_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
             U = X[pos] / r[pos, None]
             out[pos] = (r[pos] ** m.kappa)[:, None] * body.evaluate(U)
         return out
-    out = np.zeros((X.shape[0], m.n))
-    for k, row in enumerate(X):
-        if np.any(row != 0.0):
-            val = np.asarray(body.eval(row), dtype=float)
-            if val.shape != (m.n,):
-                raise InvalidInputError(
-                    f"black-box evaluator returned shape {val.shape}, expected ({m.n},)"
-                )
-            out[k] = val
-    return out
-
-
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, n: int) -> np.ndarray:
-    h = _FD_STEP * max(1.0, float(np.linalg.norm(x)))
-    J = np.empty((n, n))
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        J[:, j] = (np.asarray(fn(x + step), float) - np.asarray(fn(x - step), float)) / (2.0 * h)
-    return J
+    return _rows(body.eval, X, (m.n,))
 
 
 def eval_jacobian_batch(m: MapSpec, points) -> np.ndarray:
@@ -337,8 +341,10 @@ def eval_jacobian_batch(m: MapSpec, points) -> np.ndarray:
     Polynomial bodies are differentiated exactly; the radial weight
     contributes the rank-one product-rule correction
     ``Df = r**(kappa-1) * (DP(u) + alpha * P(u) u^T)`` with ``u = xi/r`` and
-    ``alpha = kappa - d``.  Black-box bodies use the Jacobian callback or
-    central differences row by row.
+    ``alpha = kappa - d``.  Black-box bodies use the Jacobian callback on each
+    row, or central differences: the ``2n`` shifted rows ``xi +- h e_j`` of
+    every row, ``h = eps**(1/3) * max(1, |xi|)``, in one batch through the
+    evaluator and its shape check.
     """
     X, _ = _as_matrix(points, m.n)
     if np.any(np.all(X == 0.0, axis=1)):
@@ -359,18 +365,18 @@ def _jacobian_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
             body.evaluate(U)[:, :, None] * U[:, None, :]
         )
         return (r ** (m.kappa - 1.0))[:, None, None] * J
-    out = np.empty((X.shape[0], m.n, m.n))
-    for k, row in enumerate(X):
-        if body.jacobian is not None:
-            Jk = np.asarray(body.jacobian(row), dtype=float)
-            if Jk.shape != (m.n, m.n):
-                raise InvalidInputError(
-                    f"black-box jacobian returned shape {Jk.shape}, expected ({m.n}, {m.n})"
-                )
-            out[k] = Jk
-        else:
-            out[k] = _fd_jacobian(body.eval, row, m.n)
-    return out
+    if body.jacobian is not None:
+        return _rows(body.jacobian, X, (m.n, m.n))
+    # central differences: row b, column j, side s of the batch is
+    # x_b + h_b e_j (s = 0) or x_b - h_b e_j (s = 1)
+    B, n = X.shape
+    h = _FD_STEP * np.maximum(1.0, _row_norms(X))
+    steps = h[:, None, None] * np.eye(n)
+    shifted = np.stack([X[:, None, :] + steps, X[:, None, :] - steps], axis=2)
+    F = _eval_batch(m, shifted.reshape(-1, n)).reshape(B, n, 2, n)
+    D = (F[:, :, 0] - F[:, :, 1]) / (2.0 * h)[:, None, None]
+    # C order: a transposed view rounds differently in later products
+    return np.ascontiguousarray(D.transpose(0, 2, 1))
 
 
 def eval_jacobian(m: MapSpec, xi) -> np.ndarray:
@@ -399,6 +405,18 @@ def extend_at_origin(m: MapSpec) -> np.ndarray:
     return np.zeros(m.n)
 
 
+def _gaussian_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` standard normal rows of length ``n`` drawn from ``rng`` and
+    normalised; a row with norm under 1e-12 is drawn again."""
+    dirs = rng.standard_normal((count, n))
+    norms = np.linalg.norm(dirs, axis=1)
+    while np.any(norms < 1e-12):  # essentially never; keeps the math airtight
+        bad = norms < 1e-12
+        dirs[bad] = rng.standard_normal((int(bad.sum()), n))
+        norms = np.linalg.norm(dirs, axis=1)
+    return dirs / norms[:, None]
+
+
 def homogeneity_residual(m: MapSpec, count: int = 100, seed: int = 0, taus=None) -> float:
     """Largest sampled relative deviation from order-``kappa`` scaling.
 
@@ -415,13 +433,7 @@ def homogeneity_residual(m: MapSpec, count: int = 100, seed: int = 0, taus=None)
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
     rng = np.random.default_rng([int(seed), _SALT_HOMOGENEITY])
-    dirs = rng.standard_normal((count, m.n))
-    norms = np.linalg.norm(dirs, axis=1)
-    while np.any(norms < 1e-12):  # essentially never; keeps the math airtight
-        bad = norms < 1e-12
-        dirs[bad] = rng.standard_normal((int(bad.sum()), m.n))
-        norms = np.linalg.norm(dirs, axis=1)
-    dirs /= norms[:, None]
+    dirs = _gaussian_directions(rng, count, m.n)
     t_rand = 10.0 ** rng.uniform(-3.0, 3.0, size=count)
     ladder = (1e-3, 1e-2, 1e-1, 1e1, 1e2, 1e3) if taus is None else tuple(float(v) for v in taus)
     X = np.vstack([dirs, np.repeat(dirs[:1], len(ladder), axis=0)])

@@ -24,6 +24,7 @@ multiset of ``p`` exactly (and the order ``kappa`` when ``p`` is a
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -35,8 +36,6 @@ from .errors import (
     MapSyntaxError,
     MixedDegreeError,
 )
-import math
-
 from .mapcore import MapSpec, PolyMap
 
 __all__ = [
@@ -134,6 +133,11 @@ class _Parser:
         if tok.kind == "op" and tok.value in "+-":
             self._next()
             sign = 1.0 if tok.value == "+" else -1.0
+        value, num = self._value(what)
+        return sign * value, num
+
+    def _value(self, what: str) -> tuple[float, _Token]:
+        """A finite number, or a rational ``a/b``, and the token of ``a``."""
         num = self._number(what)
         value = float(num.value)
         if self._peek().kind == "op" and self._peek().value == "/":
@@ -145,7 +149,7 @@ class _Parser:
             value /= den
         if not math.isfinite(value):
             raise MapSyntaxError("numeric value is not a finite real", num.line, num.col)
-        return sign * value, num
+        return value, num
 
     def parse(self) -> MapSpec:
         kappa: float | None = None
@@ -224,22 +228,7 @@ class _Parser:
             raise MapSyntaxError("expected a term", start.line, start.col)
         coeff = sign
         if start.kind == "number":
-            self._next()
-            value = float(start.value)
-            if self._peek().kind == "op" and self._peek().value == "/":
-                self._next()
-                den_tok = self._number("a denominator")
-                den = float(den_tok.value)
-                if den == 0.0:
-                    raise MapSyntaxError(
-                        "zero denominator in rational coefficient", den_tok.line, den_tok.col
-                    )
-                value /= den
-            if not math.isfinite(value):
-                raise MapSyntaxError(
-                    "coefficient is not a finite real", start.line, start.col
-                )
-            coeff *= value
+            coeff *= self._value("a coefficient")[0]
         exps = [0] * n
         while True:
             tok = self._peek()
@@ -370,15 +359,10 @@ def _fmt_term(coeff: float, exponents: Tuple[int, ...]) -> tuple[str, str]:
     """Return (sign, body) with sign in {'+', '-'} and body unsigned."""
     sign = "-" if coeff < 0 else "+"
     mag = abs(coeff)
-    facs = [
-        f"x{j + 1}" + (f"^{e}" if e > 1 else "")
-        for j, e in enumerate(exponents)
-        if e > 0
-    ]
-    if not facs:
+    mono = _mono_text(exponents)
+    if mono == "1":
         return sign, _fmt_float(mag)
-    parts = ([] if mag == 1.0 else [_fmt_float(mag)]) + facs
-    return sign, "*".join(parts)
+    return sign, mono if mag == 1.0 else f"{_fmt_float(mag)}*{mono}"
 
 
 def _fmt_poly(terms) -> str:

@@ -12,6 +12,7 @@ from hominv import (
     MapSpec,
     PolyMap,
     UndefinedAtOriginError,
+    acceptance_maps,
     blackbox_of,
     complex_square_map,
     diag_map,
@@ -27,6 +28,7 @@ from hominv import (
     random_admissible_map,
     random_polymap_spec,
 )
+from hominv.mapcore import _FD_STEP
 
 
 def test_polymap_merges_duplicate_monomials():
@@ -138,9 +140,16 @@ def test_eval_rejects_wrong_length():
 
 
 def test_blackbox_bad_output_shape_rejected():
-    bb = MapSpec(BlackBox(eval=lambda x: np.zeros(2), declared_kappa=1.0), n=3)
-    with pytest.raises(InvalidInputError):
-        eval_map(bb, np.ones(3))
+    # the finite-difference Jacobian must reject each shape too, not
+    # broadcast a scalar or a length-1 result into a column
+    for bad in (lambda x: np.zeros(2), lambda x: 1.0, lambda x: np.ones(1)):
+        bb = MapSpec(BlackBox(eval=bad, declared_kappa=1.0), n=3)
+        with pytest.raises(InvalidInputError):
+            eval_map(bb, np.ones(3))
+        with pytest.raises(InvalidInputError):
+            eval_jacobian(bb, np.ones(3))
+        with pytest.raises(InvalidInputError):
+            eval_jacobian_batch(bb, np.ones((2, 3)))
 
 
 def test_jacobian_identity():
@@ -232,6 +241,60 @@ def test_symbolic_jacobian_matches_finite_differences():
             Js = eval_jacobian(m, w)
             Jf = eval_jacobian(fd, w)
             assert np.max(np.abs(Js - Jf)) <= 1e-6 * max(1.0, np.max(np.abs(Js)))
+
+
+def _fd_jacobian(fn, x, n):
+    """Reference: central differences one row and one column at a time."""
+    h = _FD_STEP * max(1.0, float(np.linalg.norm(x)))
+    J = np.empty((n, n))
+    for j in range(n):
+        step = np.zeros(n)
+        step[j] = h
+        J[:, j] = (np.asarray(fn(x + step), float) - np.asarray(fn(x - step), float)) / (2.0 * h)
+    return J
+
+
+def _recorded(m):
+    """``m`` with an evaluator that appends each argument to a list."""
+    calls = []
+
+    def _eval(x):
+        calls.append(np.array(x))
+        return m.body.eval(x)
+
+    return MapSpec(BlackBox(eval=_eval, declared_kappa=m.kappa), n=m.n), calls
+
+
+_FD_MAPS = {name: blackbox_of(m) for name, m in acceptance_maps().items()}
+_FD_MAPS["perturbed_radial_blackbox"] = perturbed_radial_blackbox()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_FD_MAPS)), st.integers(1, 50), st.floats(-3.0, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_batched_fd_jacobian_equals_the_per_row_loop(name, rows, log_mag, seed):
+    m, calls = _recorded(_FD_MAPS[name])
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, m.n)) * 10.0 ** log_mag
+    X[rng.random((rows, m.n)) < 0.3] = 0.0
+    X[~X.any(axis=1), 0] = 10.0 ** log_mag  # nonzero rows only
+    J = eval_jacobian_batch(m, X)
+    batched_calls, calls[:] = list(calls), []
+    reference = np.stack([_fd_jacobian(m.body.eval, x, m.n) for x in X])
+    assert np.array_equal(J, reference)
+    assert J.flags.c_contiguous
+    # the same rows reach the evaluator, in the same order
+    assert np.array_equal(batched_calls, calls)
+
+
+def test_fd_jacobian_takes_zero_at_an_exactly_zero_shifted_row():
+    # x = h e_1 shifts to the origin, where the continuous extension 0 is
+    # used in place of a call; the shifted evaluator is not 0 there
+    m, calls = _recorded(perturbed_radial_blackbox())
+    x = np.array([_FD_STEP, 0.0, 0.0])
+    J = eval_jacobian(m, x)
+    assert len(calls) == 5 and all(c.any() for c in calls)
+    assert np.array_equal(J[:, 0], m.body.eval(2.0 * x) / (2.0 * _FD_STEP))
 
 
 def test_blackbox_supplied_jacobian_used_exactly():
