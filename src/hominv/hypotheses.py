@@ -34,8 +34,10 @@ from .errors import (
 from .mapcore import (
     MapSpec,
     PolyMap,
+    _eval_batch,
+    _eval_jac_batch,
+    _jacobian_batch,
     _row_norms,
-    eval_jacobian,
     eval_jacobian_batch,
     eval_map,
     homogeneity_residual,
@@ -246,7 +248,7 @@ def estimate_extrema(m: MapSpec, sample: SphereSample,
     Evaluates ``|f|`` on the sample (or reuses ``image_norms``, the
     precomputed norms of the sample's images), then refines both arg-extrema
     with projected gradient on ``|f(w)|**2`` using the exact gradient
-    ``2 Df(w)^T f(w)``.
+    ``2 Df(w)^T f(w)``, whose ``f(w)`` and ``Df(w)`` come from one call.
     """
     if sample.n != m.n:
         raise InvalidInputError("sample dimension disagrees with the map")
@@ -255,13 +257,14 @@ def estimate_extrema(m: MapSpec, sample: SphereSample,
     i0 = int(np.argmin(mags))
     i1 = int(np.argmax(mags))
 
+    # the refinement evaluates unit vectors only, so the unvalidated kernels serve
     def sq(w):
-        v = eval_map(m, w)
+        v = _eval_batch(m, w[None, :])[0]
         return float(v @ v)
 
     def grad(w):
-        J = eval_jacobian(m, w)
-        return 2.0 * (J.T @ eval_map(m, w))
+        F, J = _eval_jac_batch(m, w[None, :])
+        return 2.0 * (J[0].T @ F[0])
 
     w_min, v_min = _refine_on_sphere(sq, sample.points[i0], "min", grad_fn=grad)
     w_max, v_max = _refine_on_sphere(sq, sample.points[i1], "max", grad_fn=grad)
@@ -286,7 +289,8 @@ class JacobianCheck:
     verdict: str  # "pass" | "fail"
 
 
-def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample) -> JacobianCheck:
+def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample, *,
+                                _jacobians: np.ndarray | None = None) -> JacobianCheck:
     """Search the sphere for a vanishing Jacobian determinant.
 
     Evaluates ``det Df`` on every sample point, then drives the smallest
@@ -297,16 +301,17 @@ def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample) -> JacobianChe
     instead of ``t**(2p)``, and the descent actually reaches the zero set.
     The verdict is ``"pass"`` iff the refined minimum stays above
     ``DET_TOL``; by homogeneity of ``Df`` this settles the sign question on
-    every sphere ``|xi| = r`` at once.
+    every sphere ``|xi| = r`` at once.  ``_jacobians`` are the sample's
+    Jacobians when the caller has computed them.
     """
     if sample.n != m.n:
         raise InvalidInputError("sample dimension disagrees with the map")
-    J = eval_jacobian_batch(m, sample.points)
+    J = eval_jacobian_batch(m, sample.points) if _jacobians is None else _jacobians
     dets = np.abs(np.linalg.det(J))
     i0 = int(np.argmin(dets))
 
     def abs_det(w):
-        return float(abs(np.linalg.det(eval_jacobian(m, w))))
+        return float(abs(np.linalg.det(_jacobian_batch(m, w[None, :])[0])))
 
     w_min, v = _refine_on_sphere(abs_det, sample.points[i0], "min")
     min_det = min(float(max(v, 0.0)), float(dets[i0]))
@@ -403,16 +408,23 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
     sphere (rejects the zero map), sampled homogeneity residual against
     ``HOMOGENEITY_TOL``, and nonvanishing Jacobian determinant against
     ``DET_TOL``; plus the dimension gate ``n >= 3``, reported separately.
+
+    A polynomial body's images and Jacobians at the sample come from one
+    call; a black box's Jacobians are computed only when its images are
+    all finite.
     """
     defaulted = count is None
     n_points = DEFAULT_SAMPLES_PER_DIM * m.n if count is None else int(count)
     sample = sample_sphere(m.n, n_points, seed)
-    images = eval_map(m, sample.points)
+    if isinstance(m.body, PolyMap):
+        images, jacobians = _eval_jac_batch(m, sample.points)
+    else:
+        images, jacobians = _eval_batch(m, sample.points), None
     image_norms = np.linalg.norm(images, axis=1)
     finite_ok = bool(np.all(np.isfinite(images)))
     if finite_ok:
         ext = estimate_extrema(m, sample, image_norms=image_norms)
-        jac = check_jacobian_nonvanishing(m, sample)
+        jac = check_jacobian_nonvanishing(m, sample, _jacobians=jacobians)
         resid = homogeneity_residual(m, count=100, seed=seed)
     else:
         mags = np.linalg.norm(np.nan_to_num(images), axis=1)

@@ -46,6 +46,7 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 # balances truncation against rounding for central differences
 _FD_STEP = _EPS ** (1.0 / 3.0)
+_TINY = np.finfo(float).tiny
 _SALT_HOMOGENEITY = 101
 
 Term = Tuple[float, Tuple[int, ...]]
@@ -115,8 +116,10 @@ class PolyMap:
     (``n**2 x M'``, row ``i*n + j`` holding ``dP_i/dx_j``), so the Jacobian is
     ``basis(X, E') @ D.T`` reshaped to ``(B, n, n)``.  ``basis`` reads every
     monomial from one power table ``X**k``, ``k = 0..d``, one variable's
-    factors at a time.  ``components`` remains the canonical form that
-    formatting and equality use.
+    factors at a time.  Values and Jacobians read the same table, so where
+    both are wanted at the same points the table is built once and passed
+    to both.  ``components`` remains the canonical form that formatting and
+    equality use.
     """
 
     __slots__ = ("n", "components", "degree", "_powers", "_E", "_C", "_dE", "_D")
@@ -170,33 +173,38 @@ class PolyMap:
             ),
         )
 
-    def _basis(self, X: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Monomials at a ``(B, n)`` batch, as a ``(B, M)`` view.
-
-        Row ``k*n + j`` of the power table holds ``X[:, j]**k``; ``index[j]``
-        picks each monomial's factor in variable ``j`` from it, so the basis
-        is ``n`` row gathers multiplied together.
-        """
+    def _power_table(self, X: np.ndarray) -> np.ndarray:
+        """The power table of a ``(B, n)`` batch: row ``k*n + j`` holds
+        ``X[:, j]**k`` for ``k = 0..d``.  Values and Jacobians both read it."""
         # the row count is given, not -1, which an empty batch cannot infer
-        P = (X.T[None, :, :] ** self._powers).reshape(len(self._powers) * self.n, len(X))
+        return (X.T[None, :, :] ** self._powers).reshape(len(self._powers) * self.n, len(X))
+
+    def _basis(self, P: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Monomials of a batch as a ``(B, M)`` view, from its power table
+        ``P``: ``index[j]`` picks each monomial's factor in variable ``j``, so
+        the basis is ``n`` row gathers multiplied together."""
         out = P.take(index[0], axis=0)
         for j in range(1, self.n):
             out *= P.take(index[j], axis=0)
         return out.T
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the polynomial part at a ``(B, n)`` batch; returns ``(B, n)``."""
-        X = np.asarray(points, dtype=float)
-        return self._basis(X, self._E) @ self._C.T
+    def evaluate(self, points: np.ndarray, _table: np.ndarray | None = None) -> np.ndarray:
+        """Evaluate the polynomial part at a ``(B, n)`` batch; returns ``(B, n)``.
 
-    def jacobian(self, points: np.ndarray) -> np.ndarray:
+        ``_table`` is the batch's power table when the caller has built it."""
+        X = np.asarray(points, dtype=float)
+        P = self._power_table(X) if _table is None else _table
+        return self._basis(P, self._E) @ self._C.T
+
+    def jacobian(self, points: np.ndarray, _table: np.ndarray | None = None) -> np.ndarray:
         """Exact derivative of the polynomial part at a ``(B, n)`` batch.
 
         Returns ``(B, n, n)`` with entry ``[b, i, j] = dP_i/dx_j`` obtained by
-        term-wise differentiation.
+        term-wise differentiation.  ``_table`` is as in :meth:`evaluate`.
         """
         X = np.asarray(points, dtype=float)
-        return (self._basis(X, self._dE) @ self._D.T).reshape(X.shape[0], self.n, self.n)
+        P = self._power_table(X) if _table is None else _table
+        return (self._basis(P, self._dE) @ self._D.T).reshape(X.shape[0], self.n, self.n)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMap):
@@ -286,7 +294,8 @@ def eval_map(m: MapSpec, xi) -> np.ndarray:
     The origin maps to the zero vector (the continuous extension).  Weighted
     polynomial bodies are evaluated as ``|xi|**kappa * P(xi/|xi|)``, which
     keeps relative accuracy uniform across many orders of magnitude in
-    ``|xi|``.
+    ``|xi|``; ``|xi|`` is taken without underflow or overflow of the sum of
+    squares.
 
     Raises
     ------
@@ -319,13 +328,35 @@ def _rows(fn: Callable[[np.ndarray], np.ndarray], X: np.ndarray, shape: Tuple[in
     return out
 
 
+def _radii(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a finite ``(B, n)`` batch.
+
+    A row whose sum of squares is a normal float gets its square root, bit
+    for bit ``np.linalg.norm(X, axis=1)``.  A row whose sum underflows to a
+    subnormal or zero, or overflows, is scaled by its largest entry first,
+    so that ``1e-170 * (0.6, 0.8, 0)`` gets ``1e-170`` and not 0, and
+    ``1e200 * (0.6, 0.8, 0)`` gets ``1e200`` and not ``inf``.
+    """
+    s = (X * X).sum(axis=1)
+    r = np.sqrt(s)
+    rescale = (s < _TINY) | (s == np.inf)
+    if np.count_nonzero(rescale):
+        Y = X[rescale]
+        a = np.abs(Y).max(axis=1)
+        a[a == 0.0] = 1.0  # a zero row keeps the norm 0
+        r[rescale] = a * np.sqrt(((Y / a[:, None]) ** 2).sum(axis=1))
+    return r
+
+
 def _eval_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
     body = m.body
     if isinstance(body, PolyMap):
         if m.radial_exponent == 0.0:
             # plain polynomial: exact at the origin too (degree >= 1)
             return body.evaluate(X)
-        r = np.linalg.norm(X, axis=1)
+        r = _radii(X)
+        if np.count_nonzero(r) == len(r):  # no origin row: no mask needed
+            return (r ** m.kappa)[:, None] * body.evaluate(X / r[:, None])
         out = np.zeros((X.shape[0], m.n))
         pos = r > 0.0
         if np.any(pos):
@@ -333,6 +364,36 @@ def _eval_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
             out[pos] = (r[pos] ** m.kappa)[:, None] * body.evaluate(U)
         return out
     return _rows(body.eval, X, (m.n,))
+
+
+def _eval_jac_batch(m: MapSpec, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Values and Jacobians of ``f`` at a finite ``(B, n)`` batch of nonzero
+    rows, ``(F, J)``, bit for bit ``_eval_batch(m, X)`` and
+    ``_jacobian_batch(m, X)``.  A polynomial body builds one power table for
+    both; a black box is called for the values first."""
+    body = m.body
+    if not isinstance(body, PolyMap):
+        return _eval_batch(m, X), _jacobian_batch(m, X)
+    if m.radial_exponent == 0.0:
+        P = body._power_table(X)
+        return body.evaluate(X, _table=P), body.jacobian(X, _table=P)
+    r, V, J = _weighted_jacobian(m, X)
+    return (r ** m.kappa)[:, None] * V, J
+
+
+def _weighted_jacobian(m: MapSpec, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(r, P(u), Df)`` of a weighted polynomial body at a finite batch of
+    nonzero rows, with ``r = |xi|`` and ``u = xi/r``: the product rule
+    ``Df = r**(kappa-1) * (DP(u) + alpha * P(u) u^T)``, ``alpha = kappa - d``,
+    with ``P(u)`` and ``DP(u)`` read from one power table."""
+    body = m.body
+    r = _radii(X)
+    U = X / r[:, None]
+    P = body._power_table(U)
+    DP = body.jacobian(U, _table=P)
+    V = body.evaluate(U, _table=P)
+    J = DP + m.radial_exponent * (V[:, :, None] * U[:, None, :])
+    return r, V, (r ** (m.kappa - 1.0))[:, None, None] * J
 
 
 def eval_jacobian_batch(m: MapSpec, points) -> np.ndarray:
@@ -359,12 +420,7 @@ def _jacobian_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
     if isinstance(body, PolyMap):
         if m.radial_exponent == 0.0:
             return body.jacobian(X)
-        r = np.linalg.norm(X, axis=1)
-        U = X / r[:, None]
-        J = body.jacobian(U) + m.radial_exponent * (
-            body.evaluate(U)[:, :, None] * U[:, None, :]
-        )
-        return (r ** (m.kappa - 1.0))[:, None, None] * J
+        return _weighted_jacobian(m, X)[2]
     if body.jacobian is not None:
         return _rows(body.jacobian, X, (m.n, m.n))
     # central differences: row b, column j, side s of the batch is

@@ -6,11 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hominv import (
+    BlackBox,
     InvalidInputError,
     InvalidParameterError,
     NoBracketError,
     PolyMap,
     MapSpec,
+    acceptance_maps,
     axis_cube_map,
     blackbox_of,
     check_hypotheses,
@@ -19,11 +21,14 @@ from hominv import (
     complex_square_map,
     diag_map,
     estimate_extrema,
+    eval_map,
+    homogeneity_residual,
     identity_map,
     perturbed_radial_blackbox,
     radial_cube_map,
     radial_linear_map,
     random_admissible_map,
+    random_polymap_spec,
     sample_sphere,
 )
 from hominv.hypotheses import _distinct_unit_rows, _has_repeated_rows
@@ -401,6 +406,53 @@ def test_check_hypotheses_flags_inhomogeneous_blackbox():
     rep = check_hypotheses(perturbed_radial_blackbox(), count=500, seed=0)
     assert rep.status == "fail"
     assert "homogeneity-residual" in rep.reasons
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_blackbox_with_nonfinite_images_is_called_for_the_images_only(with_jacobian):
+    calls, jac_calls = [], []
+
+    def body(x):
+        calls.append(np.array(x))
+        return np.array([np.nan, 0.0, 1.0])
+
+    def jac(x):
+        jac_calls.append(np.array(x))
+        return np.eye(3)
+
+    m = MapSpec(BlackBox(eval=body, declared_kappa=1.0,
+                         jacobian=jac if with_jacobian else None), n=3)
+    report = check_hypotheses(m, count=40, seed=0)
+    assert "non-finite-values" in report.reasons
+    # one call a sample row, in order: no finite-difference rows and no callback
+    assert np.array_equal(np.array(calls), report.sample.points)
+    assert jac_calls == []
+
+
+_SHARED_SCAN_MAPS = {**acceptance_maps(), "axis_cube3": axis_cube_map(3),
+                     "complex_square": complex_square_map(), "zero3": zero_map(3),
+                     **{f"random{k}": random_polymap_spec(k) for k in range(6)}}
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED_SCAN_MAPS))
+def test_report_equals_the_separate_checks_bit_for_bit(name):
+    # the report reads images and Jacobians from one shared call; the public
+    # functions compute them apart
+    m, count, seed = _SHARED_SCAN_MAPS[name], 800, 3
+    report = check_hypotheses(m, count=count, seed=seed)
+    sample = sample_sphere(m.n, count, seed)
+    images = eval_map(m, sample.points)
+    norms = np.linalg.norm(images, axis=1)
+    ext = estimate_extrema(m, sample, image_norms=norms)
+    jac = check_jacobian_nonvanishing(m, sample)
+    assert np.array_equal(report.images, images)
+    assert np.array_equal(report.image_norms, norms)
+    assert (report.c0_empirical, report.c_empirical, report.min_abs_det_j) == (
+        ext.c0, ext.c_max, jac.min_abs_det)
+    for got, want in ((report.argmin_f, ext.argmin), (report.argmax_f, ext.argmax),
+                      (report.argmin_det, jac.argmin)):
+        assert np.array_equal(got, want)
+    assert report.homogeneity_residual == homogeneity_residual(m, count=100, seed=seed)
 
 
 def test_report_matches_only_its_map():

@@ -1,8 +1,10 @@
 """Evaluation and differentiation of homogeneous maps."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hominv import (
@@ -28,7 +30,7 @@ from hominv import (
     random_admissible_map,
     random_polymap_spec,
 )
-from hominv.mapcore import _FD_STEP
+from hominv.mapcore import _FD_STEP, _eval_batch, _eval_jac_batch, _jacobian_batch, _radii
 
 
 def test_polymap_merges_duplicate_monomials():
@@ -380,3 +382,129 @@ def test_polymap_kernel_matches_term_by_term_sums(spec_seed, rows, x_seed):
     assert np.all(np.abs(body.evaluate(X) - F) <= 1e-13 * F_mag)
     assert np.all(np.abs(body.jacobian(X) - J) <= 1e-13 * J_mag)
 
+
+# The kernel and the weighted wrappers as they were before values and
+# Jacobians shared one power table, kept as the reference the shared kernel
+# must match bit for bit.
+
+
+def _ref_basis(body, X, index):
+    P = (X.T[None, :, :] ** body._powers).reshape(len(body._powers) * body.n, len(X))
+    out = P.take(index[0], axis=0)
+    for j in range(1, body.n):
+        out *= P.take(index[j], axis=0)
+    return out.T
+
+
+def _ref_evaluate(body, X):
+    return _ref_basis(body, X, body._E) @ body._C.T
+
+
+def _ref_jacobian(body, X):
+    return (_ref_basis(body, X, body._dE) @ body._D.T).reshape(X.shape[0], body.n, body.n)
+
+
+def _ref_eval_batch(m, X):
+    body = m.body
+    if m.radial_exponent == 0.0:
+        return _ref_evaluate(body, X)
+    r = np.linalg.norm(X, axis=1)
+    out = np.zeros((X.shape[0], m.n))
+    pos = r > 0.0
+    if np.any(pos):
+        U = X[pos] / r[pos, None]
+        out[pos] = (r[pos] ** m.kappa)[:, None] * _ref_evaluate(body, U)
+    return out
+
+
+def _ref_jacobian_batch(m, X):
+    body = m.body
+    if m.radial_exponent == 0.0:
+        return _ref_jacobian(body, X)
+    r = np.linalg.norm(X, axis=1)
+    U = X / r[:, None]
+    J = _ref_jacobian(body, U) + m.radial_exponent * (
+        _ref_evaluate(body, U)[:, :, None] * U[:, None, :]
+    )
+    return (r ** (m.kappa - 1.0))[:, None, None] * J
+
+
+def _same(a, b):
+    return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([0, 1, 2, 7, 64, 1000]),
+       st.floats(-100.0, 100.0), st.floats(0.0, 100.0), st.floats(0.0, 0.5),
+       st.sampled_from(["C", "F", "strided"]), st.integers(0, 2**32 - 1))
+@example(0, 1000, 0.0, 100.0, 0.3, "C", 0)
+@example(1, 64, 90.0, 10.0, 0.0, "F", 1)
+def test_kernels_match_the_unshared_kernel_bit_for_bit(spec_seed, rows, center, spread,
+                                                       zero_share, layout, x_seed):
+    # random_polymap_spec covers n = 1, empty components, plain and weighted
+    # bodies; row magnitudes stay within 1e-100 to 1e100
+    m = random_polymap_spec(spec_seed)
+    rng = np.random.default_rng(x_seed)
+    lo, hi = max(-100.0, center - spread), min(100.0, center + spread)
+    scale = 10.0 ** rng.uniform(lo, hi, rows)
+    Y = rng.uniform(-1.0, 1.0, (rows, m.n)) * scale[:, None]
+    Y[rng.random((rows, m.n)) < zero_share] = 0.0
+    Y[~Y.any(axis=1), 0] = scale[~Y.any(axis=1)]  # nonzero rows for the Jacobians
+    X = Y.copy()
+    X[rng.random(rows) < zero_share] = 0.0  # and zero rows for the values
+    if layout == "F":
+        X, Y = np.asfortranarray(X), np.asfortranarray(Y)
+    elif layout == "strided":
+        X, Y = np.repeat(X, 2, axis=0)[::2], np.repeat(Y, 2, axis=0)[::2]
+    with np.errstate(all="ignore"):
+        assert _same(_eval_batch(m, X), _ref_eval_batch(m, X))
+        F, J = _eval_jac_batch(m, Y)
+        assert _same(F, _ref_eval_batch(m, Y))
+        assert _same(J, _ref_jacobian_batch(m, Y))
+        assert _same(_eval_batch(m, Y), F)
+        assert _same(_jacobian_batch(m, Y), J)
+
+
+def test_shared_kernel_builds_one_power_table(monkeypatch):
+    built = []
+    for m in (radial_cube_map(3), random_admissible_map(n=4, seed=7, kappa=3.5)):
+        original = type(m.body)._power_table
+        monkeypatch.setattr(type(m.body), "_power_table",
+                            lambda self, X: built.append(len(X)) or original(self, X))
+        _eval_jac_batch(m, np.ones((5, m.n)))
+        monkeypatch.undo()
+    assert built == [5, 5]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e-160, 1e-155, 1e155, 1e160, 1e200, 1e300])
+def test_weighted_body_at_extreme_magnitudes_matches_hypot(scale):
+    # f(xi) = |xi|**(kappa-1) diag(d) xi and
+    # Df(xi) = |xi|**(kappa-1) (diag(d) + (kappa-1) diag(d) u u^T), u = xi/|xi|
+    d, kappa = np.array([1.0, 2.0, 3.0]), 0.5
+    m = radial_linear_map(tuple(d), kappa=kappa)
+    rng = np.random.default_rng(7)
+    X = np.vstack([[0.6, 0.8, 0.0], rng.standard_normal((5, 3))]) * scale
+    with np.errstate(over="ignore"):  # the sum of squares overflows above 1e154
+        batch = zip(eval_map(m, X), eval_jacobian_batch(m, X))
+        single = [(eval_map(m, x), eval_jacobian(m, x)) for x in X]
+    for x, (f, jac), (f1, jac1) in zip(X, batch, single):
+        r = math.hypot(*x)
+        u = np.array([v / r for v in x])
+        f_ref = r ** kappa * d * u
+        j_ref = r ** (kappa - 1.0) * (np.diag(d) + (kappa - 1.0) * np.outer(d * u, u))
+        for value, ref in ((f, f_ref), (jac, j_ref), (f1, f_ref), (jac1, j_ref)):
+            assert np.all(np.isfinite(value))
+            assert np.max(np.abs(value - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_radii_rescale_only_rows_out_of_range():
+    X = np.array([[0.6, 0.8, 0.0], [1e-170, 0.0, 0.0], [3e-160, -4e-160, 0.0],
+                  [1e160, 1e160, 0.0], [0.0, 0.0, 0.0], [1.5e-154, 2e-154, 0.0],
+                  [-7.0, 2.5, 1e-3], [1e300, -1e300, 1e300]])
+    with np.errstate(over="ignore"):
+        r = _radii(X)
+    hyp = np.array([math.hypot(*x) for x in X])
+    assert np.all(np.abs(r - hyp) <= 2 * np.spacing(hyp))
+    in_range = [0, 5, 6]
+    assert np.array_equal(r[in_range], np.linalg.norm(X[in_range], axis=1))
+    assert r[4] == 0.0

@@ -1,0 +1,70 @@
+"""The per-field rules of the cross-version report gate in tools/."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "report_gate.py"
+_spec = importlib.util.spec_from_file_location("report_gate", _PATH)
+report_gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_gate)
+compare = report_gate.compare
+
+
+def _report(**changes):
+    report = {
+        "hypothesis": {"c0_empirical": 1.0, "argmin_f": [1.0, 0.0, 0.0],
+                       "argmin_det": [0.0, 1.0, 0.0]},
+        "inversions": [{"eta": [3.0, 4.0, 0.0], "xi": [1.0, 2.0, 2.0],
+                        "residual": 1e-15, "bracket": [0.5, 2.0],
+                        "relative_residual": 2e-16}],
+        "roundtrip": {"count": 1, "max_relative_residual": 2e-16, "ok": True},
+    }
+    for path, value in changes.items():
+        node = report
+        *head, last = path.split(".")
+        for key in head:
+            node = node[int(key)] if key.isdigit() else node[key]
+        node[last] = value
+    return report
+
+
+@pytest.mark.parametrize("path,value,verdict", [
+    ("inversions.0.xi", [1.0 + 2e-15, 2.0, 2.0], "moved"),
+    ("inversions.0.xi", [1.0 + 1e-11, 2.0, 2.0], "broken"),
+    ("inversions.0.residual", 4e-14, "moved"),  # within 1e-14 * |eta| = 5e-14
+    ("inversions.0.residual", 7e-14, "broken"),
+    ("inversions.0.relative_residual", 3e-14, "moved"),
+    ("roundtrip.max_relative_residual", 3e-14, "moved"),
+    ("inversions.0.bracket", [0.5, 2.0000000000000004], "broken"),
+    ("hypothesis.c0_empirical", 1.0000000000000002, "broken"),
+    ("roundtrip.ok", False, "broken"),
+    ("hypothesis.argmin_f", [0.0, 1.0, 0.0], "broken"),
+])
+def test_field_rules(path, value, verdict):
+    moved, broken = compare(_report(), _report(**{path: value}), "identity3", "invert")
+    field = path.replace(".0.", "[0].")
+    flagged, other = (moved, broken) if verdict == "moved" else (broken, moved)
+    # a list that is not xi is judged entry by entry: bracket[1]
+    assert flagged and other == [] and all(f.startswith(field) for f in flagged)
+
+
+def test_rounding_decided_argmins_are_left_out_where_the_map_is_flat():
+    new = _report(**{"hypothesis.argmin_f": [0.0, 1.0, 0.0],
+                     "hypothesis.argmin_det": [1.0, 0.0, 0.0]})
+    assert compare(_report(), new, "radial_cube3", "check") == (
+        ["hypothesis.argmin_f", "hypothesis.argmin_det"], [])
+    assert compare(_report(), new, "axis_cube3", "check") == (
+        ["hypothesis.argmin_f"], ["hypothesis.argmin_det[0]", "hypothesis.argmin_det[1]"])
+
+
+def test_degree_reports_must_match_exactly():
+    new = _report(**{"inversions.0.xi": [1.0 + 2e-15, 2.0, 2.0]})
+    assert compare(_report(), _report(), "identity3", "degree") == ([], [])
+    assert compare(_report(), new, "identity3", "degree") == ([], ["report"])
+
+
+def test_a_missing_report_breaks_the_rule():
+    assert compare(None, None, "identity3", "check") == ([], [])
+    assert compare(_report(), None, "identity3", "check") == ([], [""])

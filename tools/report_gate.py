@@ -1,0 +1,155 @@
+"""Cross-version gate: compare the demo-map CLI reports of two checkouts.
+
+Usage, from anywhere::
+
+    python tools/report_gate.py OLD NEW
+
+``OLD`` and ``NEW`` are the roots of two hominv checkouts.  For every map
+file in ``NEW/demos/maps`` the commands ``check``, ``invert``, ``roundtrip``
+and ``degree`` run in both checkouts (``python -m hominv.cli`` with that
+checkout's ``src`` first on the path, the report on standard output), and
+each pair of runs is judged by the per-field rules of ROADMAP.md:
+
+* ``xi`` within 1e-12 relative, as ``|xi_new - xi_old| / |xi_old|``;
+* ``residual`` and ``relative_residual`` within ``1e-14 * max(1, |eta|)``,
+  and ``max_relative_residual`` within ``1e-14 * max(1, max |eta|)``;
+* ``argmin_f`` and ``argmin_det`` left out on radial_cube3, and
+  ``argmin_f`` on axis_cube3, where rounding alone picks the argmin;
+* every other field, the exit code, and the whole ``degree`` report
+  exactly.
+
+Each pair prints one line: ``identical`` when the reports are byte for byte
+the same apart from ``timing`` and the summaries on standard error match,
+``within rules`` with the fields that moved, or ``MISMATCH`` with the fields
+that broke a rule.  The exit code is 1 when any pair mismatched, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+#: (name, arguments); ``{target}`` is 1,-2,0.5 cut to the map's dimension
+COMMANDS = (
+    ("check", []),
+    ("invert", ["--target={target}", "--force"]),
+    ("roundtrip", ["--count", "30", "--force"]),
+    ("degree", ["--target={target}", "--probe", "5", "--force"]),
+)
+TARGET = (1.0, -2.0, 0.5)
+#: argmins that rounding decides: |f| (and on radial_cube3 det Df) is flat
+#: on the sphere
+SKIPPED = {"radial_cube3": {"argmin_f", "argmin_det"}, "axis_cube3": {"argmin_f"}}
+XI_REL = 1e-12
+RESIDUAL_ABS = 1e-14
+
+
+def run(root: Path, command: str, args: list[str], mapfile: Path):
+    """``(exit code, report or None, stderr)`` of one CLI run in ``root``."""
+    env = dict(os.environ)
+    src = str(root / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hominv.cli", command, str(mapfile), *args, "--json", "-"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    report = json.loads(proc.stdout) if proc.stdout.strip() else None
+    if report is not None:
+        report.pop("timing", None)
+    return proc.returncode, report, proc.stderr
+
+
+def _norm(v) -> float:
+    return math.hypot(*v) if isinstance(v, list) else abs(v)
+
+
+def compare(old, new, map_name: str, command: str) -> tuple[list[str], list[str]]:
+    """Fields of two reports (``timing`` removed) that differ, split into
+    ``(moved within the rules, broke a rule)``; paths like
+    ``inversions[3].xi``."""
+    if command == "degree":
+        return ([], []) if old == new else ([], ["report"])
+    moved, broken = [], []
+    skipped = SKIPPED.get(map_name, set())
+    inversions = (old or {}).get("inversions") or []
+    eta_max = max([_norm(e["eta"]) for e in inversions], default=0.0)
+
+    def walk(a, b, path: str, eta: float):
+        key = path.rsplit(".", 1)[-1]
+        if key in skipped and path.startswith("hypothesis."):
+            if a != b:
+                moved.append(path)
+            return
+        if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+            if "eta" in a:
+                eta = _norm(a["eta"])
+            for k in a:
+                walk(a[k], b[k], f"{path}.{k}" if path else k, eta)
+            return
+        if isinstance(a, list) and isinstance(b, list) and len(a) == len(b) and key != "xi":
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(x, y, f"{path}[{i}]", eta)
+            return
+        if a == b:
+            return
+        if key == "xi" and isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            ok = _norm([y - x for x, y in zip(a, b)]) <= XI_REL * _norm(a)
+        elif key in ("residual", "relative_residual") and _floats(a, b):
+            ok = abs(b - a) <= RESIDUAL_ABS * max(1.0, eta)
+        elif key == "max_relative_residual" and _floats(a, b):
+            ok = abs(b - a) <= RESIDUAL_ABS * max(1.0, eta_max)
+        else:
+            ok = False
+        (moved if ok else broken).append(path)
+
+    walk(old, new, "", 0.0)
+    return moved, broken
+
+
+def _floats(a, b) -> bool:
+    return isinstance(a, float) and isinstance(b, float)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: python tools/report_gate.py OLD NEW", file=sys.stderr)
+        return 2
+    old_root, new_root = (Path(p).resolve() for p in argv)
+    maps = sorted((new_root / "demos" / "maps").glob("*.map"))
+    counts = {"identical": 0, "within rules": 0, "MISMATCH": 0}
+    for mapfile in maps:
+        n = int(re.search(r"\bn\s*=\s*(\d+)", mapfile.read_text()).group(1))
+        target = ",".join(f"{v:g}" for v in TARGET[:n])
+        for command, args in COMMANDS:
+            args = [a.format(target=target) for a in args]
+            code_a, old, err_a = run(old_root, command, args, mapfile)
+            code_b, new, err_b = run(new_root, command, args, mapfile)
+            moved, broken = compare(old, new, mapfile.stem, command)
+            if code_a != code_b:
+                broken.append(f"exit code {code_a} -> {code_b}")
+            if old is None and err_a != err_b:
+                broken.append("stderr")
+            if broken:
+                verdict = "MISMATCH"
+            elif json.dumps(old) == json.dumps(new) and err_a == err_b:
+                verdict = "identical"
+            else:
+                verdict = "within rules"
+            counts[verdict] += 1
+            detail = ", ".join(broken or moved)
+            print(f"{mapfile.stem:18s} {command:9s} exit {code_b}  {verdict}"
+                  + (f": {detail}" if detail else ""))
+    total = sum(counts.values())
+    print(f"{total} command pairs: {counts['identical']} identical apart from timing, "
+          f"{counts['within rules']} within rules, {counts['MISMATCH']} mismatched")
+    return 1 if counts["MISMATCH"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
