@@ -48,31 +48,34 @@ def _singular_error(J: np.ndarray) -> SingularJacobianError:
 
 
 def newton_batch(m: MapSpec, starts: np.ndarray, target: np.ndarray, tol: float,
-                 radius_cap: float, max_iter: int = 60):
+                 radius_cap, max_iter: int = 60):
     """Newton from every row of ``starts`` toward ``target`` (one vector, or
     one row per start) until ``|f(x) - target| <= tol * max(1, |target|)``.
 
     A row stops as ``"singular"`` at a numerically singular Jacobian or at
     the origin, as ``"diverged"`` when a step is not finite or leaves the
-    ball of radius ``radius_cap``, and as ``"no-convergence"`` after
-    ``max_iter`` steps.  Returns ``(X, converged, iters, mode)`` per row: last
-    iterate (before a failed step), convergence, steps taken and mode.
+    ball of radius ``radius_cap`` (one value, or an array of one per start),
+    and as ``"no-convergence"`` after ``max_iter`` steps.  Returns ``(X,
+    converged, iters, mode)`` per row: last iterate (before a failed step),
+    convergence, steps taken and mode.
     """
     X = np.array(starts, dtype=float)
     T = target if target.ndim == 2 else np.repeat(target[None, :], len(X), axis=0)
     iters, mode = np.full(len(X), max_iter), np.full(len(X), "no-convergence")
     # the rows still iterating, compressed; a row that stops is written out
     idx, x, t, scale = np.arange(len(X)), X, T, tol * np.maximum(1.0, _row_norms(T))
+    cap = radius_cap  # an array is compressed with the rows; a scalar needs no copy
 
     def stop(rows, it, why) -> bool:
         """Stop ``rows`` at step ``it``; returns whether any row is left."""
-        nonlocal idx, x, t, R, scale
+        nonlocal idx, x, t, R, scale, cap
         if np.count_nonzero(rows) == rows.size:
             iters[idx], mode[idx] = it, why
             return False
         X[idx[rows]], iters[idx[rows]], mode[idx[rows]] = x[rows], it, why
         keep = ~rows
         idx, x, t, R, scale = idx[keep], x[keep], t[keep], R[keep], scale[keep]
+        cap = cap[keep] if isinstance(cap, np.ndarray) else cap
         return True
 
     for it in range(max_iter + 1):
@@ -91,7 +94,7 @@ def newton_batch(m: MapSpec, starts: np.ndarray, target: np.ndarray, tol: float,
             J = J[good]
         x_new = x - np.linalg.solve(J, R[:, :, None])[:, :, 0]
         # a step that is not finite has a norm that is not either
-        ok = _row_norms(x_new) <= radius_cap
+        ok = _row_norms(x_new) <= cap
         if np.count_nonzero(ok) < ok.size:
             if not stop(~ok, it, "diverged"):
                 break

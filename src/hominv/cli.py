@@ -209,6 +209,8 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
         )
 
     elif ns.command == "degree":
+        if ns.probe < 0:
+            raise InvalidParameterError("--probe must be >= 0")
         eta = _parse_target(ns.target, m.n)
         cfg = ContinuationConfig(tol=ns.tol)
         deg = mapping_degree(m, eta, starts=ns.starts, cfg=cfg, report=hyp,

@@ -8,10 +8,12 @@ geometric radii) therefore finds all preimages with high probability; a
 second run at four times the start count flags searches that look
 unsaturated.
 
-The search is array code from start to finish: one batched Newton run from
-every start, one batched polish of the converged rows, a filter on the
-residuals the polish returns, and a greedy dedup in lexicographic order
-that loops once per kept root.
+The search takes a stack of targets, each with its own bracket and seed,
+and is array code from start to finish: one batched Newton run from every
+start of every target, one batched polish of the converged rows, a filter
+on the residuals the polish returns, and per target a greedy dedup in
+lexicographic order that loops once per kept root.  ``count_preimages`` is
+a batch of one; ``injectivity_probe`` searches all its trials in one batch.
 
 The degree at a regular value is the sum of Jacobian determinant signs over
 the preimages.  An admissible map in dimension ``n >= 3`` is bijective, so a
@@ -28,17 +30,12 @@ from typing import Optional
 import numpy as np
 
 from ._newton import _polish, newton_batch
-from .errors import InvalidInputError, InvalidParameterError, PreconditionError
+from .errors import InvalidInputError, InvalidParameterError
 from .hypotheses import HypothesisReport, coercivity_bracket
 from .inverter import ContinuationConfig, _require_report
-from .mapcore import MapSpec, _row_norms, eval_jacobian_batch
+from .mapcore import MapSpec, _gaussian_directions, _row_norms, eval_jacobian_batch
 
-__all__ = [
-    "DegreeReport",
-    "count_preimages",
-    "mapping_degree",
-    "injectivity_probe",
-]
+__all__ = ["DegreeReport", "count_preimages", "mapping_degree", "injectivity_probe"]
 
 # widen the coercivity annulus so estimation error in the sphere extrema
 # cannot push a true preimage outside the searched region
@@ -88,14 +85,7 @@ def _sobol_directions(n: int, count: int, seed: int) -> np.ndarray:
         signs = np.ones(count)
         signs[1::2] = -1.0
         return signs[:, None]
-    z = np.random.default_rng([seed, _SALT_DIRECTIONS]).standard_normal((count, n))
-    norms = np.linalg.norm(z, axis=1)
-    degenerate = norms < 1e-12
-    if np.any(degenerate):
-        z[degenerate] = 0.0
-        z[degenerate, 0] = 1.0
-        norms[degenerate] = 1.0
-    return z / norms[:, None]
+    return _gaussian_directions(np.random.default_rng([seed, _SALT_DIRECTIONS]), count, n)
 
 
 def _dedup(rows: np.ndarray, radius: float) -> np.ndarray:
@@ -111,24 +101,70 @@ def _dedup(rows: np.ndarray, radius: float) -> np.ndarray:
     return np.array(kept).reshape(len(kept), rows.shape[1])
 
 
-def _search_roots(m: MapSpec, eta: np.ndarray, bracket: tuple[float, float],
-                  starts: int, tol: float, seed: int) -> np.ndarray:
-    """All distinct Newton limits x with |f(x) - eta| <= tol*max(1,|eta|),
-    as rows in lexicographic order."""
-    r_lo, r_hi = bracket
-    lo = (1.0 - _ANNULUS_SLACK) * r_lo
-    hi = (1.0 + _ANNULUS_SLACK) * r_hi
-    if lo <= 0.0:
-        lo = min(1e-3 * hi, hi)
+def _search_roots(m: MapSpec, omegas: np.ndarray, brackets, starts: int, tol: float,
+                  seeds) -> list[np.ndarray]:
+    """For each unit target (a row of ``omegas``, with its own bracket and
+    seed), all distinct Newton limits x with ``|f(x) - omega| <= tol *
+    max(1, |omega|)``, as rows in lexicographic order: one array per target.
+    Each start's Newton radius cap comes from its own target's bracket."""
     n_radii = max(1, int(round(starts ** (1.0 / 3.0))))
     n_dirs = int(np.ceil(starts / n_radii))
-    radii = np.geomspace(lo, hi, n_radii)
-    dirs = _sobol_directions(m.n, n_dirs, seed)
-    X0 = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, m.n)
-    roots, ok, _, _ = newton_batch(m, X0, eta, tol, radius_cap=100.0 * hi, max_iter=60)
-    found, res = _polish(m, roots[ok], eta)
-    found = found[res <= tol * max(1.0, float(np.linalg.norm(eta)))]
-    return _dedup(found, _DEDUP_RATIO * max(r_hi, 1e-300))
+    X0, caps = [], []
+    for (r_lo, r_hi), seed in zip(brackets, seeds):
+        lo, hi = (1.0 - _ANNULUS_SLACK) * r_lo, (1.0 + _ANNULUS_SLACK) * r_hi
+        if lo <= 0.0:
+            lo = min(1e-3 * hi, hi)
+        radii = np.geomspace(lo, hi, n_radii)
+        dirs = _sobol_directions(m.n, n_dirs, seed)
+        X0.append((radii[:, None, None] * dirs[None, :, :]).reshape(-1, m.n))
+        caps.append(100.0 * hi)
+    owner = np.repeat(np.arange(len(caps)), n_radii * n_dirs)
+    T = omegas[owner]
+    roots, ok, _, _ = newton_batch(m, np.vstack(X0), T, tol, np.array(caps)[owner], max_iter=60)
+    found, res = _polish(m, roots[ok], T[ok])
+    owner = owner[ok]
+    return [_dedup(found[(owner == k) & (res <= tol * max(1.0, float(np.linalg.norm(omega))))],
+                   _DEDUP_RATIO * max(r_hi, 1e-300))
+            for k, (omega, (_, r_hi)) in enumerate(zip(omegas, brackets))]
+
+
+def _unit_target(m: MapSpec, eta) -> tuple[np.ndarray, float]:
+    """``(eta / |eta|, |eta|)`` for a finite nonzero vector of length n."""
+    e = np.asarray(eta, dtype=float)
+    if e.ndim != 1 or e.shape[0] != m.n:
+        raise InvalidInputError(f"eta must be a vector of length {m.n}")
+    # hypot, unlike the norm, neither underflows nor overflows at extreme |eta|
+    mag = math.hypot(*e)
+    if mag == 0.0 or not math.isfinite(mag):
+        raise InvalidInputError("eta must be finite and nonzero")
+    return e / mag, mag
+
+
+def _checked(m: MapSpec, report, force: bool, starts, cfg):
+    """The report, start count and configuration of a public call, checked."""
+    report = _require_report(m, report, force, allow_warn=True)
+    if starts is None:
+        starts = 64 * m.n
+    if starts < 1:
+        raise InvalidParameterError("starts must be >= 1")
+    return report, starts, ContinuationConfig() if cfg is None else cfg
+
+
+def _preimages(m: MapSpec, omega: np.ndarray, mag: float, report: HypothesisReport,
+               tol: float, runs) -> list[list]:
+    """The ``(xi, sign)`` pairs of :func:`count_preimages` at ``mag * omega``
+    from one search per ``(starts, seed)`` in ``runs``, each a batch of one.
+    It searches at the unit target, where the absolute tolerance is
+    relative, and rescales: f(s x) = |eta| f(x) for s = |eta|**(1/kappa),
+    and det Df(s x) = s**(n (kappa - 1)) det Df(x) keeps its sign."""
+    bracket = coercivity_bracket(report, omega, m.kappa)
+    scale = mag ** (1.0 / m.kappa)
+    out = []
+    for starts, seed in runs:
+        kept, = _search_roots(m, omega[None, :], [bracket], starts, tol, [seed])
+        dets = np.linalg.det(eval_jacobian_batch(m, kept)) if len(kept) else []
+        out.append([(scale * x, 1 if d > 0 else -1) for x, d in zip(kept, dets)])
+    return out
 
 
 def count_preimages(m: MapSpec, eta, starts: Optional[int] = None,
@@ -141,33 +177,12 @@ def count_preimages(m: MapSpec, eta, starts: Optional[int] = None,
     ``sign`` is the sign of ``det Df(xi)``.  Requires a hypothesis report;
     a failing one needs ``force=True`` (the degree of an inadmissible map is
     exactly what the planar counterexample demonstrates), while the
-    low-dimension warning status is accepted as is.
+    low-dimension warning status is accepted as is.  The search is a batch
+    of one target.
     """
-    if cfg is None:
-        cfg = ContinuationConfig()
-    e = np.asarray(eta, dtype=float)
-    if e.ndim != 1 or e.shape[0] != m.n:
-        raise InvalidInputError(f"eta must be a vector of length {m.n}")
-    # hypot, unlike the norm, neither underflows nor overflows at extreme |eta|
-    mag = math.hypot(*e)
-    if mag == 0.0 or not math.isfinite(mag):
-        raise InvalidInputError("eta must be finite and nonzero")
-    report = _require_report(m, report, force, allow_warn=True)
-    if starts is None:
-        starts = 64 * m.n
-    if starts < 1:
-        raise InvalidParameterError("starts must be >= 1")
-    # search at the unit target, where the absolute tolerance is relative,
-    # and rescale: f(s x) = |eta| f(x) for s = |eta|**(1/kappa), and
-    # det Df(s x) = s**(n (kappa - 1)) det Df(x) keeps its sign
-    omega = e / mag
-    bracket = coercivity_bracket(report, omega, m.kappa)
-    kept = _search_roots(m, omega, bracket, starts, cfg.tol, seed)
-    if len(kept) == 0:
-        return []
-    dets = np.linalg.det(eval_jacobian_batch(m, kept))
-    scale = mag ** (1.0 / m.kappa)
-    return [(scale * x, 1 if d > 0 else -1) for x, d in zip(kept, dets)]
+    omega, mag = _unit_target(m, eta)
+    report, starts, cfg = _checked(m, report, force, starts, cfg)
+    return _preimages(m, omega, mag, report, cfg.tol, [(starts, seed)])[0]
 
 
 def mapping_degree(m: MapSpec, eta, starts: Optional[int] = None,
@@ -175,32 +190,20 @@ def mapping_degree(m: MapSpec, eta, starts: Optional[int] = None,
                    report: HypothesisReport | None = None, *,
                    force: bool = False, seed: int = 0) -> DegreeReport:
     """Mapping degree at a regular value: the determinant-sign sum over the
-    preimages found by :func:`count_preimages`, hedged by a rerun at four
-    times the start count.  A bijection has degree +1 or -1; the planar
-    complex square has degree 2."""
-    report = _require_report(m, report, force, allow_warn=True)
-    pre = count_preimages(m, eta, starts, cfg, report, force=force, seed=seed)
-    if starts is None:
-        starts = 64 * m.n
-    pre_hedged = count_preimages(m, eta, 4 * starts, cfg, report, force=force,
-                                 seed=seed + 1)
+    preimages that :func:`count_preimages` finds, hedged by a rerun at four
+    times the start count with the next seed.  Both are batches of one.  A
+    bijection has degree +1 or -1; the planar complex square has degree 2."""
+    omega, mag = _unit_target(m, eta)
+    report, starts, cfg = _checked(m, report, force, starts, cfg)
+    pre, pre_hedged = _preimages(m, omega, mag, report, cfg.tol,
+                                 [(starts, seed), (4 * starts, seed + 1)])
     missed = len(pre_hedged) > len(pre)
     final = pre_hedged if missed else pre
-    notes = []
-    if missed:
-        notes.append(
-            f"rerun at {4 * starts} starts found {len(pre_hedged)} preimages "
-            f"where {starts} starts found {len(pre)}; the larger set is reported"
-        )
-    degree = int(sum(s for _, s in final))
-    return DegreeReport(
-        value=np.asarray(eta, dtype=float),
-        preimages=tuple(final),
-        degree=degree,
-        injective_evidence=(len(final) == 1),
-        missed_roots_suspected=missed,
-        notes=tuple(notes),
-    )
+    notes = (f"rerun at {4 * starts} starts found {len(pre_hedged)} preimages where {starts} "
+             f"starts found {len(pre)}; the larger set is reported",) if missed else ()
+    return DegreeReport(value=np.asarray(eta, dtype=float), preimages=tuple(final),
+                        degree=int(sum(s for _, s in final)), injective_evidence=(len(final) == 1),
+                        missed_roots_suspected=missed, notes=notes)
 
 
 def injectivity_probe(m: MapSpec, trials: int = 20,
@@ -214,29 +217,23 @@ def injectivity_probe(m: MapSpec, trials: int = 20,
     Returns a dict with the per-target counts and a verdict:
     ``"consistent-with-injective"`` when every count is one, otherwise
     ``"not-injective"``.  Target draws are seeded from the report so repeat
-    runs probe identical values.
+    runs probe identical values.  Trial ``k`` searches with seed ``k``, all
+    trials in one batch, and only counts: no determinant is taken.
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    report = _require_report(m, report, force, allow_warn=True)
+    report, starts, cfg = _checked(m, report, force, starts, cfg)
     rng = np.random.default_rng([report.seed, _SALT_PROBE])
-    counts = []
     targets = []
-    for k in range(trials):
+    for _ in range(trials):
         direction = rng.standard_normal(m.n)
         nrm = float(np.linalg.norm(direction))
         while nrm < 1e-12:
             direction = rng.standard_normal(m.n)
             nrm = float(np.linalg.norm(direction))
-        magnitude = 10.0 ** rng.uniform(-2.0, 2.0)
-        eta = magnitude * direction / nrm
-        pre = count_preimages(m, eta, starts, cfg, report, force=force, seed=k)
-        targets.append(eta)
-        counts.append(len(pre))
+        targets.append(10.0 ** rng.uniform(-2.0, 2.0) * direction / nrm)
+    omegas = np.array([eta / math.hypot(*eta) for eta in targets])
+    brackets = [coercivity_bracket(report, omega, m.kappa) for omega in omegas]
+    counts = [len(r) for r in _search_roots(m, omegas, brackets, starts, cfg.tol, range(trials))]
     verdict = "consistent-with-injective" if all(c == 1 for c in counts) else "not-injective"
-    return {
-        "counts": counts,
-        "targets": targets,
-        "verdict": verdict,
-        "max_count": max(counts),
-    }
+    return {"counts": counts, "targets": targets, "verdict": verdict, "max_count": max(counts)}

@@ -155,6 +155,14 @@ def test_degree_with_probe(mapfile, tmp_path):
     assert probe["counts"] == [2, 2, 2]
 
 
+def test_degree_negative_probe_is_a_usage_error(mapfile, capsys):
+    # like injectivity_probe(trials=-3), which raises; no probe and exit 0 before
+    rc = main(["degree", mapfile("cs.map", COMPLEX_SQUARE), "--target", "1,0",
+               "--samples", "1000", "--probe", "-3"])
+    assert rc == 1
+    assert "--probe must be >= 0" in capsys.readouterr().err
+
+
 def test_degree_on_failing_map_requires_force(mapfile):
     rc = main(["degree", mapfile("ax.map", AXIS_CUBE), "--target", "1,1,1",
                "--samples", "1000"])

@@ -12,6 +12,7 @@ from hominv import (
     MapSpec,
     PolyMap,
     PreconditionError,
+    axis_cube_map,
     blackbox_of,
     check_hypotheses,
     complex_square_map,
@@ -26,6 +27,7 @@ from hominv import (
     random_admissible_map,
     reflection_map,
 )
+from hominv import degree
 from hominv.degree import _dedup, _sobol_directions
 
 _REPORTS = {}
@@ -278,3 +280,94 @@ def test_dedup_radius_is_strict():
     rows = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 2.0]])
     assert _dedup(rows, 1.0).tolist() == [[0.0, 0.0], [0.0, 2.0]]
     assert _dedup(rows, 0.999).tolist() == [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]
+
+
+def _probe_one_trial_at_a_time(m, trials, report, force=False):
+    """The probe that the batched one replaced: the same target draws, then
+    one ``count_preimages`` call a trial with seed ``k``."""
+    rng = np.random.default_rng([report.seed, degree._SALT_PROBE])
+    counts, targets, roots = [], [], []
+    for k in range(trials):
+        direction = rng.standard_normal(m.n)
+        nrm = float(np.linalg.norm(direction))
+        while nrm < 1e-12:
+            direction = rng.standard_normal(m.n)
+            nrm = float(np.linalg.norm(direction))
+        magnitude = 10.0 ** rng.uniform(-2.0, 2.0)
+        eta = magnitude * direction / nrm
+        pre = count_preimages(m, eta, report=report, force=force, seed=k)
+        targets.append(eta)
+        counts.append(len(pre))
+        roots.append([x for x, _ in pre])
+    return counts, targets, roots
+
+
+_PROBE_MAPS = {
+    "complex_square": (complex_square_map, False),
+    "reflection3": (lambda: reflection_map(3), False),
+    "random_admissible4": (lambda: random_admissible_map(n=4, seed=7, kappa=3.5), False),
+    "axis_cube3": (lambda: axis_cube_map(3), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROBE_MAPS))
+def test_batched_probe_matches_one_count_per_trial(name, monkeypatch):
+    maker, force = _PROBE_MAPS[name]
+    m = maker()
+    rep = report_for(name, maker)
+    want_counts, want_targets, want_roots = _probe_one_trial_at_a_time(m, 20, rep, force)
+    searches = []
+    real = degree._search_roots
+    monkeypatch.setattr(degree, "_search_roots",
+                        lambda *args: searches.append(real(*args)) or searches[-1])
+    probe = injectivity_probe(m, trials=20, report=rep, force=force)
+    assert probe["counts"] == want_counts
+    assert all(np.array_equal(a, b) for a, b in zip(probe["targets"], want_targets))
+    (found,) = searches
+    assert len(found) == 20
+    # the searches ran at the unit targets; rescale as count_preimages does
+    for rows, eta, want in zip(found, want_targets, want_roots):
+        got = rows * np.linalg.norm(eta) ** (1.0 / m.kappa)
+        assert got.shape == (len(want), m.n)
+        for x, y in zip(got, want):
+            assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each of ``names`` in :mod:`hominv.degree` to count its calls."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(degree, name, counting(name, getattr(degree, name)))
+    return calls
+
+
+@pytest.mark.parametrize("trials", [1, 4, 20])
+def test_probe_searches_all_trials_in_one_newton_run_and_one_polish(trials, monkeypatch):
+    m = complex_square_map()
+    rep = report_for("complex_square", complex_square_map)
+    calls = _count_calls(monkeypatch, ("newton_batch", "_polish", "count_preimages",
+                                       "eval_jacobian_batch", "_require_report"))
+    probe = injectivity_probe(m, trials=trials, report=rep)
+    assert probe["counts"] == [2] * trials
+    # no per-trial count and no Jacobian (so no determinant sign) is taken
+    assert calls == {"newton_batch": 1, "_polish": 1, "count_preimages": 0,
+                     "eval_jacobian_batch": 0, "_require_report": 1}
+
+
+def test_count_and_degree_check_their_report_once(monkeypatch):
+    m = complex_square_map()
+    rep = report_for("complex_square", complex_square_map)
+    eta = np.array([0.3, -0.7])
+    for call, searches in ((lambda: count_preimages(m, eta, report=rep), 1),
+                           (lambda: mapping_degree(m, eta, report=rep), 2)):
+        calls = _count_calls(monkeypatch, ("_require_report", "newton_batch"))
+        call()
+        assert calls == {"_require_report": 1, "newton_batch": searches}
+        monkeypatch.undo()

@@ -229,3 +229,32 @@ def test_newton_batch_stops_a_row_at_the_origin_as_singular():
                                              np.array([1.0, 2.0, 3.5]), 1e-10, 1e12)
     assert mode.tolist() == ["singular", "converged"] and iters.tolist() == [0, 1]
     assert converged.tolist() == [False, True]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_NEWTON_MAPS)), st.integers(0, 2**32 - 1),
+       st.integers(0, 5), st.integers(0, 5), st.integers(0, 3), st.booleans(),
+       st.sampled_from([1e12, 1.5]))
+def test_newton_batch_with_equal_per_row_caps_matches_the_scalar_cap(name, seed, near, far,
+                                                                      planar, per_row, cap):
+    m, target, rows = _newton_problem(name, seed, near, far, planar, per_row)
+    want = newton_batch(m, rows, target, 1e-10, cap, 20)
+    got = newton_batch(m, rows, target, 1e-10, np.full(len(rows), cap), 20)
+    assert got[0].tobytes() == want[0].tobytes()
+    for a, b in zip(got[1:], want[1:]):
+        assert a.tolist() == b.tolist()
+
+
+def test_newton_batch_caps_each_row_by_its_own_radius():
+    # the same far start twice: its first step lands beyond radius 1 but
+    # inside 1e12, so only the row with the small cap diverges
+    m = _MAPS["radial_cube3"]
+    target = eval_map(m, np.array([0.3, -0.2, 0.5]))
+    start = np.array([[0.01, 0.02, -0.01]])
+    step = newton_batch(m, start, target, 1e-10, 1e12, max_iter=1)[0][0]
+    assert 1.0 < np.linalg.norm(step) < 1e12
+    X, converged, iters, mode = newton_batch(m, np.vstack([start, start]), target, 1e-10,
+                                             np.array([1.0, 1e12]))
+    assert mode.tolist() == ["diverged", "converged"]
+    assert converged.tolist() == [False, True]
+    assert iters[0] == 0 and np.array_equal(X[0], start[0])
