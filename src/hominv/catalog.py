@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import InvalidParameterError
-from .mapcore import BlackBox, MapSpec, PolyMap, eval_jacobian, eval_map
+from .mapcore import BlackBox, MapSpec, PolyMap, eval_jacobian_batch, eval_map
 
 __all__ = [
     "identity_map",
@@ -186,26 +186,31 @@ def random_polymap_spec(seed: int, n_max: int = 4, degree_max: int = 4, terms_ma
 def perturbed_radial_blackbox(n: int = 3, kappa: float = 3.0, shift=(0.01, 0.0, 0.0)) -> MapSpec:
     """``f(xi) = |xi|**(kappa-1) xi + shift``: an opaque evaluator that is NOT
     homogeneous (the constant shift breaks scaling), used to exercise the
-    homogeneity-residual check."""
+    homogeneity-residual check.  The body is batched: its evaluator takes a
+    ``(k, n)`` array of rows, and it works on one row too."""
     s = np.asarray(shift, dtype=float)
     if s.shape != (n,):
         raise InvalidParameterError("shift must have length n")
     k = float(kappa)
 
     def _eval(x):
-        return np.linalg.norm(x) ** (k - 1.0) * np.asarray(x, dtype=float) + s
+        x = np.asarray(x, dtype=float)
+        return np.linalg.norm(x, axis=-1, keepdims=True) ** (k - 1.0) * x + s
 
-    return MapSpec(BlackBox(eval=_eval, declared_kappa=k), n=n)
+    return MapSpec(BlackBox(eval=_eval, declared_kappa=k, batched=True), n=n)
 
 
 def blackbox_of(m: MapSpec, with_jacobian: bool = False) -> MapSpec:
     """Wrap an existing map as an opaque evaluator.
 
     Useful for testing the finite-difference Jacobian path against the exact
-    symbolic one on the same underlying function.
+    symbolic one on the same underlying function.  The body is batched: each
+    callback is one call of :func:`eval_map` or :func:`eval_jacobian_batch`
+    on all the nonzero rows of a batch.
     """
-    jac = (lambda x: eval_jacobian(m, x)) if with_jacobian else None
-    body = BlackBox(eval=lambda x: eval_map(m, x), declared_kappa=m.kappa, jacobian=jac)
+    jac = (lambda x: eval_jacobian_batch(m, x)) if with_jacobian else None
+    body = BlackBox(eval=lambda x: eval_map(m, x), declared_kappa=m.kappa, jacobian=jac,
+                    batched=True)
     return MapSpec(body, n=m.n)
 
 

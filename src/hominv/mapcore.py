@@ -13,7 +13,10 @@ Two concrete bodies are supported:
   that non-integer orders are representable.
 * :class:`BlackBox` -- an opaque evaluator with a declared order and an
   optional Jacobian callback; central finite differences are used when the
-  callback is absent.
+  callback is absent.  By default its callbacks take one row at a time; a
+  body declared ``batched`` takes all the nonzero rows of a batch in one
+  call, so that a finite-difference Jacobian is one call on ``2n`` shifted
+  rows per point.
 
 Everything here is immutable after construction and free of side effects, so
 maps can be shared between threads and evaluated concurrently.
@@ -219,19 +222,26 @@ class PolyMap:
 class BlackBox:
     """Opaque evaluator for a map assumed positively homogeneous.
 
-    ``eval`` must accept a length-``n`` float array and return one, and must
-    be defined for every nonzero point; it is called once per nonzero row of
-    a batch, and the origin maps to zero without a call.  ``jacobian``, when
-    provided, returns the exact ``n x n`` derivative; otherwise central finite
-    differences with step ``eps**(1/3) * max(1, |xi|)`` are used, whose
-    shifted rows go through ``eval`` in the same way.  ``declared_kappa`` is the
-    claimed homogeneity order; it is *trusted* for evaluation and *measured*
-    by :func:`hominv.hypotheses.check_hypotheses`.
+    ``eval`` must be defined for every nonzero point.  By default
+    (``batched=False``) it takes a length-``n`` float array and returns one,
+    and it is called once per nonzero row of a batch.  A ``batched`` body
+    treats rows as independent: ``eval`` takes a ``(k, n)`` array of nonzero
+    rows and returns ``(k, n)``, and it is called once per batch with the
+    batch's nonzero rows in order.  Either way the origin maps to zero
+    without a call, and a result of any other shape raises
+    :class:`~hominv.errors.InvalidInputError`.  ``jacobian``, when provided,
+    returns the exact derivative, ``(n, n)`` for one row or ``(k, n, n)``
+    for a batched body's ``k`` rows; otherwise central finite differences
+    with step ``eps**(1/3) * max(1, |xi|)`` are used, whose shifted rows go
+    through ``eval`` in the same way.  ``declared_kappa`` is the claimed
+    homogeneity order; it is *trusted* for evaluation and *measured* by
+    :func:`hominv.hypotheses.check_hypotheses`.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     declared_kappa: float
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    batched: bool = False
 
 
 class MapSpec:
@@ -313,16 +323,22 @@ def _row_norms(R: np.ndarray) -> np.ndarray:
     return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
 
 
-def _rows(fn: Callable[[np.ndarray], np.ndarray], X: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """``fn`` called once on each nonzero row of ``X``, its results as floats
-    of ``shape`` stacked in row order; zero rows give zeros (the continuous
+def _rows(fn: Callable[[np.ndarray], np.ndarray], X: np.ndarray, shape: Tuple[int, ...],
+          batched: bool) -> np.ndarray:
+    """``fn`` called once on each nonzero row of ``X``, or once on all of
+    them in row order when ``batched``, its results as floats of ``shape``
+    per row, stacked in row order; zero rows give zeros (the continuous
     extension), and any other shape raises :class:`InvalidInputError`."""
     out = np.zeros((len(X),) + shape)
-    for k in np.flatnonzero(X.any(axis=1)):
+    nz = np.flatnonzero(X.any(axis=1))
+    # keys index X and out: a row number, or all the nonzero rows at once
+    keys = ([nz] if len(nz) else []) if batched else nz
+    for k in keys:
         val = np.asarray(fn(X[k]), dtype=float)
-        if val.shape != shape:
+        want = np.shape(k) + shape
+        if val.shape != want:
             raise InvalidInputError(
-                f"black-box body returned shape {val.shape}, expected {shape}"
+                f"black-box body returned shape {val.shape}, expected {want}"
             )
         out[k] = val
     return out
@@ -363,7 +379,7 @@ def _eval_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
             U = X[pos] / r[pos, None]
             out[pos] = (r[pos] ** m.kappa)[:, None] * body.evaluate(U)
         return out
-    return _rows(body.eval, X, (m.n,))
+    return _rows(body.eval, X, (m.n,), body.batched)
 
 
 def _eval_jac_batch(m: MapSpec, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -402,10 +418,11 @@ def eval_jacobian_batch(m: MapSpec, points) -> np.ndarray:
     Polynomial bodies are differentiated exactly; the radial weight
     contributes the rank-one product-rule correction
     ``Df = r**(kappa-1) * (DP(u) + alpha * P(u) u^T)`` with ``u = xi/r`` and
-    ``alpha = kappa - d``.  Black-box bodies use the Jacobian callback on each
-    row, or central differences: the ``2n`` shifted rows ``xi +- h e_j`` of
-    every row, ``h = eps**(1/3) * max(1, |xi|)``, in one batch through the
-    evaluator and its shape check.
+    ``alpha = kappa - d``.  Black-box bodies use the Jacobian callback, on
+    each row or once on the batch for a batched body, or central
+    differences: the ``2n`` shifted rows ``xi +- h e_j`` of every row,
+    ``h = eps**(1/3) * max(1, |xi|)``, in one batch through the evaluator
+    and its shape check.
     """
     X, _ = _as_matrix(points, m.n)
     if np.any(np.all(X == 0.0, axis=1)):
@@ -422,7 +439,7 @@ def _jacobian_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
             return body.jacobian(X)
         return _weighted_jacobian(m, X)[2]
     if body.jacobian is not None:
-        return _rows(body.jacobian, X, (m.n, m.n))
+        return _rows(body.jacobian, X, (m.n, m.n), body.batched)
     # central differences: row b, column j, side s of the batch is
     # x_b + h_b e_j (s = 0) or x_b - h_b e_j (s = 1)
     B, n = X.shape

@@ -429,6 +429,62 @@ def test_blackbox_with_nonfinite_images_is_called_for_the_images_only(with_jacob
     assert jac_calls == []
 
 
+@pytest.mark.parametrize("kappa, shift", [(3.0, (0.01, 0.0, 0.0)), (3.0, (0.0, 0.0, 0.0)),
+                                          (3.5, (0.0, -0.02, 0.01)), (1.5, (0.0, 0.0, 0.0))])
+def test_batched_blackbox_report_equals_the_per_row_report(kappa, shift):
+    batched = perturbed_radial_blackbox(kappa=kappa, shift=shift)
+    per_row = MapSpec(BlackBox(eval=batched.body.eval, declared_kappa=kappa), n=3)
+    got = check_hypotheses(batched, count=2000, seed=4)
+    want = check_hypotheses(per_row, count=2000, seed=4)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert np.array_equal(got.images, want.images)
+
+
+@pytest.mark.parametrize("name", sorted(acceptance_maps()))
+def test_blackbox_of_reports_as_its_map(name):
+    # The finite-difference report is held to tolerances, not to the bits:
+    # its Jacobians are differences, so the refinement of |f| takes other
+    # steps (c0 on random_admissible4 can differ in its last digit).
+    # Nor does a blackbox_of body match itself declared per row: a one-row
+    # polynomial evaluation rounds differently from a batched one.  The
+    # exact-Jacobian body reaches the polynomial's own kernels on the same
+    # rows, so its report is the polynomial's.
+    m = acceptance_maps()[name]
+    want = check_hypotheses(m, count=2000, seed=4)
+    fd = check_hypotheses(blackbox_of(m), count=2000, seed=4)
+    for got, ref, rel in ((fd.c0_empirical, want.c0_empirical, 1e-12),
+                          (fd.c_empirical, want.c_empirical, 1e-12),
+                          (fd.min_abs_det_j, want.min_abs_det_j, 1e-6)):
+        assert abs(got - ref) <= rel * ref
+    assert (fd.status, fd.reasons) == (want.status, want.reasons)
+    exact = check_hypotheses(blackbox_of(m, with_jacobian=True), count=2000, seed=4)
+    assert exact.to_json_dict() == want.to_json_dict()
+
+
+def test_blackbox_check_makes_a_bounded_number_of_evaluator_calls():
+    # a batched body's sample scan, finite-difference sample Jacobians and
+    # homogeneity residual take one or two calls each; a per-row body took
+    # 14 390 calls here, one a row.  The sphere refinement calls with one
+    # point (or its 2n shifted rows) at a time, 33 calls here.
+    inner = blackbox_of(radial_cube_map(3)).body
+    rows = []
+
+    def _eval(x):
+        rows.append(len(x))
+        return inner.eval(x)
+
+    m = MapSpec(BlackBox(eval=_eval, declared_kappa=3.0, batched=True), n=3)
+    report = check_hypotheses(m, count=2000, seed=0)
+    assert report.status == "pass"
+    assert rows[0] == 2000  # the sample scan
+    assert rows.count(2 * 3 * 2000) == 1  # the sample's Jacobians
+    assert rows[-2:] == [106, 106]  # the homogeneity residual, 100 rows + ladder
+    refinement = rows[1:-2]
+    refinement.remove(2 * 3 * 2000)
+    assert max(refinement) <= 2 * 3
+    assert len(rows) <= 48
+
+
 _SHARED_SCAN_MAPS = {**acceptance_maps(), "axis_cube3": axis_cube_map(3),
                      "complex_square": complex_square_map(), "zero3": zero_map(3),
                      **{f"random{k}": random_polymap_spec(k) for k in range(6)}}

@@ -299,6 +299,104 @@ def test_fd_jacobian_takes_zero_at_an_exactly_zero_shifted_row():
     assert np.array_equal(J[:, 0], m.body.eval(2.0 * x) / (2.0 * _FD_STEP))
 
 
+def _recorded_batched(eval_fn, jacobian=None):
+    """A batched order-3 body on R^3 over ``eval_fn`` (and ``jacobian``)
+    whose callbacks append each argument they get to one list."""
+    calls = []
+
+    def _record(fn):
+        def call(x):
+            calls.append(np.array(x))
+            return fn(x)
+        return call
+
+    body = BlackBox(eval=_record(eval_fn), declared_kappa=3.0,
+                    jacobian=None if jacobian is None else _record(jacobian), batched=True)
+    return MapSpec(body, n=3), calls
+
+
+_RADIAL = perturbed_radial_blackbox()  # a batched, row-independent evaluator
+
+
+def test_batched_eval_is_one_call_on_the_nonzero_rows_in_order():
+    m, calls = _recorded_batched(_RADIAL.body.eval)
+    X = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [-0.5, 0.0, 4.0],
+                  [0.0, 0.0, 0.0], [2.0, -1.0, 0.5]])
+    F = eval_map(m, X)
+    assert len(calls) == 1 and np.array_equal(calls[0], X[[0, 2, 4]])
+    # the origin maps to 0, not to the shifted evaluator's value there
+    assert np.array_equal(F[[1, 3]], np.zeros((2, 3)))
+    assert np.array_equal(F[[0, 2, 4]], _RADIAL.body.eval(X[[0, 2, 4]]))
+
+
+def test_batched_fd_jacobian_is_one_call_on_the_nonzero_shifted_rows():
+    m, calls = _recorded_batched(_RADIAL.body.eval)
+    # the middle row's x - h e_1 is exactly the origin
+    X = np.array([[1.0, 2.0, 3.0], [_FD_STEP, 0.0, 0.0], [-0.5, 0.25, 4.0]])
+    J = eval_jacobian_batch(m, X)
+    shifted = []
+    for x in X:  # row, then column, then the + and - side
+        h = _FD_STEP * max(1.0, float(np.linalg.norm(x)))
+        for j in range(3):
+            for side in (h, -h):
+                row = x.copy()
+                row[j] += side
+                if row.any():
+                    shifted.append(row)
+    assert len(shifted) == 2 * 3 * len(X) - 1
+    assert len(calls) == 1 and np.array_equal(calls[0], np.array(shifted))
+    assert np.array_equal(J[1][:, 0], _RADIAL.body.eval(2.0 * X[1]) / (2.0 * _FD_STEP))
+
+
+def test_batched_body_is_not_called_without_a_nonzero_row():
+    body = blackbox_of(radial_cube_map(3), with_jacobian=True).body
+    fd, fd_calls = _recorded_batched(body.eval)
+    callback, callback_calls = _recorded_batched(body.eval, jacobian=body.jacobian)
+    for m in (fd, callback):
+        assert eval_map(m, np.zeros((0, 3))).shape == (0, 3)
+        assert eval_jacobian_batch(m, np.zeros((0, 3))).shape == (0, 3, 3)
+        assert np.array_equal(eval_map(m, np.zeros((4, 3))), np.zeros((4, 3)))
+    assert fd_calls == [] and callback_calls == []
+
+
+@pytest.mark.parametrize("bad", [lambda x: x[0], lambda x: x[1:], lambda x: 1.0],
+                         ids=["one-row-result", "one-row-short", "scalar"])
+def test_batched_body_rejects_a_result_of_the_wrong_shape(bad):
+    m = MapSpec(BlackBox(eval=bad, declared_kappa=1.0, batched=True), n=3)
+    for X in (np.ones(3), np.ones((2, 3))):
+        with pytest.raises(InvalidInputError):
+            eval_map(m, X)
+    with pytest.raises(InvalidInputError):
+        eval_jacobian(m, np.ones(3))
+    with pytest.raises(InvalidInputError):
+        eval_jacobian_batch(m, np.ones((2, 3)))
+
+
+def test_batched_jacobian_callback_rejects_a_value_shaped_result():
+    m = MapSpec(BlackBox(eval=lambda x: x, declared_kappa=1.0,
+                         jacobian=lambda x: x, batched=True), n=3)
+    with pytest.raises(InvalidInputError):
+        eval_jacobian_batch(m, np.ones((2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.5, 4.0), st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       st.integers(0, 50), st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+@example(3.0, [0.01, 0.0, 0.0], 0, 0.0, 0)
+def test_batched_body_equals_the_same_evaluator_per_row_bit_for_bit(kappa, shift, rows,
+                                                                    log_mag, seed):
+    batched = perturbed_radial_blackbox(kappa=kappa, shift=shift)
+    per_row = MapSpec(BlackBox(eval=batched.body.eval, declared_kappa=kappa), n=3)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, 3)) * 10.0 ** log_mag
+    X[rng.random((rows, 3)) < 0.3] = 0.0
+    assert np.array_equal(eval_map(batched, X), eval_map(per_row, X))
+    X[~X.any(axis=1), 0] = 10.0 ** log_mag  # nonzero rows only
+    J = eval_jacobian_batch(batched, X)
+    assert np.array_equal(J, eval_jacobian_batch(per_row, X))
+    assert J.flags.c_contiguous
+
+
 def test_blackbox_supplied_jacobian_used_exactly():
     m = radial_cube_map(3)
     bb = blackbox_of(m, with_jacobian=True)
