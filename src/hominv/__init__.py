@@ -60,7 +60,6 @@ from .inverter import (
     inverse_jacobian,
     invert,
     roundtrip_check,
-    slerp_path,
 )
 from .mapcore import (
     BlackBox,
@@ -110,7 +109,6 @@ __all__ = [
     # inversion
     "ContinuationConfig",
     "InversionResult",
-    "slerp_path",
     "invert",
     "inverse_homogeneity_check",
     "roundtrip_check",

@@ -35,14 +35,11 @@ import numpy as np
 from . import __version__
 from .degree import injectivity_probe, mapping_degree
 from .errors import (
-    ContinuationFailedError,
     HominvError,
     InvalidInputError,
     InvalidParameterError,
     MapDefinitionError,
-    NoBracketError,
     PreconditionError,
-    SingularJacobianError,
 )
 from .hypotheses import _STATUS_WARN, check_hypotheses
 from .inverter import ContinuationConfig, _roundtrips, invert
@@ -278,18 +275,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MapDefinitionError as err:
         print(f"hominv: map definition error: {err}", file=sys.stderr)
         return 1
-    except (InvalidInputError, InvalidParameterError) as err:
-        print(f"hominv: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (InvalidInputError, InvalidParameterError, OSError) as err:
         print(f"hominv: {err}", file=sys.stderr)
         return 1
     except PreconditionError as err:
         print(f"hominv: {err}", file=sys.stderr)
         return 2
-    except (NoBracketError, ContinuationFailedError, SingularJacobianError) as err:
-        print(f"hominv: {type(err).__name__}: {err}", file=sys.stderr)
-        return 3
     except HominvError as err:
         print(f"hominv: {type(err).__name__}: {err}", file=sys.stderr)
         return 3

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._newton import _polish, newton_batch
 from .errors import InvalidInputError, InvalidParameterError
-from .hypotheses import HypothesisReport, coercivity_bracket
+from .hypotheses import HypothesisReport, _bracket, _target_rows
 from .inverter import ContinuationConfig, _require_report
 from .mapcore import MapSpec, _gaussian_directions, _row_norms, eval_jacobian_batch
 
@@ -130,11 +130,7 @@ def _search_roots(m: MapSpec, omegas: np.ndarray, brackets, starts: int, tol: fl
 
 def _unit_target(m: MapSpec, eta) -> tuple[np.ndarray, float]:
     """``(eta / |eta|, |eta|)`` for a finite nonzero vector of length n."""
-    e = np.asarray(eta, dtype=float)
-    if e.ndim != 1 or e.shape[0] != m.n:
-        raise InvalidInputError(f"eta must be a vector of length {m.n}")
-    # hypot, unlike the norm, neither underflows nor overflows at extreme |eta|
-    mag = math.hypot(*e)
+    (e,), (mag,) = _target_rows(m.n, eta, ndim=1)
     if mag == 0.0 or not math.isfinite(mag):
         raise InvalidInputError("eta must be finite and nonzero")
     return e / mag, mag
@@ -157,7 +153,7 @@ def _preimages(m: MapSpec, omega: np.ndarray, mag: float, report: HypothesisRepo
     It searches at the unit target, where the absolute tolerance is
     relative, and rescales: f(s x) = |eta| f(x) for s = |eta|**(1/kappa),
     and det Df(s x) = s**(n (kappa - 1)) det Df(x) keeps its sign."""
-    bracket = coercivity_bracket(report, omega, m.kappa)
+    bracket = _bracket(report, math.hypot(*omega), m.kappa)
     scale = mag ** (1.0 / m.kappa)
     out = []
     for starts, seed in runs:
@@ -233,7 +229,7 @@ def injectivity_probe(m: MapSpec, trials: int = 20,
             nrm = float(np.linalg.norm(direction))
         targets.append(10.0 ** rng.uniform(-2.0, 2.0) * direction / nrm)
     omegas = np.array([eta / math.hypot(*eta) for eta in targets])
-    brackets = [coercivity_bracket(report, omega, m.kappa) for omega in omegas]
+    brackets = [_bracket(report, math.hypot(*omega), m.kappa) for omega in omegas]
     counts = [len(r) for r in _search_roots(m, omegas, brackets, starts, cfg.tol, range(trials))]
     verdict = "consistent-with-injective" if all(c == 1 for c in counts) else "not-injective"
     return {"counts": counts, "targets": targets, "verdict": verdict, "max_count": max(counts)}

@@ -483,6 +483,31 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
     )
 
 
+def _target_rows(n: int, etas, ndim: int = 2) -> tuple[np.ndarray, list[float]]:
+    """One target (``ndim=1``) or a batch as a ``(B, n)`` array of finite
+    targets, with each row's norm: ``math.hypot``, unlike the norm, neither
+    underflows nor overflows at extreme ``|eta|``."""
+    E = np.asarray(etas, dtype=float)
+    if E.ndim not in (1, ndim) or E.shape[-1] != n:
+        raise InvalidInputError(f"eta must be a vector of length {n}")
+    if not np.all(np.isfinite(E)):
+        raise InvalidInputError("eta contains non-finite components")
+    E = E.reshape(-1, n)
+    return E, [math.hypot(*e) for e in E]
+
+
+def _bracket(report: HypothesisReport, mag: float, kappa: float) -> tuple[float, float]:
+    """The coercivity bracket of every target of norm ``mag > 0``."""
+    if report.c0_empirical <= 0.0:
+        raise NoBracketError(
+            "no coercivity bracket: the empirical minimum of |f| on the sphere is zero"
+        )
+    inv_k = 1.0 / float(kappa)
+    r_lo = (mag / report.c_empirical) ** inv_k
+    r_hi = (mag / report.c0_empirical) ** inv_k
+    return float(r_lo), float(r_hi)
+
+
 def coercivity_bracket(report: HypothesisReport, eta, kappa: float) -> tuple[float, float]:
     """Radial bracket ``(r_lo, r_hi)`` containing every preimage of ``eta``.
 
@@ -500,19 +525,7 @@ def coercivity_bracket(report: HypothesisReport, eta, kappa: float) -> tuple[flo
     InvalidInputError
         For ``eta = 0`` or malformed input.
     """
-    e = np.asarray(eta, dtype=float)
-    if e.ndim != 1 or e.shape[0] != report.n:
-        raise InvalidInputError(f"eta must be a vector of length {report.n}")
-    if not np.all(np.isfinite(e)):
-        raise InvalidInputError("eta contains non-finite components")
-    mag = math.hypot(*e)  # no underflow or overflow at extreme |eta|
+    _, (mag,) = _target_rows(report.n, eta, ndim=1)
     if mag == 0.0:
         raise InvalidInputError("eta must be nonzero (the origin's preimage is the origin)")
-    if report.c0_empirical <= 0.0:
-        raise NoBracketError(
-            "no coercivity bracket: the empirical minimum of |f| on the sphere is zero"
-        )
-    inv_k = 1.0 / float(kappa)
-    r_lo = (mag / report.c_empirical) ** inv_k
-    r_hi = (mag / report.c0_empirical) ** inv_k
-    return float(r_lo), float(r_hi)
+    return _bracket(report, mag, kappa)

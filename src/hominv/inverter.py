@@ -35,11 +35,11 @@ import numpy as np
 from ._newton import _nonsingular, _polish, _singular_error, newton_batch, solve_guarded
 from .errors import (ContinuationFailedError, InvalidInputError, InvalidParameterError,
                      PreconditionError, SingularJacobianError)
-from .hypotheses import _STATUS_WARN, HypothesisReport, check_hypotheses, coercivity_bracket
+from .hypotheses import _STATUS_WARN, HypothesisReport, _bracket, _target_rows, check_hypotheses
 from .mapcore import MapSpec, _eval_batch, _jacobian_batch, _row_norms, eval_jacobian
 
-__all__ = ["ContinuationConfig", "InversionResult", "slerp_path", "invert",
-           "inverse_homogeneity_check", "roundtrip_check", "inverse_jacobian"]
+__all__ = ["ContinuationConfig", "InversionResult", "invert", "inverse_homogeneity_check",
+           "roundtrip_check", "inverse_jacobian"]
 
 _ANTIPODAL_TOL = 1e-8
 # the corrector gives up on a row that leaves this ball
@@ -156,30 +156,6 @@ def _path_points(p: _Paths, t: np.ndarray) -> np.ndarray:
     return (p.m0 ** (1.0 - t) * p.m1**t)[:, None] * d
 
 
-def slerp_path(eta0, eta1, t: float) -> np.ndarray:
-    """Origin-avoiding path from ``eta0`` (at ``t=0``) to ``eta1`` (at ``t=1``).
-
-    The magnitude interpolates geometrically, ``|gamma(t)| =
-    |eta0|**(1-t) |eta1|**t``, and the direction follows the great circle, so
-    ``min_t |gamma(t)| = min(|eta0|, |eta1|) > 0``.  Antipodal directions
-    (within ``1e-8`` of opposite) are routed through a deterministic
-    intermediate waypoint orthogonal to both, giving two great-circle
-    segments.  Zero endpoints are rejected, and so are antipodal ones in
-    ``R^1``, which no origin-avoiding path joins.
-    """
-    a, b = np.asarray(eta0, dtype=float), np.asarray(eta1, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidInputError("endpoints must be vectors of equal length")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise InvalidInputError("endpoints must be finite")
-    if np.linalg.norm(a) == 0.0 or np.linalg.norm(b) == 0.0:
-        raise InvalidInputError("slerp endpoints must be nonzero")
-    p = _paths(a[None, :], b[None, :])
-    if p.blocked[0]:
-        raise InvalidInputError("antipodal endpoints in R^1 have no origin-avoiding path")
-    return _path_points(p, np.array([float(t)]))[0]
-
-
 def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, cfg: ContinuationConfig, trace: bool):
     """Track ``f(xi(t)) = gamma(t)`` from ``xi(0) = xi0[i]`` to ``t = 1`` on
     every path at once, each with its own ``t``, step size and streak.
@@ -281,16 +257,6 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
 
 
-def _target_rows(m: MapSpec, etas, ndim: int = 2) -> np.ndarray:
-    """One target (``ndim=1``) or a batch as a ``(B, n)`` array of finite targets."""
-    E = np.asarray(etas, dtype=float)
-    if E.ndim not in (1, ndim) or E.shape[-1] != m.n:
-        raise InvalidInputError(f"eta must be a vector of length {m.n}")
-    if not np.all(np.isfinite(E)):
-        raise InvalidInputError("eta contains non-finite components")
-    return E.reshape(-1, m.n)
-
-
 def _seeds(report: HypothesisReport, omega: np.ndarray, k: int):
     """Each unit target's ``k`` candidate seeds (step 2), best first, and
     whether each is usable; targets are scored ``_SCORE_CELLS`` cells at a time."""
@@ -318,7 +284,7 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, cfg: ContinuationConfig,
     norms = [math.hypot(*e) for e in etas]
     nz = [i for i, mag in enumerate(norms) if mag]
     E, mags = etas[nz], [norms[i] for i in nz]
-    brackets = [coercivity_bracket(report, e, m.kappa) for e in E]
+    brackets = [_bracket(report, mag, m.kappa) for mag in mags]
     omega = E / np.array(mags).reshape(-1, 1)
     seeds, usable = _seeds(report, omega, cfg.seed_attempts)
     results, errors, unsolved = [None] * len(nz), [None] * len(nz), np.ones(len(nz), bool)
@@ -388,8 +354,8 @@ def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
         A numerically singular Jacobian at a point on the tracked path
         (evidence the nonvanishing-determinant hypothesis fails).
     """
-    E = _target_rows(m, eta, ndim=1)
-    if not E.any():
+    E, (mag,) = _target_rows(m.n, eta, ndim=1)
+    if not mag:
         return _origin(m.n, trace)
     return _invert_batch(m, E, cfg or ContinuationConfig(), _require_report(m, report, force),
                          trace)[0]
@@ -404,14 +370,14 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, cfg: ContinuationConfig | N
     For an exact inverse this is zero because the inverse of an order-``kappa``
     homogeneous bijection is homogeneous of order ``1/kappa``.
     """
-    e = _target_rows(m, eta, ndim=1)[0]
-    if not e.any():
+    (e,), (mag,) = _target_rows(m.n, eta, ndim=1)
+    if not mag:
         raise InvalidInputError("eta must be nonzero for a homogeneity check")
     report = _require_report(m, report, force)
     taus = [float(tau) for tau in taus]
     if any(tau <= 0.0 for tau in taus):
         raise InvalidParameterError("tau values must be positive")
-    etas = _target_rows(m, np.array([e] + [tau * e for tau in taus]))  # tau * e may overflow
+    etas, _ = _target_rows(m.n, np.array([e] + [tau * e for tau in taus]))  # tau * e may overflow
     base, *scaled = _invert_batch(m, etas, cfg or ContinuationConfig(), report)
     base_norm = math.hypot(*base.xi)
     return max((math.hypot(*(res.xi - tau ** (1.0 / m.kappa) * base.xi))
@@ -423,11 +389,11 @@ def _roundtrips(m: MapSpec, etas, cfg: ContinuationConfig | None,
                 report: HypothesisReport | None, force: bool) -> list:
     """Invert a batch of nonzero targets as one batch; returns ``(eta,
     result, |f(xi) - eta| / |eta|)`` per target, in order."""
-    E = _target_rows(m, etas)
-    if not E.any(axis=1).all():
+    E, norms = _target_rows(m.n, etas)
+    if not all(norms):
         raise InvalidInputError("roundtrip targets must be nonzero")
     results = _invert_batch(m, E, cfg or ContinuationConfig(), _require_report(m, report, force))
-    return [(eta, res, res.residual / math.hypot(*eta)) for eta, res in zip(E, results)]
+    return [(eta, res, res.residual / mag) for eta, res, mag in zip(E, results, norms)]
 
 
 def roundtrip_check(m: MapSpec, etas, cfg: ContinuationConfig | None = None,

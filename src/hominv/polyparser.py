@@ -50,6 +50,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _VAR_RE = re.compile(r"x([0-9]+)\Z")
 _INT_RE = re.compile(r"\d+\Z")
 _OPS = "+-*^=;/"
+#: the largest dimension, exponent and total degree of a term that a map file may give
+_MAX_SIZE = 1000
 
 
 @dataclass(frozen=True)
@@ -168,11 +170,11 @@ class _Parser:
         n_tok = self._number("an integer dimension")
         if not _INT_RE.match(n_tok.value):
             raise MapSyntaxError("dimension n must be an integer", n_tok.line, n_tok.col)
-        n = int(n_tok.value)
+        n = _bounded_int(n_tok.value, _MAX_SIZE)
         if n < 1:
             raise MapSyntaxError("dimension n must be >= 1", n_tok.line, n_tok.col)
-        if n > 1000:
-            raise MapSyntaxError("dimension n must be at most 1000", n_tok.line, n_tok.col)
+        if n > _MAX_SIZE:
+            raise MapSyntaxError(f"dimension n must be at most {_MAX_SIZE}", n_tok.line, n_tok.col)
 
         components: list[list[_RawTerm]] = []
         while True:
@@ -251,22 +253,33 @@ class _Parser:
             raise MapSyntaxError(
                 f"unknown variable '{tok.value}' (variables are x1..x{n})", tok.line, tok.col
             )
-        idx = int(mo.group(1))
+        idx = _bounded_int(mo.group(1), n)
         if not 1 <= idx <= n:
             raise MapSyntaxError(
                 f"variable '{tok.value}' is out of range for n={n}", tok.line, tok.col
             )
         power = 1
-        tok = self._peek()
-        if tok.kind == "op" and tok.value == "^":
+        if self._peek().kind == "op" and self._peek().value == "^":
             self._next()
-            num = self._number("an integer exponent")
-            if not _INT_RE.match(num.value):
+            tok = self._number("an integer exponent")
+            if not _INT_RE.match(tok.value):
                 raise MapSyntaxError(
-                    "exponent must be a nonnegative integer", num.line, num.col
+                    "exponent must be a nonnegative integer", tok.line, tok.col
                 )
-            power = int(num.value)
+            power = _bounded_int(tok.value, _MAX_SIZE)
+            if power > _MAX_SIZE:
+                raise MapSyntaxError(f"exponent must be at most {_MAX_SIZE}", tok.line, tok.col)
         exps[idx - 1] += power
+        if sum(exps) > _MAX_SIZE:
+            raise MapSyntaxError(f"the total degree of a term must be at most {_MAX_SIZE}",
+                                 tok.line, tok.col)
+
+
+def _bounded_int(digits: str, cap: int) -> int:
+    """The value of a digit string, or ``cap + 1`` for any larger value:
+    ``int`` refuses strings of more than 4300 digits."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(cap)) else cap + 1
 
 
 def _mono_text(exponents: Tuple[int, ...]) -> str:
@@ -289,39 +302,28 @@ def _build(
         raise InvalidKappaError(
             f"kappa must be positive, got {kappa!r}", kappa_tok.line, kappa_tok.col
         )
-    # merge terms per component, remembering where each exponent tuple first appeared
-    merged: list[list[tuple[float, Tuple[int, ...], Tuple[int, int]]]] = []
-    for raw in raw_components:
-        acc: dict[Tuple[int, ...], list] = {}
-        for coeff, exps, pos in raw:
-            if exps in acc:
-                acc[exps][0] += coeff
-            else:
-                acc[exps] = [coeff, pos]
-        merged.append([(c, e, pos) for e, (c, pos) in acc.items() if c != 0.0])
-
-    monos = [(i, e, pos) for i, terms in enumerate(merged) for _, e, pos in terms]
-    first_pos = monos[0][2] if monos else (1, 1)
-    if monos:
-        d = max(sum(e) for _, e, _ in monos)
-        for i, e, pos in monos:
-            if sum(e) != d:
-                raise MixedDegreeError(
-                    f"monomial {_mono_text(e)} in component f{i + 1} has total degree "
-                    f"{sum(e)}; every monomial must have the uniform degree {d}",
-                    pos[0],
-                    pos[1],
-                    component=i + 1,
-                    exponents=e,
-                )
-        if d == 0:
-            raise InvalidKappaError(
-                "the map is constant (total degree 0); a positive homogeneity "
-                "order requires polynomial degree >= 1",
-                first_pos[0],
-                first_pos[1],
-            )
-    poly = PolyMap(n, [[(c, e) for c, e, _ in terms] for terms in merged])
+    # PolyMap merges repeated monomials; the parser keeps where each first appeared
+    first: dict[Tuple[int, Tuple[int, ...]], Tuple[int, int]] = {}
+    for i, raw in enumerate(raw_components):
+        for _, e, pos in raw:
+            first.setdefault((i, e), pos)
+    poly = PolyMap(n, [[(c, e) for c, e, _ in raw] for raw in raw_components])
+    verdict = check_homogeneity_symbolic(poly)
+    if verdict.offending:
+        i, e = min(verdict.offending, key=first.__getitem__)
+        raise MixedDegreeError(
+            f"monomial {_mono_text(e)} in component f{i + 1} has total degree "
+            f"{sum(e)}; every monomial must have the uniform degree {verdict.degree}",
+            *first[i, e],
+            component=i + 1,
+            exponents=e,
+        )
+    if verdict.degree == 0:
+        raise InvalidKappaError(
+            "the map is constant (total degree 0); a positive homogeneity "
+            "order requires polynomial degree >= 1",
+            *min(first[i, e] for i, terms in enumerate(poly.components) for _, e in terms),
+        )
     return MapSpec(poly, kappa=kappa)
 
 

@@ -194,6 +194,17 @@ def test_parse_error_exits_one(mapfile, capsys):
     assert "map definition error" in capsys.readouterr().err
 
 
+def test_huge_exponent_exits_one_without_traceback(mapfile):
+    path = mapfile("huge.map", "n = 2; f1 = x1^9563300443374231; f2 = x2^9563300443374231")
+    src = os.path.dirname(os.path.dirname(hominv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "hominv.cli", "check", path],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "map definition error" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_missing_file_exits_one(capsys):
     rc = main(["check", "/nonexistent/path.map"])
     assert rc == 1

@@ -1,5 +1,6 @@
 """Continuation-based inversion: paths, preimages, preconditions."""
 
+import dataclasses
 import math
 import warnings
 
@@ -18,8 +19,11 @@ from hominv import (
     PreconditionError,
     SingularJacobianError,
     axis_cube_map,
+    acceptance_maps,
     check_hypotheses,
+    coercivity_bracket,
     complex_square_map,
+    count_preimages,
     diag_map,
     eval_jacobian,
     eval_map,
@@ -27,13 +31,13 @@ from hominv import (
     inverse_homogeneity_check,
     inverse_jacobian,
     invert,
+    mapping_degree,
     radial_cube_map,
     radial_linear_map,
     random_admissible_map,
     roundtrip_check,
-    slerp_path,
 )
-from hominv.inverter import _invert_batch, _top_k
+from hominv.inverter import _invert_batch, _path_points, _paths, _top_k
 from hominv.polyparser import parse_map
 
 _REPORTS = {}
@@ -64,11 +68,17 @@ def test_config_validation():
 # --------------------------------------------------------------------- path
 
 
+def gamma(a, b, t):
+    """``gamma(t)`` on the tracker's path from ``a`` to ``b``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return _path_points(_paths(a[None], b[None]), np.array([float(t)]))[0]
+
+
 def test_slerp_endpoints():
     a = np.array([2.0, 0.0, 0.0])
     b = np.array([0.0, 0.0, 5.0])
-    assert np.allclose(slerp_path(a, b, 0.0), a, atol=1e-14)
-    assert np.allclose(slerp_path(a, b, 1.0), b, atol=1e-14)
+    assert np.allclose(gamma(a, b, 0.0), a, atol=1e-14)
+    assert np.allclose(gamma(a, b, 1.0), b, atol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,7 +90,7 @@ def test_slerp_magnitude_is_geometric(t, seed):
     b = rng.standard_normal(3) * 10.0 ** rng.uniform(-2, 2)
     if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
         return
-    g = slerp_path(a, b, t)
+    g = gamma(a, b, t)
     expected = np.linalg.norm(a) ** (1 - t) * np.linalg.norm(b) ** t
     assert np.linalg.norm(g) == pytest.approx(expected, rel=1e-10)
 
@@ -89,7 +99,7 @@ def test_slerp_direction_stays_in_span():
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.0, 2.0, 0.0])
     for t in np.linspace(0, 1, 23):
-        g = slerp_path(a, b, t)
+        g = gamma(a, b, t)
         assert abs(g[2]) < 1e-14
 
 
@@ -99,7 +109,7 @@ def test_slerp_never_approaches_origin():
     for _ in range(20):
         a = rng.standard_normal(3) * 10.0 ** rng.uniform(-2, 2)
         b = rng.standard_normal(3) * 10.0 ** rng.uniform(-2, 2)
-        mags = [np.linalg.norm(slerp_path(a, b, t)) for t in grid]
+        mags = [np.linalg.norm(gamma(a, b, t)) for t in grid]
         floor = min(np.linalg.norm(a), np.linalg.norm(b))
         assert min(mags) >= floor * (1.0 - 1e-12)
 
@@ -107,23 +117,22 @@ def test_slerp_never_approaches_origin():
 def test_slerp_antipodal_detour():
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([-2.0, 0.0, 0.0])
-    assert np.allclose(slerp_path(a, b, 0.0), a, atol=1e-12)
-    assert np.allclose(slerp_path(a, b, 1.0), b, atol=1e-12)
+    assert np.allclose(gamma(a, b, 0.0), a, atol=1e-12)
+    assert np.allclose(gamma(a, b, 1.0), b, atol=1e-12)
     # the detour keeps the magnitude on the geometric interpolant and stays
     # well away from the origin at the crossover
-    mid = slerp_path(a, b, 0.5)
+    mid = gamma(a, b, 0.5)
     assert np.linalg.norm(mid) == pytest.approx(np.sqrt(2.0), rel=1e-9)
     # continuity across the two segments
     eps = 1e-9
-    d = np.linalg.norm(slerp_path(a, b, 0.5 + eps) - slerp_path(a, b, 0.5 - eps))
+    d = np.linalg.norm(gamma(a, b, 0.5 + eps) - gamma(a, b, 0.5 - eps))
     assert d < 1e-6
 
 
 def test_slerp_rejects_antipodal_endpoints_in_one_dimension():
     # R^1 has no direction orthogonal to both, so no path avoids the origin
-    with pytest.raises(InvalidInputError):
-        slerp_path([1.0], [-2.0], 0.3)
-    assert slerp_path([1.0], [2.0], 0.5)[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert _paths(np.array([[1.0]]), np.array([[-2.0]])).blocked[0]
+    assert gamma([1.0], [2.0], 0.5)[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_invert_fails_as_antipodal_when_every_seed_image_points_away():
@@ -142,10 +151,15 @@ def test_invert_fails_as_antipodal_when_every_seed_image_points_away():
 
 
 def test_slerp_rejects_zero_endpoints():
-    with pytest.raises(InvalidInputError):
-        slerp_path(np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.5)
-    with pytest.raises(InvalidInputError):
-        slerp_path(np.array([1.0, 0.0, 0.0]), np.zeros(3), 0.5)
+    # no path ends or starts at zero: a zero target returns the origin
+    # untracked, and a seed whose image is zero is never tracked
+    m = identity_map(3)
+    rep = check_hypotheses(m, count=8)
+    res = invert(m, np.zeros(3), report=rep)
+    assert not res.xi.any() and res.steps == 0
+    zero = dataclasses.replace(rep, images=0.0 * rep.images, image_norms=0.0 * rep.image_norms)
+    with pytest.raises(ContinuationFailedError, match="no usable seed"):
+        invert(m, np.array([1.0, 0.0, 0.0]), report=zero)
 
 
 # ------------------------------------------------------------------- invert
@@ -309,6 +323,42 @@ def test_invert_input_validation():
         invert(identity_map(3), np.array([1.0, 2.0]), report=rep)
     with pytest.raises(InvalidInputError):
         invert(identity_map(3), np.array([1.0, np.nan, 0.0]), report=rep)
+
+
+@pytest.mark.parametrize("eta, message", [
+    ([1.0, 2.0], "eta must be a vector of length 3"),
+    ([1.0, np.nan, 0.5], "finite"),
+    ([1.0, np.inf, 0.5], "finite"),
+], ids=["length", "nan", "inf"])
+def test_every_front_door_rejects_a_malformed_target(eta, message):
+    m = identity_map(3)
+    rep = report_for("identity", lambda: identity_map(3))
+    for call in (lambda: invert(m, eta, report=rep),
+                 lambda: roundtrip_check(m, [eta], report=rep),
+                 lambda: inverse_homogeneity_check(m, eta, [2.0], report=rep),
+                 lambda: count_preimages(m, eta, report=rep),
+                 lambda: mapping_degree(m, eta, report=rep),
+                 lambda: coercivity_bracket(rep, eta, m.kappa)):
+        with pytest.raises(InvalidInputError, match=message):
+            call()
+
+
+def test_degree_names_a_non_finite_target_as_invert_does():
+    m = identity_map(3)
+    rep = report_for("identity", lambda: identity_map(3))
+    for call in (count_preimages, mapping_degree):
+        with pytest.raises(InvalidInputError, match="eta contains non-finite components"):
+            call(m, [1.0, np.nan, 0.5], report=rep)
+
+
+@pytest.mark.parametrize("name", ["radial_cube3", "random_admissible4"])
+def test_invert_bracket_is_the_coercivity_bracket(name):
+    m = acceptance_maps()[name]
+    rep = report_for(name, lambda: acceptance_maps()[name])
+    d = np.random.default_rng(31).standard_normal(m.n)
+    for mag in [*np.logspace(-3.0, 3.0, 7), 1e-150, 1e150]:
+        eta = mag * d
+        assert invert(m, eta, report=rep).bracket == coercivity_bracket(rep, eta, m.kappa)
 
 
 def test_invert_unreachable_tolerance_raises_continuation_failure():

@@ -121,6 +121,28 @@ def test_error_positions_are_one_based():
     assert "line 2, col 13" in str(exc.value)
 
 
+def test_mixed_degree_names_the_earliest_offender():
+    with pytest.raises(MixedDegreeError) as exc:
+        parse_map("n = 2; f1 = x1 + x2^3 + x1^2; f2 = x2^3")
+    assert (exc.value.line, exc.value.col) == (1, 13)
+    assert exc.value.component == 1 and exc.value.exponents == (1, 0)
+
+
+@pytest.mark.parametrize("text, col, message", [
+    ("n = 2; f1 = x1^9563300443374231; f2 = x2^9563300443374231", 16, "exponent must be"),
+    ("n = 1; f1 = x1^" + "9" * 5000, 16, "exponent must be"),
+    ("n = 1; f1 = x" + "1" * 5000, 13, "out of range"),
+    ("n = 2; f1 = x1^600 x2^600; f2 = x2^1200", 23, "total degree"),
+    ("n = 1; f1 = x1^1000 x1", 21, "total degree"),
+], ids=["exponent", "5000-digit-exponent", "5000-digit-variable", "term-degree",
+         "term-degree-at-variable"])
+def test_exponents_and_term_degrees_are_capped(text, col, message):
+    with pytest.raises(MapSyntaxError, match=message) as exc:
+        parse_map(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert parse_map("n = 1; f1 = x1^1000").body.degree == 1000
+
+
 def test_mixed_degree_across_components():
     with pytest.raises(MixedDegreeError):
         parse_map("n = 2; f1 = x1^2; f2 = x2;")
