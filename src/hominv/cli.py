@@ -43,7 +43,7 @@ from .errors import (
 )
 from .hypotheses import _STATUS_WARN, check_hypotheses
 from .inverter import ContinuationConfig, _roundtrips, invert
-from .mapcore import MapSpec, _gaussian_directions
+from .mapcore import MapSpec, _unit_directions
 from .polyparser import format_map, parse_map
 
 __all__ = ["main", "console_main"]
@@ -137,7 +137,7 @@ def _random_targets(n: int, count: int, seed: int) -> np.ndarray:
     """Seeded batch of nonzero targets with magnitudes log-uniform in
     [1e-3, 1e3]."""
     rng = np.random.default_rng([seed, _SALT_TARGETS])
-    dirs = _gaussian_directions(rng, count, n)
+    dirs = _unit_directions(rng, count, n)
     mags = 10.0 ** rng.uniform(-3.0, 3.0, size=count)
     return dirs * mags[:, None]
 

@@ -33,7 +33,7 @@ from ._newton import _polish, newton_batch
 from .errors import InvalidInputError, InvalidParameterError
 from .hypotheses import HypothesisReport, _bracket, _target_rows
 from .inverter import ContinuationConfig, _require_report
-from .mapcore import MapSpec, _gaussian_directions, _row_norms, eval_jacobian_batch
+from .mapcore import MapSpec, _row_norms, _unit_directions, eval_jacobian_batch
 
 __all__ = ["DegreeReport", "count_preimages", "mapping_degree", "injectivity_probe"]
 
@@ -76,18 +76,6 @@ class DegreeReport:
         }
 
 
-def _sobol_directions(n: int, count: int, seed: int) -> np.ndarray:
-    """``count`` seeded unit directions in R^n, uniform on the sphere:
-    normalized standard-Gaussian rows, as in
-    :func:`~hominv.hypotheses.sample_sphere`; for ``n = 1``, alternating
-    ``+1`` and ``-1``."""
-    if n == 1:
-        signs = np.ones(count)
-        signs[1::2] = -1.0
-        return signs[:, None]
-    return _gaussian_directions(np.random.default_rng([seed, _SALT_DIRECTIONS]), count, n)
-
-
 def _dedup(rows: np.ndarray, radius: float) -> np.ndarray:
     """Greedy dedup of a ``(B, n)`` batch in lexicographic row order: keep
     the first remaining row, drop every row within ``radius`` of it
@@ -115,7 +103,7 @@ def _search_roots(m: MapSpec, omegas: np.ndarray, brackets, starts: int, tol: fl
         if lo <= 0.0:
             lo = min(1e-3 * hi, hi)
         radii = np.geomspace(lo, hi, n_radii)
-        dirs = _sobol_directions(m.n, n_dirs, seed)
+        dirs = _unit_directions(np.random.default_rng([seed, _SALT_DIRECTIONS]), n_dirs, m.n)
         X0.append((radii[:, None, None] * dirs[None, :, :]).reshape(-1, m.n))
         caps.append(100.0 * hi)
     owner = np.repeat(np.arange(len(caps)), n_radii * n_dirs)

@@ -37,7 +37,7 @@ from .mapcore import (
     _eval_batch,
     _eval_jac_batch,
     _jacobian_batch,
-    _row_norms,
+    _unit_directions,
     eval_jacobian_batch,
     eval_map,
     homogeneity_residual,
@@ -80,10 +80,10 @@ _STATUS_WARN = "hypotheses-met-but-n<3"
 
 @dataclass(frozen=True)
 class SphereSample:
-    """A seeded quasi-uniform sample of the unit sphere ``S^{n-1}``.
+    """A seeded sample of the unit sphere ``S^{n-1}``.
 
-    The rows are distinct unit vectors.  For ``n = 1`` the sphere has only
-    two points, so ``count`` may saturate below the requested size.
+    For ``n = 1`` the sphere is ``{+1, -1}`` and the sample is ``[+1, -1]``
+    (or ``[+1]``), whatever the seed, so ``count`` saturates at 2.
     """
 
     points: np.ndarray
@@ -93,71 +93,20 @@ class SphereSample:
 
 
 def sample_sphere(n: int, count: int, seed: int = 0) -> SphereSample:
-    """Draw ``count`` deduplicated unit vectors from a seeded generator.
+    """Draw ``count`` unit vectors from a seeded generator.
 
     Normalized standard-Gaussian rows; for a fixed seed the samples are
     nested: the first ``k`` points of a larger draw coincide with a smaller
-    draw's points, which makes sampled extrema monotone in ``count``.
+    draw's points, which makes sampled extrema monotone in ``count``.  In
+    R^1 the sample is ``+1, -1`` and nothing is drawn.
     """
     if n < 1:
         raise InvalidParameterError("dimension n must be >= 1")
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
+    count = min(count, 2) if n == 1 else count
     rng = np.random.default_rng([int(seed), _SALT_SPHERE])
-    block = rng.standard_normal((count, n))
-    norms = np.linalg.norm(block, axis=1)
-    if np.all(norms > 1e-12):
-        pts = block / norms[:, None]
-        if not _has_repeated_rows(pts):
-            return SphereSample(pts, count, n, int(seed))
-    pts = _distinct_unit_rows(block, rng, count)
-    return SphereSample(pts, len(pts), n, int(seed))
-
-
-def _has_repeated_rows(points: np.ndarray) -> bool:
-    """True when two rows of ``points`` are equal (``-0.0`` equals ``0.0``).
-
-    Equal rows share their first coordinate, so one sort of the first column
-    settles almost every draw; only a shared first coordinate calls for a
-    sort by every column.
-    """
-    first = np.sort(points[:, 0])
-    if not np.any(first[1:] == first[:-1]):
-        return False
-    order = np.lexsort(points.T[::-1])
-    return bool(np.any(np.all(points[order[1:]] == points[order[:-1]], axis=1)))
-
-
-def _distinct_unit_rows(block: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """The rare path of :func:`sample_sphere`: normalize each row of
-    ``block`` on its own, drop degenerate and non-finite rows and every
-    repeat of an earlier row, then top up with fresh draws of the missing
-    number of rows, at most 64 times, or until ``n = 1`` has both of its
-    points.
-
-    A repeat has the same bytes as an earlier row, so ``-0.0`` and ``0.0``
-    differ.  Rows keep the order in which they were drawn.
-    """
-    n = block.shape[1]
-    kept = np.empty((0, n))
-    draw, rounds = block, 0
-    while True:
-        norms = _row_norms(draw)  # bit for bit the norm of each row alone
-        ok = (norms > 1e-12) & np.isfinite(norms)
-        units = draw[ok] / norms[ok, None]
-        # first occurrence of each bit pattern among the kept rows and then
-        # this draw's rows: the sort is stable, so each run of equal
-        # patterns starts with the earliest
-        both = np.concatenate([kept, units])
-        bits = both.view(np.uint64)
-        order = np.lexsort(bits.T[::-1])
-        head = np.ones(len(order), dtype=bool)
-        head[1:] = np.any(bits[order[1:]] != bits[order[:-1]], axis=1)
-        new = np.sort(order[head & (order >= len(kept))])
-        kept = np.concatenate([kept, both[new]])
-        if len(kept) >= count or rounds == 64 or (n == 1 and len(kept) == 2):
-            return kept
-        draw, rounds = rng.standard_normal((count - len(kept), n)), rounds + 1
+    return SphereSample(_unit_directions(rng, count, n), count, n, int(seed))
 
 
 def _fd_tangent_gradient(value_fn, w: np.ndarray, delta: float = 1e-6) -> np.ndarray:

@@ -276,12 +276,15 @@ def _seeds(report: HypothesisReport, omega: np.ndarray, k: int):
 
 
 def _invert_batch(m: MapSpec, etas: np.ndarray, cfg: ContinuationConfig,
-                  report: HypothesisReport, trace: bool = False) -> list:
+                  report: HypothesisReport, trace: bool = False, *, norms=None) -> list:
     """Invert every row of a ``(B, n)`` array of finite targets, given this
-    map's own report; a zero row returns the origin.  Each target ends with
-    an :class:`InversionResult` or an error; the error of the lowest-index
+    map's own report; a zero row returns the origin.  ``norms`` are the
+    targets' norms from :func:`~hominv.hypotheses._target_rows`, which takes
+    them when the caller has not.  Each target ends with an
+    :class:`InversionResult` or an error; the error of the lowest-index
     target that has one is raised, as inverting one at a time would."""
-    norms = [math.hypot(*e) for e in etas]
+    if norms is None:
+        _, norms = _target_rows(m.n, etas)
     nz = [i for i, mag in enumerate(norms) if mag]
     E, mags = etas[nz], [norms[i] for i in nz]
     brackets = [_bracket(report, mag, m.kappa) for mag in mags]
@@ -358,7 +361,7 @@ def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
     if not mag:
         return _origin(m.n, trace)
     return _invert_batch(m, E, cfg or ContinuationConfig(), _require_report(m, report, force),
-                         trace)[0]
+                         trace, norms=[mag])[0]
 
 
 def inverse_homogeneity_check(m: MapSpec, eta, taus, cfg: ContinuationConfig | None = None,
@@ -377,8 +380,9 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, cfg: ContinuationConfig | N
     taus = [float(tau) for tau in taus]
     if any(tau <= 0.0 for tau in taus):
         raise InvalidParameterError("tau values must be positive")
-    etas, _ = _target_rows(m.n, np.array([e] + [tau * e for tau in taus]))  # tau * e may overflow
-    base, *scaled = _invert_batch(m, etas, cfg or ContinuationConfig(), report)
+    # tau * e may overflow
+    etas, norms = _target_rows(m.n, np.array([e] + [tau * e for tau in taus]))
+    base, *scaled = _invert_batch(m, etas, cfg or ContinuationConfig(), report, norms=norms)
     base_norm = math.hypot(*base.xi)
     return max((math.hypot(*(res.xi - tau ** (1.0 / m.kappa) * base.xi))
                 / (tau ** (1.0 / m.kappa) * base_norm) for tau, res in zip(taus, scaled)),
@@ -392,7 +396,8 @@ def _roundtrips(m: MapSpec, etas, cfg: ContinuationConfig | None,
     E, norms = _target_rows(m.n, etas)
     if not all(norms):
         raise InvalidInputError("roundtrip targets must be nonzero")
-    results = _invert_batch(m, E, cfg or ContinuationConfig(), _require_report(m, report, force))
+    results = _invert_batch(m, E, cfg or ContinuationConfig(), _require_report(m, report, force),
+                            norms=norms)
     return [(eta, res, res.residual / mag) for eta, res, mag in zip(E, results, norms)]
 
 

@@ -51,6 +51,8 @@ _EPS = float(np.finfo(float).eps)
 _FD_STEP = _EPS ** (1.0 / 3.0)
 _TINY = np.finfo(float).tiny
 _SALT_HOMOGENEITY = 101
+#: the largest total degree of a term; map files are held to it too
+_MAX_DEGREE = 1000
 
 Term = Tuple[float, Tuple[int, ...]]
 
@@ -99,9 +101,10 @@ class PolyMap:
         Number of variables (and of components; the map is square).
     components : sequence of sequences of ``(coeff, exponents)``
         One term list per component.  ``exponents`` is a length-``n`` tuple of
-        nonnegative integers.  Terms are canonicalized on construction:
-        duplicate exponent tuples are merged, exact-zero coefficients dropped,
-        and monomials sorted in descending graded-lexicographic order.
+        nonnegative integers with a sum of at most 1000.  Terms are
+        canonicalized on construction: duplicate exponent tuples are merged,
+        exact-zero coefficients dropped, and monomials sorted in descending
+        graded-lexicographic order.
 
     Notes
     -----
@@ -146,6 +149,10 @@ class PolyMap:
                     )
                 if any(v < 0 for v in e):
                     raise InvalidParameterError("exponents must be nonnegative")
+                if sum(e) > _MAX_DEGREE:
+                    raise InvalidParameterError(
+                        f"the total degree of a term must be at most {_MAX_DEGREE}"
+                    )
                 acc[e] = acc.get(e, 0.0) + float(coeff)
             terms = tuple(
                 (c, e)
@@ -478,9 +485,15 @@ def extend_at_origin(m: MapSpec) -> np.ndarray:
     return np.zeros(m.n)
 
 
-def _gaussian_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """``count`` standard normal rows of length ``n`` drawn from ``rng`` and
-    normalised; a row with norm under 1e-12 is drawn again."""
+def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` seeded unit directions in R^n: standard normal rows drawn
+    from ``rng`` and normalised, a row with norm under 1e-12 drawn again.
+    S^0 has exactly two points, which a random draw can miss, so in R^1 the
+    rows are +1, -1, +1, ... and nothing is drawn."""
+    if n == 1:
+        signs = np.ones((count, 1))
+        signs[1::2] = -1.0
+        return signs
     dirs = rng.standard_normal((count, n))
     norms = np.linalg.norm(dirs, axis=1)
     while np.any(norms < 1e-12):  # essentially never; keeps the math airtight
@@ -506,7 +519,7 @@ def homogeneity_residual(m: MapSpec, count: int = 100, seed: int = 0, taus=None)
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
     rng = np.random.default_rng([int(seed), _SALT_HOMOGENEITY])
-    dirs = _gaussian_directions(rng, count, m.n)
+    dirs = _unit_directions(rng, count, m.n)
     t_rand = 10.0 ** rng.uniform(-3.0, 3.0, size=count)
     ladder = (1e-3, 1e-2, 1e-1, 1e1, 1e2, 1e3) if taus is None else tuple(float(v) for v in taus)
     X = np.vstack([dirs, np.repeat(dirs[:1], len(ladder), axis=0)])

@@ -36,7 +36,7 @@ from .errors import (
     MapSyntaxError,
     MixedDegreeError,
 )
-from .mapcore import MapSpec, PolyMap
+from .mapcore import MapSpec, PolyMap, _MAX_DEGREE
 
 __all__ = [
     "parse_map",
@@ -50,7 +50,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _VAR_RE = re.compile(r"x([0-9]+)\Z")
 _INT_RE = re.compile(r"\d+\Z")
 _OPS = "+-*^=;/"
-#: the largest dimension, exponent and total degree of a term that a map file may give
+#: the largest dimension a map file may give; exponents and a term's total
+#: degree are held to ``mapcore._MAX_DEGREE``, the cap of every ``PolyMap``
 _MAX_SIZE = 1000
 
 
@@ -266,12 +267,12 @@ class _Parser:
                 raise MapSyntaxError(
                     "exponent must be a nonnegative integer", tok.line, tok.col
                 )
-            power = _bounded_int(tok.value, _MAX_SIZE)
-            if power > _MAX_SIZE:
-                raise MapSyntaxError(f"exponent must be at most {_MAX_SIZE}", tok.line, tok.col)
+            power = _bounded_int(tok.value, _MAX_DEGREE)
+            if power > _MAX_DEGREE:
+                raise MapSyntaxError(f"exponent must be at most {_MAX_DEGREE}", tok.line, tok.col)
         exps[idx - 1] += power
-        if sum(exps) > _MAX_SIZE:
-            raise MapSyntaxError(f"the total degree of a term must be at most {_MAX_SIZE}",
+        if sum(exps) > _MAX_DEGREE:
+            raise MapSyntaxError(f"the total degree of a term must be at most {_MAX_DEGREE}",
                                  tok.line, tok.col)
 
 

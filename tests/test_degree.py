@@ -28,7 +28,8 @@ from hominv import (
     reflection_map,
 )
 from hominv import degree
-from hominv.degree import _dedup, _sobol_directions
+from hominv.degree import _SALT_DIRECTIONS, _dedup
+from hominv.mapcore import _unit_directions
 
 _REPORTS = {}
 
@@ -214,13 +215,16 @@ def test_count_preimages_deterministic():
 
 
 def test_multistart_directions_are_seeded_unit_rows():
+    def directions(n, count, seed):  # as the multistart draws them
+        return _unit_directions(np.random.default_rng([seed, _SALT_DIRECTIONS]), count, n)
+
     for n in (2, 3, 4):
-        a = _sobol_directions(n, 64 * n, seed=3)
+        a = directions(n, 64 * n, seed=3)
         assert a.shape == (64 * n, n)
         assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
-        assert np.array_equal(a, _sobol_directions(n, 64 * n, seed=3))
-        assert not np.any(np.all(a == _sobol_directions(n, 64 * n, seed=4), axis=1))
-    assert _sobol_directions(1, 5, seed=0).ravel().tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
+        assert np.array_equal(a, directions(n, 64 * n, seed=3))
+        assert not np.any(np.all(a == directions(n, 64 * n, seed=4), axis=1))
+    assert directions(1, 5, seed=0).ravel().tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
 
 
 def test_complex_square_two_roots_degree_two_for_every_seed():

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from hominv import (
     BlackBox,
@@ -31,7 +29,6 @@ from hominv import (
     random_polymap_spec,
     sample_sphere,
 )
-from hominv.hypotheses import _distinct_unit_rows, _has_repeated_rows
 
 
 def zero_map(n=3):
@@ -62,65 +59,6 @@ def test_sample_sphere_nested_prefix():
     assert np.array_equal(big.points[:400], small.points)
 
 
-# few distinct coordinates, so that repeated rows are common; -0.0 and 0.0
-# are the same point although their bytes differ
-_COORD = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
-
-# The tests named for the covering radius check the repeated-row test that
-# took over from the covering-radius search's flag: a sample has a repeated
-# row exactly when some row's nearest-neighbour gap is zero.
-
-
-def _brute_repeated(P):
-    """Every pair in blocks: squared differences summed in coordinate order;
-    True when some row's nearest other row is at distance zero."""
-    for a in range(0, len(P), 256):
-        rows = P[a:a + 256]
-        d = np.zeros((len(rows), len(P)))
-        for c in range(P.shape[1]):
-            diff = rows[:, None, c] - P[None, :, c]
-            d += diff * diff
-        d[np.arange(len(rows)), a + np.arange(len(rows))] = np.inf
-        if np.any(d == 0.0):
-            return True
-    return False
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 3).flatmap(
-    lambda n: st.lists(st.lists(_COORD, min_size=n, max_size=n), min_size=2, max_size=12)))
-@example([[0.0, 1.0], [-0.0, 1.0]])
-@example([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0]])
-@example([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-def test_covering_radius_flags_repeated_rows_and_matches_brute_force(rows):
-    P = np.array(rows, dtype=float)
-    expected = len(np.unique(P, axis=0)) < len(P)
-    assert _has_repeated_rows(P) == expected == _brute_repeated(P)
-
-
-def test_covering_radius_finds_a_repeat_among_rows_sharing_a_first_coordinate():
-    # every row shares its first coordinate, so only the sort by every
-    # column tells the rows apart; the last row repeats the first
-    rows = np.column_stack([np.full(200, 0.5), np.linspace(0.0, 1e-3, 200)])
-    assert not _has_repeated_rows(rows)
-    assert _has_repeated_rows(np.vstack([rows, rows[:1]]))
-    # -0.0 and 0.0 are the same point, in the first column and elsewhere
-    assert _has_repeated_rows(np.array([[0.0, 1.0], [0.5, 0.5], [-0.0, 1.0]]))
-    assert _has_repeated_rows(np.array([[0.5, 0.0], [0.5, 1.0], [0.5, -0.0]]))
-
-
-def test_covering_radius_of_equal_rows_is_zero():
-    P = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
-    assert _has_repeated_rows(P) and _brute_repeated(P)
-    assert not _has_repeated_rows(P[:1])
-
-
-def test_has_repeated_rows_in_one_dimension():
-    assert not _has_repeated_rows(np.array([[1.0], [-1.0]]))
-    assert _has_repeated_rows(np.array([[1.0], [-1.0], [1.0]]))
-    assert _has_repeated_rows(np.array([[0.0], [-0.0]]))
-
-
 def test_covering_radius_below_p15_at_1e4():
     # the largest nearest-neighbour gap of a default-size sample at n = 3
     cKDTree = pytest.importorskip("scipy.spatial").cKDTree
@@ -129,154 +67,18 @@ def test_covering_radius_below_p15_at_1e4():
     assert 0.0 < float(dists[:, 1].max()) < 0.15
 
 
-_KD_CASES = ([(n, 10_000 * n, seed) for n in (2, 3, 4) for seed in range(5)]
-             + [(n, 2000, 0) for n in (2, 3, 4)] + [(5, 5000, 0)])
-
-
-@pytest.mark.parametrize("n,count,seed", _KD_CASES)
-def test_covering_radius_equals_the_kd_tree_to_the_bit(n, count, seed):
-    # on full-size samples, and on them with one row repeated, the
-    # repeated-row test agrees with a k-d tree's zero nearest-neighbour gap
-    cKDTree = pytest.importorskip("scipy.spatial").cKDTree
-    s = sample_sphere(n, count, seed)
-    rng = np.random.default_rng(seed)
-    copied = np.insert(s.points, rng.integers(0, count + 1), s.points[rng.integers(0, count)],
-                       axis=0)
-    for P in (s.points, copied):
-        dists, _ = cKDTree(P).query(P, k=2)
-        assert _has_repeated_rows(P) == bool(np.any(dists[:, 1] == 0.0))
-    assert not _has_repeated_rows(s.points) and _has_repeated_rows(copied)
-
-
-def _point_set(n, N, seed, kinds):
-    rng = np.random.default_rng(seed)
-    P = rng.standard_normal((N, n))
-    P /= np.linalg.norm(P, axis=1)[:, None]
-    if "caps" in kinds:  # three tight clusters
-        centres = P[rng.integers(0, N, 3)]
-        P = centres[rng.integers(0, 3, N)] + 1e-3 * rng.standard_normal((N, n))
-    if "far" in kinds:  # isolated rows
-        far = rng.choice(N, min(N, 3), replace=False)
-        P[far] = 10.0 * np.arange(1, len(far) + 1)[:, None] * P[far]
-    if "duplicates" in kinds:  # copies, and copies with -0.0 for 0.0
-        src, dst = rng.integers(0, N, (2, N // 10 + 1))
-        P[src, 0] = np.where(rng.random(len(src)) < 0.5, 0.0, P[src, 0])
-        P[dst] = P[src]
-        P[dst, 0] = np.where(P[src, 0] == 0.0, -0.0, P[dst, 0])
-    if "ties" in kinds:  # half the rows share their first coordinate
-        P[rng.random(N) < 0.5, 0] = 0.25
-    return P
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 5), N=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1),
-       kinds=st.sets(st.sampled_from(["caps", "far", "duplicates", "ties"])))
-@example(n=3, N=2, seed=0, kinds=set())
-@example(n=2, N=3000, seed=1, kinds={"far", "duplicates", "ties"})
-@example(n=4, N=500, seed=2, kinds={"caps", "duplicates"})
-def test_covering_radius_equals_the_brute_force_on_hard_point_sets(n, N, seed, kinds):
-    P = _point_set(n, N, seed, kinds)
-    assert _has_repeated_rows(P) == _brute_repeated(P)
-
-
-@pytest.mark.parametrize("n,N,kinds", [
-    (9, 1500, set()),
-    (12, 1200, {"far", "ties"}),
-    (12, 800, {"caps", "duplicates"}),
-    (16, 600, {"duplicates", "far"}),
-    (400, 60, {"duplicates", "ties"}),
-])
-def test_covering_radius_equals_the_brute_force_in_many_dimensions(n, N, kinds):
-    P = _point_set(n, N, n, kinds)
-    assert _has_repeated_rows(P) == _brute_repeated(P)
-
-
-def _rare_path_loop(block, rng, count):
-    """The per-row rare path of ``sample_sphere`` that ``_distinct_unit_rows``
-    replaced, kept as its reference; like it, it stops drawing once ``n = 1``
-    has both of its points."""
-    seen, rows = {}, []
-
-    def push(row):
-        nrm = float(np.linalg.norm(row))
-        if nrm <= 1e-12 or not np.isfinite(nrm):
-            return
-        u = row / nrm
-        key = u.tobytes()
-        if key not in seen:
-            seen[key] = None
-            rows.append(u)
-
-    for row in block:
-        push(row)
-    n, attempts = block.shape[1], 0
-    while len(rows) < count and attempts < 64 and not (n == 1 and len(rows) == 2):
-        for row in rng.standard_normal((count - len(rows), n)):
-            push(row)
-        attempts += 1
-    return np.asarray(rows).reshape(-1, block.shape[1])
-
-
-# zero, tiny, non-finite and signed-zero coordinates among ordinary ones
-_RARE_COORD = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-13, 1e-300, np.inf, np.nan]),
-    st.floats(-3.0, 3.0),
-)
-
-
-@st.composite
-def _rare_blocks(draw):
-    n = draw(st.integers(1, 3))
-    count = draw(st.integers(1, 12))
-    rows = draw(st.lists(st.lists(_RARE_COORD, min_size=n, max_size=n),
-                         min_size=1, max_size=count))
-    # repeats of drawn rows, some with the sign of their zeros flipped
-    for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=count - len(rows))):
-        flip = draw(st.booleans())
-        rows.append([(-c if flip and c == 0.0 else c) for c in rows[k]])
-    return np.array(rows, dtype=float), count, draw(st.integers(0, 2**32 - 1))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_rare_blocks())
-@example((np.zeros((1, 1)), 3, 0))
-@example((np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]), 3, 1))
-def test_distinct_unit_rows_equals_the_per_row_loop(case):
-    block, count, seed = case
-    ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ours = _distinct_unit_rows(block, ours_rng, count)
-    ref = _rare_path_loop(block, ref_rng, count)
-    assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
-    # the same draws were taken
-    assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
-
-
 def test_sample_sphere_in_one_dimension_keeps_both_points():
     s = sample_sphere(1, 10_000, seed=0)
     assert s.count == 2 and sorted(s.points.ravel()) == [-1.0, 1.0]
 
 
-class _CountingGenerator:
-    """A generator that counts the rows it is asked to draw."""
-
-    def __init__(self, seed):
-        self.rng, self.draws = np.random.default_rng(seed), 0
-
-    def standard_normal(self, shape):
-        self.draws += 1
-        return self.rng.standard_normal(shape)
-
-
-def test_distinct_unit_rows_stops_drawing_once_one_dimension_has_both_points():
-    # S^0 = {-1, 1}: no top-up round can add a row once both are kept
-    block = np.array([[2.0], [-0.5], [3.0]])
-    rng = _CountingGenerator(0)
-    rows = _distinct_unit_rows(block, rng, 10_000)
-    assert rows.tolist() == [[1.0], [-1.0]] and rng.draws == 0
-    # a draw of one sign keeps drawing until the other sign comes
-    rng = _CountingGenerator(0)
-    rows = _distinct_unit_rows(np.array([[2.0], [3.0]]), rng, 10_000)
-    assert sorted(rows.ravel()) == [-1.0, 1.0] and rng.draws == 1
+def test_sample_sphere_in_one_dimension_is_plus_then_minus_for_every_seed():
+    # S^0 = {+1, -1}: the sample is both points in that order, drawn from no
+    # generator, so no seed can miss one of them or swap them
+    for count in (1, 2, 10_000):
+        for seed in range(8):
+            s = sample_sphere(1, count, seed)
+            assert s.points.tolist() == [[1.0], [-1.0]][:count] and s.count == min(count, 2)
 
 
 def test_sample_sphere_rejects_bad_arguments():

@@ -63,6 +63,18 @@ def test_polymap_rejects_negative_exponents():
         PolyMap(2, [[(1.0, (-1, 2))], []])
 
 
+@pytest.mark.parametrize("exponents", [(10**16,), (1001,), (500, 501)])
+def test_polymap_rejects_a_term_degree_above_the_cap_before_allocating(exponents):
+    # checked before the degree sizes the power table, so 10**16 allocates nothing
+    with pytest.raises(InvalidParameterError, match="at most 1000"):
+        PolyMap(len(exponents), [[(1.0, exponents)]] * len(exponents))
+
+
+def test_polymap_builds_at_the_degree_cap():
+    assert PolyMap(1, [[(1.0, (1000,))]]).degree == 1000
+    assert PolyMap(2, [[(1.0, (400, 600))], [(1.0, (0, 1000))]]).degree == 1000
+
+
 def test_mapspec_kappa_defaults_to_degree():
     m = radial_cube_map(3)
     assert m.kappa == 3.0
