@@ -54,7 +54,6 @@ from .hypotheses import (
     sample_sphere,
 )
 from .inverter import (
-    ContinuationConfig,
     InversionResult,
     inverse_homogeneity_check,
     inverse_jacobian,
@@ -107,7 +106,6 @@ __all__ = [
     "check_hypotheses",
     "coercivity_bracket",
     # inversion
-    "ContinuationConfig",
     "InversionResult",
     "invert",
     "inverse_homogeneity_check",

@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import InvalidParameterError
-from .mapcore import BlackBox, MapSpec, PolyMap, eval_jacobian_batch, eval_map
+from .mapcore import BlackBox, MapSpec, PolyMap, _rng, eval_jacobian_batch, eval_map
 
 __all__ = [
     "identity_map",
@@ -140,7 +140,7 @@ def random_admissible_map(
     """
     if not 0.0 <= perturbation < 0.5:
         raise InvalidParameterError("perturbation must lie in [0, 0.5)")
-    rng = np.random.default_rng([int(seed), _SALT_ADMISSIBLE])
+    rng = _rng(seed, _SALT_ADMISSIBLE)
     monos = []
     for combo in combinations_with_replacement(range(n), 3):
         e = [0] * n
@@ -164,7 +164,7 @@ def random_polymap_spec(seed: int, n_max: int = 4, degree_max: int = 4, terms_ma
     """Seeded random *valid* polynomial map (uniform degree, possibly with a
     radial weight).  Not necessarily admissible; meant for parser and
     evaluation round-trip tests."""
-    rng = np.random.default_rng([int(seed), _SALT_RANDOM_POLY])
+    rng = _rng(seed, _SALT_RANDOM_POLY)
     n = int(rng.integers(1, n_max + 1))
     d = int(rng.integers(1, degree_max + 1))
     comps = []

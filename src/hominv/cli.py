@@ -42,8 +42,8 @@ from .errors import (
     PreconditionError,
 )
 from .hypotheses import _STATUS_WARN, check_hypotheses
-from .inverter import ContinuationConfig, _roundtrips, invert
-from .mapcore import MapSpec, _unit_directions
+from .inverter import _roundtrips, invert
+from .mapcore import MapSpec, _rng, _unit_directions
 from .polyparser import format_map, parse_map
 
 __all__ = ["main", "console_main"]
@@ -136,7 +136,7 @@ def _load_map(path: str) -> MapSpec:
 def _random_targets(n: int, count: int, seed: int) -> np.ndarray:
     """Seeded batch of nonzero targets with magnitudes log-uniform in
     [1e-3, 1e3]."""
-    rng = np.random.default_rng([seed, _SALT_TARGETS])
+    rng = _rng(seed, _SALT_TARGETS)
     dirs = _unit_directions(rng, count, n)
     mags = 10.0 ** rng.uniform(-3.0, 3.0, size=count)
     return dirs * mags[:, None]
@@ -196,8 +196,7 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
 
     elif ns.command == "invert":
         eta = _parse_target(ns.target, m.n)
-        cfg = ContinuationConfig(tol=ns.tol)
-        res = invert(m, eta, cfg, hyp, force=ns.force, trace=ns.trace)
+        res = invert(m, eta, hyp, tol=ns.tol, force=ns.force, trace=ns.trace)
         report["inversions"] = [res.to_json_dict(eta=eta)]
         human.append("xi = [" + ", ".join(f"{v:.12g}" for v in res.xi) + "]")
         human.append(
@@ -209,8 +208,7 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
         if ns.probe < 0:
             raise InvalidParameterError("--probe must be >= 0")
         eta = _parse_target(ns.target, m.n)
-        cfg = ContinuationConfig(tol=ns.tol)
-        deg = mapping_degree(m, eta, starts=ns.starts, cfg=cfg, report=hyp,
+        deg = mapping_degree(m, eta, starts=ns.starts, report=hyp, tol=ns.tol,
                              force=ns.force, seed=ns.seed)
         report["degree"] = deg.to_json_dict()
         human.append(
@@ -222,7 +220,7 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
             )
         if ns.probe > 0:
             probe = injectivity_probe(m, trials=ns.probe, starts=ns.starts,
-                                      cfg=cfg, report=hyp, force=ns.force)
+                                      report=hyp, tol=ns.tol, force=ns.force)
             report["degree"]["injectivity_probe"] = {
                 "counts": probe["counts"],
                 "verdict": probe["verdict"],
@@ -236,11 +234,12 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
     elif ns.command == "roundtrip":
         if ns.count < 1:
             raise InvalidParameterError("--count must be >= 1")
-        cfg = ContinuationConfig(tol=ns.tol)
+        if not ns.max_residual >= 0.0:
+            raise InvalidParameterError("--max-residual must be >= 0")
         targets = _random_targets(m.n, ns.count, ns.seed)
         entries = []
         worst = 0.0
-        for eta, res, rel in _roundtrips(m, targets, cfg, hyp, ns.force):
+        for eta, res, rel in _roundtrips(m, targets, hyp, ns.tol, ns.force):
             worst = max(worst, rel)
             entry = res.to_json_dict(eta=eta)
             entry["relative_residual"] = rel

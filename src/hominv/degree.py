@@ -31,9 +31,8 @@ import numpy as np
 
 from ._newton import _polish, newton_batch
 from .errors import InvalidInputError, InvalidParameterError
-from .hypotheses import HypothesisReport, _bracket, _target_rows
-from .inverter import ContinuationConfig, _require_report
-from .mapcore import MapSpec, _row_norms, _unit_directions, eval_jacobian_batch
+from .hypotheses import HypothesisReport, _bracket, _check_tol, _require_report, _target_rows
+from .mapcore import MapSpec, _rng, _row_norms, _unit_directions, eval_jacobian_batch
 
 __all__ = ["DegreeReport", "count_preimages", "mapping_degree", "injectivity_probe"]
 
@@ -103,7 +102,7 @@ def _search_roots(m: MapSpec, omegas: np.ndarray, brackets, starts: int, tol: fl
         if lo <= 0.0:
             lo = min(1e-3 * hi, hi)
         radii = np.geomspace(lo, hi, n_radii)
-        dirs = _unit_directions(np.random.default_rng([seed, _SALT_DIRECTIONS]), n_dirs, m.n)
+        dirs = _unit_directions(_rng(seed, _SALT_DIRECTIONS), n_dirs, m.n)
         X0.append((radii[:, None, None] * dirs[None, :, :]).reshape(-1, m.n))
         caps.append(100.0 * hi)
     owner = np.repeat(np.arange(len(caps)), n_radii * n_dirs)
@@ -124,14 +123,15 @@ def _unit_target(m: MapSpec, eta) -> tuple[np.ndarray, float]:
     return e / mag, mag
 
 
-def _checked(m: MapSpec, report, force: bool, starts, cfg):
-    """The report, start count and configuration of a public call, checked."""
+def _checked(m: MapSpec, report, force: bool, starts, tol: float):
+    """The report and start count of a public call, checked with its ``tol``."""
+    _check_tol(tol)
     report = _require_report(m, report, force, allow_warn=True)
     if starts is None:
         starts = 64 * m.n
     if starts < 1:
         raise InvalidParameterError("starts must be >= 1")
-    return report, starts, ContinuationConfig() if cfg is None else cfg
+    return report, starts
 
 
 def _preimages(m: MapSpec, omega: np.ndarray, mag: float, report: HypothesisReport,
@@ -152,8 +152,7 @@ def _preimages(m: MapSpec, omega: np.ndarray, mag: float, report: HypothesisRepo
 
 
 def count_preimages(m: MapSpec, eta, starts: Optional[int] = None,
-                    cfg: ContinuationConfig | None = None,
-                    report: HypothesisReport | None = None, *,
+                    report: HypothesisReport | None = None, *, tol: float = 1e-10,
                     force: bool = False, seed: int = 0) -> list[tuple[np.ndarray, int]]:
     """Find all preimages of a nonzero value inside the coercivity annulus.
 
@@ -165,21 +164,20 @@ def count_preimages(m: MapSpec, eta, starts: Optional[int] = None,
     of one target.
     """
     omega, mag = _unit_target(m, eta)
-    report, starts, cfg = _checked(m, report, force, starts, cfg)
-    return _preimages(m, omega, mag, report, cfg.tol, [(starts, seed)])[0]
+    report, starts = _checked(m, report, force, starts, tol)
+    return _preimages(m, omega, mag, report, tol, [(starts, seed)])[0]
 
 
 def mapping_degree(m: MapSpec, eta, starts: Optional[int] = None,
-                   cfg: ContinuationConfig | None = None,
-                   report: HypothesisReport | None = None, *,
+                   report: HypothesisReport | None = None, *, tol: float = 1e-10,
                    force: bool = False, seed: int = 0) -> DegreeReport:
     """Mapping degree at a regular value: the determinant-sign sum over the
     preimages that :func:`count_preimages` finds, hedged by a rerun at four
     times the start count with the next seed.  Both are batches of one.  A
     bijection has degree +1 or -1; the planar complex square has degree 2."""
     omega, mag = _unit_target(m, eta)
-    report, starts, cfg = _checked(m, report, force, starts, cfg)
-    pre, pre_hedged = _preimages(m, omega, mag, report, cfg.tol,
+    report, starts = _checked(m, report, force, starts, tol)
+    pre, pre_hedged = _preimages(m, omega, mag, report, tol,
                                  [(starts, seed), (4 * starts, seed + 1)])
     missed = len(pre_hedged) > len(pre)
     final = pre_hedged if missed else pre
@@ -190,10 +188,8 @@ def mapping_degree(m: MapSpec, eta, starts: Optional[int] = None,
                         missed_roots_suspected=missed, notes=notes)
 
 
-def injectivity_probe(m: MapSpec, trials: int = 20,
-                      starts: Optional[int] = None,
-                      cfg: ContinuationConfig | None = None,
-                      report: HypothesisReport | None = None, *,
+def injectivity_probe(m: MapSpec, trials: int = 20, starts: Optional[int] = None,
+                      report: HypothesisReport | None = None, *, tol: float = 1e-10,
                       force: bool = False) -> dict:
     """Count preimages at ``trials`` random targets with magnitudes spread
     log-uniformly over [1e-2, 1e2].
@@ -206,8 +202,8 @@ def injectivity_probe(m: MapSpec, trials: int = 20,
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    report, starts, cfg = _checked(m, report, force, starts, cfg)
-    rng = np.random.default_rng([report.seed, _SALT_PROBE])
+    report, starts = _checked(m, report, force, starts, tol)
+    rng = _rng(report.seed, _SALT_PROBE)
     targets = []
     for _ in range(trials):
         direction = rng.standard_normal(m.n)
@@ -218,6 +214,6 @@ def injectivity_probe(m: MapSpec, trials: int = 20,
         targets.append(10.0 ** rng.uniform(-2.0, 2.0) * direction / nrm)
     omegas = np.array([eta / math.hypot(*eta) for eta in targets])
     brackets = [_bracket(report, math.hypot(*omega), m.kappa) for omega in omegas]
-    counts = [len(r) for r in _search_roots(m, omegas, brackets, starts, cfg.tol, range(trials))]
+    counts = [len(r) for r in _search_roots(m, omegas, brackets, starts, tol, range(trials))]
     verdict = "consistent-with-injective" if all(c == 1 for c in counts) else "not-injective"
     return {"counts": counts, "targets": targets, "verdict": verdict, "max_count": max(counts)}

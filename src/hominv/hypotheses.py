@@ -30,6 +30,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     NoBracketError,
+    PreconditionError,
 )
 from .mapcore import (
     MapSpec,
@@ -37,6 +38,7 @@ from .mapcore import (
     _eval_batch,
     _eval_jac_batch,
     _jacobian_batch,
+    _rng,
     _unit_directions,
     eval_jacobian_batch,
     eval_map,
@@ -105,8 +107,7 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SphereSample:
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
     count = min(count, 2) if n == 1 else count
-    rng = np.random.default_rng([int(seed), _SALT_SPHERE])
-    return SphereSample(_unit_directions(rng, count, n), count, n, int(seed))
+    return SphereSample(_unit_directions(_rng(seed, _SALT_SPHERE), count, n), count, n, int(seed))
 
 
 def _fd_tangent_gradient(value_fn, w: np.ndarray, delta: float = 1e-6) -> np.ndarray:
@@ -339,6 +340,35 @@ class HypothesisReport:
             "argmax_f": [float(v) for v in self.argmax_f],
             "argmin_det": [float(v) for v in self.argmin_det],
         }
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < 1.0:
+        raise InvalidParameterError("tol must lie in (0, 1)")
+
+
+def _require_report(m: MapSpec, report: HypothesisReport | None, force: bool,
+                    allow_warn: bool = False) -> HypothesisReport:
+    """``report`` when it is ``m``'s own and passed (or, with ``allow_warn``,
+    only warned), or ``force`` is set; with ``force`` and no report, a fresh
+    one whose verdict is ignored."""
+    if report is None:
+        if not force:
+            raise PreconditionError("hypotheses not checked: run the hypothesis checks first, or "
+                                    "force the computation to proceed at your own risk")
+        # forcing an unchecked map still needs the sample and the sphere
+        # extrema, so run the checks here and ignore the verdict
+        return check_hypotheses(m)
+    if not report.matches(m):
+        raise PreconditionError("the hypothesis report was computed for a different map "
+                                "(dimension, order or body differ); check this map and pass "
+                                "its own report")
+    acceptable = ("pass", _STATUS_WARN) if allow_warn else ("pass",)
+    if report.status not in acceptable and not force:
+        raise PreconditionError(f"hypothesis check did not pass (status '{report.status}', "
+                                f"reasons {list(report.reasons)}); force the computation to "
+                                f"override")
+    return report
 
 
 def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> HypothesisReport:

@@ -7,7 +7,7 @@ bijectivity makes every path lift unique.  The inverter exploits this on a
 batch of targets at once (:func:`invert` is a batch of one):
 
 1. reduce each target to the unit sphere, ``omega = eta / |eta|``;
-2. take as candidate seeds ``xi0`` the ``seed_attempts`` sample rows whose
+2. take as candidate seeds ``xi0`` the ``_SEED_ATTEMPTS`` sample rows whose
    images align best with ``omega`` (score ``(f(w_i) . omega) / |f(w_i)|``
    from the images and norms cached on the report; ties in sample order);
 3. join ``eta0 = f(xi0)`` to ``omega`` by a path that interpolates the
@@ -15,12 +15,17 @@ batch of targets at once (:func:`invert` is a batch of one):
    never crosses the origin;
 4. track every target's path in lock-step, each with its own ``t``, step
    size and streak: an Euler predictor ``dxi = Df^{-1} dgamma``, then one
-   Newton correction of all live paths.  Round ``a`` tracks each target
-   still unsolved from its ``a``-th seed;
+   Newton correction (at most ``_MAX_NEWTON`` iterations) of all live paths.
+   The step starts at ``_INITIAL_STEP``, which also caps it; it halves after
+   a failed correction and doubles after three consecutive easy ones (at
+   most 3 Newton iterations each), and a path whose step falls below
+   ``_MIN_STEP`` stops.  Round ``a`` tracks each target still unsolved from
+   its ``a``-th seed;
 5. polish: up to two more Newton steps, each kept only when it strictly
    lowers the residual, and rescale by ``|eta|**(1/kappa)``.
 
-Residuals are judged relative to ``max(1, |target|)`` throughout.
+Residuals are judged relative to ``max(1, |target|)`` throughout, against
+``tol``: the solvers' one tuning keyword.  The step policy is fixed.
 """
 
 from __future__ import annotations
@@ -33,46 +38,24 @@ from typing import Optional
 import numpy as np
 
 from ._newton import _nonsingular, _polish, _singular_error, newton_batch, solve_guarded
-from .errors import (ContinuationFailedError, InvalidInputError, InvalidParameterError,
-                     PreconditionError, SingularJacobianError)
-from .hypotheses import _STATUS_WARN, HypothesisReport, _bracket, _target_rows, check_hypotheses
-from .mapcore import MapSpec, _eval_batch, _jacobian_batch, _row_norms, eval_jacobian
+from .errors import ContinuationFailedError, InvalidInputError, SingularJacobianError
+from .hypotheses import HypothesisReport, _bracket, _check_tol, _require_report, _target_rows
+from .mapcore import MapSpec, _eval_batch, _jacobian_batch, _row_norms, _taus, eval_jacobian
 
-__all__ = ["ContinuationConfig", "InversionResult", "invert", "inverse_homogeneity_check",
-           "roundtrip_check", "inverse_jacobian"]
+__all__ = ["InversionResult", "invert", "inverse_homogeneity_check", "roundtrip_check",
+           "inverse_jacobian"]
 
 _ANTIPODAL_TOL = 1e-8
 # the corrector gives up on a row that leaves this ball
 _DIVERGE_NORM = 1e12
 # the most (target, sample row) scores computed at once
 _SCORE_CELLS = 2**16
-
-
-@dataclass(frozen=True)
-class ContinuationConfig:
-    """Tuning knobs for the predictor--corrector tracker.
-
-    ``tol`` is the relative residual target; ``initial_step`` both seeds and
-    caps the adaptive step in path parameter ``t``; the step halves after a
-    failed correction and doubles after three consecutive easy ones (at most
-    3 Newton iterations each); dropping below ``min_step`` aborts the track.
-    ``seed_attempts`` bounds how many candidate seeds are tried, best-aligned
-    first.
-    """
-
-    tol: float = 1e-10
-    initial_step: float = 0.1
-    min_step: float = 1e-8
-    max_newton: int = 20
-    seed_attempts: int = 16
-
-    def __post_init__(self):
-        if not (0.0 < self.tol < 1.0):
-            raise InvalidParameterError("tol must lie in (0, 1)")
-        if not (0.0 < self.min_step <= self.initial_step <= 1.0):
-            raise InvalidParameterError("require 0 < min_step <= initial_step <= 1")
-        if self.max_newton < 1 or self.seed_attempts < 1:
-            raise InvalidParameterError("max_newton and seed_attempts must be >= 1")
+# the step policy of steps 2 and 4, read at call time: first and largest step
+# in t, smallest step, corrector iterations per step, candidate seeds per target
+_INITIAL_STEP = 0.1
+_MIN_STEP = 1e-8
+_MAX_NEWTON = 20
+_SEED_ATTEMPTS = 16
 
 
 @dataclass(frozen=True)
@@ -156,19 +139,19 @@ def _path_points(p: _Paths, t: np.ndarray) -> np.ndarray:
     return (p.m0 ** (1.0 - t) * p.m1**t)[:, None] * d
 
 
-def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, cfg: ContinuationConfig, trace: bool):
+def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, tol: float, trace: bool):
     """Track ``f(xi(t)) = gamma(t)`` from ``xi(0) = xi0[i]`` to ``t = 1`` on
     every path at once, each with its own ``t``, step size and streak.
     Returns ``(xi, t, steps, newton, why, waypoints)`` per path; ``why`` is
     ``""`` at ``t = 1``, ``"antipodal"`` for a blocked path, the
     :class:`SingularJacobianError` of a singular Jacobian on the path, or the
-    mode of the last failed correction when the step fell below ``min_step``.
+    mode of the last failed correction when the step fell below ``_MIN_STEP``.
     """
     P = len(xi0)
     X, T, why = np.array(xi0, dtype=float), np.zeros(P), np.full(P, "", dtype=object)
     steps, newton, streak, ns, nt = np.zeros((5, P), dtype=int)
     # the paths still tracked, compressed; a path that stops is written out
-    live, x, t, g, step = np.arange(P), X, T, _path_points(p, T), np.full(P, cfg.initial_step)
+    live, x, t, g, step = np.arange(P), X, T, _path_points(p, T), np.full(P, _INITIAL_STEP)
     waypoints = [[(0.0, g[i].copy(), x[i].copy())] for i in range(P)] if trace else None
 
     def stop(rows, reasons):
@@ -195,8 +178,8 @@ def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, cfg: ContinuationConfig, trac
                 break
             J, t_next, g_next = J[good], t_next[good], g_next[good]
         predictor = x + np.linalg.solve(J, (g_next - g)[:, :, None])[:, :, 0]
-        x_new, ok, iters, mode = newton_batch(m, predictor, g_next, cfg.tol, _DIVERGE_NORM,
-                                              cfg.max_newton)
+        x_new, ok, iters, mode = newton_batch(m, predictor, g_next, tol, _DIVERGE_NORM,
+                                              _MAX_NEWTON)
         # a correction that "converged" onto the origin failed: Df is undefined there
         accept = ok & x_new.any(axis=1)
         every = np.count_nonzero(accept) == accept.size
@@ -205,43 +188,22 @@ def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, cfg: ContinuationConfig, trac
                               for new, old in ((x_new, x), (g_next, g)))
             t_next = np.where(accept, t_next, t)
         x, t, g, ns, nt = x_new, t_next, g_next, ns + accept, nt + iters
-        # three easy acceptances in a row double the step, up to initial_step,
+        # three easy acceptances in a row double the step, up to _INITIAL_STEP,
         # and restart the streak; a rejection halves the step and clears the
         # streak.  That is the only way off the cap, where the streak is moot
-        if not every or np.count_nonzero(step < cfg.initial_step):
+        if not every or np.count_nonzero(step < _INITIAL_STEP):
             streak = np.where(accept & (iters <= 3), streak + 1, 0)
-            step = np.minimum(step * np.where(accept, 1.0 + (streak == 3), 0.5), cfg.initial_step)
+            step = np.minimum(step * np.where(accept, 1.0 + (streak == 3), 0.5), _INITIAL_STEP)
             streak %= 3
         if trace:
             for i in np.flatnonzero(accept):
                 waypoints[live[i]].append((float(t[i]), g[i].copy(), x[i].copy()))
         out = t >= 1.0
         if not every:
-            out |= step < cfg.min_step
+            out |= step < _MIN_STEP
         if np.count_nonzero(out):
             stop(out, np.where(t >= 1.0, "", np.where(ok, "singular", mode))[out])
     return X, T, steps, newton, why, waypoints
-
-
-def _require_report(m: MapSpec, report: HypothesisReport | None, force: bool,
-                    allow_warn: bool = False) -> HypothesisReport:
-    if report is None:
-        if not force:
-            raise PreconditionError("hypotheses not checked: run the hypothesis checks first, or "
-                                    "force the computation to proceed at your own risk")
-        # forcing an unchecked map still needs the sample and the sphere
-        # extrema, so run the checks here and ignore the verdict
-        return check_hypotheses(m)
-    if not report.matches(m):
-        raise PreconditionError("the hypothesis report was computed for a different map "
-                                "(dimension, order or body differ); check this map and pass "
-                                "its own report")
-    acceptable = ("pass", _STATUS_WARN) if allow_warn else ("pass",)
-    if report.status not in acceptable and not force:
-        raise PreconditionError(f"hypothesis check did not pass (status '{report.status}', "
-                                f"reasons {list(report.reasons)}); force the computation to "
-                                f"override")
-    return report
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -275,21 +237,19 @@ def _seeds(report: HypothesisReport, omega: np.ndarray, k: int):
     return seeds, usable[seeds]
 
 
-def _invert_batch(m: MapSpec, etas: np.ndarray, cfg: ContinuationConfig,
-                  report: HypothesisReport, trace: bool = False, *, norms=None) -> list:
+def _invert_batch(m: MapSpec, etas: np.ndarray, tol: float, report: HypothesisReport,
+                  trace: bool = False, *, norms) -> list:
     """Invert every row of a ``(B, n)`` array of finite targets, given this
     map's own report; a zero row returns the origin.  ``norms`` are the
-    targets' norms from :func:`~hominv.hypotheses._target_rows`, which takes
-    them when the caller has not.  Each target ends with an
-    :class:`InversionResult` or an error; the error of the lowest-index
-    target that has one is raised, as inverting one at a time would."""
-    if norms is None:
-        _, norms = _target_rows(m.n, etas)
+    targets' norms from :func:`~hominv.hypotheses._target_rows`.  Each
+    target ends with an :class:`InversionResult` or an error; the error of
+    the lowest-index target that has one is raised, as inverting one at a
+    time would."""
     nz = [i for i, mag in enumerate(norms) if mag]
     E, mags = etas[nz], [norms[i] for i in nz]
     brackets = [_bracket(report, mag, m.kappa) for mag in mags]
     omega = E / np.array(mags).reshape(-1, 1)
-    seeds, usable = _seeds(report, omega, cfg.seed_attempts)
+    seeds, usable = _seeds(report, omega, _SEED_ATTEMPTS)
     results, errors, unsolved = [None] * len(nz), [None] * len(nz), np.ones(len(nz), bool)
     for a in range(seeds.shape[1]):
         if not np.count_nonzero(unsolved):
@@ -297,7 +257,7 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, cfg: ContinuationConfig,
         rows = np.flatnonzero(unsolved & usable[:, a])
         k = seeds[rows, a]
         X, T, steps, newton, why, waypoints = _track(
-            m, _paths(report.images[k], omega[rows]), report.sample.points[k], cfg, trace)
+            m, _paths(report.images[k], omega[rows]), report.sample.points[k], tol, trace)
         # step 5 on the paths that reached t = 1
         done = np.flatnonzero(why == "")
         polished, _ = _polish(m, X[done], omega[rows[done]])
@@ -310,7 +270,7 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, cfg: ContinuationConfig,
                 continue
             if reason == "":
                 last_t, (last_xi, residual) = 1.0, next(reached)
-                if residual <= cfg.tol * max(1.0, mags[j]):
+                if residual <= tol * max(1.0, mags[j]):
                     results[j] = InversionResult(last_xi, residual, int(steps[i]), int(newton[i]),
                                                  brackets[j], waypoints and tuple(waypoints[i]))
                     unsolved[j] = False
@@ -319,7 +279,7 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, cfg: ContinuationConfig,
                     f"tracked to t = 1 but the rescaled residual {residual:.3e} exceeds tolerance")
             else:
                 message = ("seed image antipodal to the target in R^1" if reason == "antipodal"
-                           else f"continuation step underflowed below {cfg.min_step:g} at "
+                           else f"continuation step underflowed below {_MIN_STEP:g} at "
                            f"t = {last_t:.6f}")
             seen = errors[j].seed_failures if errors[j] else ()
             errors[j] = ContinuationFailedError(message, last_t, last_xi, seen + ((s, reason),))
@@ -334,9 +294,8 @@ def _origin(n: int, trace: bool) -> InversionResult:
     return InversionResult(np.zeros(n), 0.0, 0, 0, (0.0, 0.0), () if trace else None)
 
 
-def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
-           report: HypothesisReport | None = None, *, force: bool = False,
-           trace: bool = False) -> InversionResult:
+def invert(m: MapSpec, eta, report: HypothesisReport | None = None, *, tol: float = 1e-10,
+           force: bool = False, trace: bool = False) -> InversionResult:
     """Compute the unique preimage of ``eta`` under an admissible map.
 
     Requires a passing :class:`~hominv.hypotheses.HypothesisReport` (use
@@ -357,56 +316,53 @@ def invert(m: MapSpec, eta, cfg: ContinuationConfig | None = None,
         A numerically singular Jacobian at a point on the tracked path
         (evidence the nonvanishing-determinant hypothesis fails).
     """
+    _check_tol(tol)
     E, (mag,) = _target_rows(m.n, eta, ndim=1)
     if not mag:
         return _origin(m.n, trace)
-    return _invert_batch(m, E, cfg or ContinuationConfig(), _require_report(m, report, force),
-                         trace, norms=[mag])[0]
+    return _invert_batch(m, E, tol, _require_report(m, report, force), trace, norms=[mag])[0]
 
 
-def inverse_homogeneity_check(m: MapSpec, eta, taus, cfg: ContinuationConfig | None = None,
-                              report: HypothesisReport | None = None, *,
-                              force: bool = False) -> float:
+def inverse_homogeneity_check(m: MapSpec, eta, taus, report: HypothesisReport | None = None, *,
+                              tol: float = 1e-10, force: bool = False) -> float:
     """Largest relative deviation of ``invert(tau * eta)`` from
     ``tau**(1/kappa) * invert(eta)`` over the given ``tau`` values.
 
     For an exact inverse this is zero because the inverse of an order-``kappa``
     homogeneous bijection is homogeneous of order ``1/kappa``.
     """
+    _check_tol(tol)
     (e,), (mag,) = _target_rows(m.n, eta, ndim=1)
     if not mag:
         raise InvalidInputError("eta must be nonzero for a homogeneity check")
     report = _require_report(m, report, force)
-    taus = [float(tau) for tau in taus]
-    if any(tau <= 0.0 for tau in taus):
-        raise InvalidParameterError("tau values must be positive")
+    taus = _taus(taus)
     # tau * e may overflow
     etas, norms = _target_rows(m.n, np.array([e] + [tau * e for tau in taus]))
-    base, *scaled = _invert_batch(m, etas, cfg or ContinuationConfig(), report, norms=norms)
+    base, *scaled = _invert_batch(m, etas, tol, report, norms=norms)
     base_norm = math.hypot(*base.xi)
     return max((math.hypot(*(res.xi - tau ** (1.0 / m.kappa) * base.xi))
                 / (tau ** (1.0 / m.kappa) * base_norm) for tau, res in zip(taus, scaled)),
                default=0.0)
 
 
-def _roundtrips(m: MapSpec, etas, cfg: ContinuationConfig | None,
-                report: HypothesisReport | None, force: bool) -> list:
+def _roundtrips(m: MapSpec, etas, report: HypothesisReport | None, tol: float,
+                force: bool) -> list:
     """Invert a batch of nonzero targets as one batch; returns ``(eta,
     result, |f(xi) - eta| / |eta|)`` per target, in order."""
+    _check_tol(tol)
     E, norms = _target_rows(m.n, etas)
     if not all(norms):
         raise InvalidInputError("roundtrip targets must be nonzero")
-    results = _invert_batch(m, E, cfg or ContinuationConfig(), _require_report(m, report, force),
-                            norms=norms)
+    results = _invert_batch(m, E, tol, _require_report(m, report, force), norms=norms)
     return [(eta, res, res.residual / mag) for eta, res, mag in zip(E, results, norms)]
 
 
-def roundtrip_check(m: MapSpec, etas, cfg: ContinuationConfig | None = None,
-                    report: HypothesisReport | None = None, *,
-                    force: bool = False) -> float:
+def roundtrip_check(m: MapSpec, etas, report: HypothesisReport | None = None, *,
+                    tol: float = 1e-10, force: bool = False) -> float:
     """Largest relative roundtrip residual ``|f(invert(eta)) - eta| / |eta|``
     over a batch of nonzero targets."""
-    return max((rel for _, _, rel in _roundtrips(m, etas, cfg, report, force)), default=0.0)
+    return max((rel for _, _, rel in _roundtrips(m, etas, report, tol, force)), default=0.0)
 
 
 def inverse_jacobian(m: MapSpec, xi) -> np.ndarray:

@@ -485,6 +485,13 @@ def extend_at_origin(m: MapSpec) -> np.ndarray:
     return np.zeros(m.n)
 
 
+def _rng(seed, salt: int) -> np.random.Generator:
+    """The generator of the stream that ``salt`` names, from a user ``seed``."""
+    if int(seed) < 0:
+        raise InvalidParameterError("seed must be a nonnegative integer")
+    return np.random.default_rng([int(seed), salt])
+
+
 def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     """``count`` seeded unit directions in R^n: standard normal rows drawn
     from ``rng`` and normalised, a row with norm under 1e-12 drawn again.
@@ -503,13 +510,21 @@ def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray
     return dirs / norms[:, None]
 
 
+def _taus(taus) -> list[float]:
+    """The scale factors ``taus`` as floats, each positive and finite."""
+    taus = [float(tau) for tau in taus]
+    if not all(0.0 < tau < np.inf for tau in taus):
+        raise InvalidParameterError("tau values must be positive")
+    return taus
+
+
 def homogeneity_residual(m: MapSpec, count: int = 100, seed: int = 0, taus=None) -> float:
     """Largest sampled relative deviation from order-``kappa`` scaling.
 
     Draws ``count`` unit directions with log-uniform scale factors
     ``tau in [1e-3, 1e3]``, plus a fixed decade ladder
     ``{1e-3, 1e-2, 1e-1, 1e1, 1e2, 1e3}`` applied to the first direction
-    (``taus`` overrides the ladder), and returns::
+    (``taus``, positive and finite, overrides the ladder), and returns::
 
         max |f(tau xi) - tau**kappa f(xi)| / (tau**kappa * max(1, |f(xi)|))
 
@@ -518,10 +533,10 @@ def homogeneity_residual(m: MapSpec, count: int = 100, seed: int = 0, taus=None)
     """
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
-    rng = np.random.default_rng([int(seed), _SALT_HOMOGENEITY])
+    rng = _rng(seed, _SALT_HOMOGENEITY)
     dirs = _unit_directions(rng, count, m.n)
     t_rand = 10.0 ** rng.uniform(-3.0, 3.0, size=count)
-    ladder = (1e-3, 1e-2, 1e-1, 1e1, 1e2, 1e3) if taus is None else tuple(float(v) for v in taus)
+    ladder = (1e-3, 1e-2, 1e-1, 1e1, 1e2, 1e3) if taus is None else _taus(taus)
     X = np.vstack([dirs, np.repeat(dirs[:1], len(ladder), axis=0)])
     T = np.concatenate([t_rand, np.asarray(ladder, dtype=float)])
     F1 = _eval_batch(m, X)

@@ -205,6 +205,38 @@ def test_huge_exponent_exits_one_without_traceback(mapfile):
     assert "map definition error" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_negative_seed_exits_one_without_traceback(mapfile):
+    src = os.path.dirname(os.path.dirname(hominv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "hominv.cli", "check",
+                           mapfile("rc.map", RADIAL_CUBE), "--seed", "-1"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "hominv: seed must be a nonnegative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+def test_roundtrip_rejects_a_negative_or_nan_residual_limit(mapfile, capsys, limit):
+    # it used to run the whole roundtrip and exit 3 with "limit nan"
+    rc = main(["roundtrip", mapfile("rc.map", RADIAL_CUBE), "--count", "2",
+               "--samples", "1000", "--max-residual", limit])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "--max-residual must be >= 0" in captured.err and captured.out == ""
+
+
+def test_zero_tol_is_a_usage_error_before_the_report_check(mapfile, capsys):
+    # the failing map would exit 2 without --force; a bad --tol is caught first
+    for command, extra in (("invert", ["--target", "1,2,3"]), ("degree", ["--target", "1,2,3"]),
+                           ("roundtrip", ["--count", "2"])):
+        rc = main([command, mapfile("ax.map", AXIS_CUBE), *extra, "--samples", "1000",
+                   "--tol", "0"])
+        assert rc == 1
+        assert "tol must lie in (0, 1)" in capsys.readouterr().err
+
+
 def test_missing_file_exits_one(capsys):
     rc = main(["check", "/nonexistent/path.map"])
     assert rc == 1

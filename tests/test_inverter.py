@@ -1,8 +1,10 @@
 """Continuation-based inversion: paths, preimages, preconditions."""
 
+import contextlib
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 
 from hominv import (
     BlackBox,
-    ContinuationConfig,
     ContinuationFailedError,
     InvalidInputError,
     InvalidParameterError,
@@ -28,6 +29,7 @@ from hominv import (
     eval_jacobian,
     eval_map,
     identity_map,
+    injectivity_probe,
     inverse_homogeneity_check,
     inverse_jacobian,
     invert,
@@ -37,6 +39,8 @@ from hominv import (
     random_admissible_map,
     roundtrip_check,
 )
+from hominv import inverter
+from hominv.hypotheses import _target_rows
 from hominv.inverter import _invert_batch, _path_points, _paths, _top_k
 from hominv.polyparser import parse_map
 
@@ -49,20 +53,23 @@ def report_for(name, maker, count=2000):
     return _REPORTS[name]
 
 
-# ------------------------------------------------------------------- config
+# ---------------------------------------------------------------------- tol
 
 
 def test_config_validation():
-    with pytest.raises(InvalidParameterError):
-        ContinuationConfig(tol=0.0)
-    with pytest.raises(InvalidParameterError):
-        ContinuationConfig(tol=2.0)
-    with pytest.raises(InvalidParameterError):
-        ContinuationConfig(min_step=0.5, initial_step=0.1)
-    with pytest.raises(InvalidParameterError):
-        ContinuationConfig(max_newton=0)
-    with pytest.raises(InvalidParameterError):
-        ContinuationConfig(seed_attempts=0)
+    # tol is the solvers' one setting; each of the six checks it
+    m = identity_map(3)
+    rep = report_for("identity", lambda: identity_map(3))
+    eta = [1.0, 2.0, 3.0]
+    for tol in (0.0, 1.0, 2.0, math.nan, math.inf):
+        for call in (lambda: invert(m, eta, report=rep, tol=tol),
+                     lambda: inverse_homogeneity_check(m, eta, [2.0], report=rep, tol=tol),
+                     lambda: roundtrip_check(m, [eta], report=rep, tol=tol),
+                     lambda: count_preimages(m, eta, report=rep, tol=tol),
+                     lambda: mapping_degree(m, eta, report=rep, tol=tol),
+                     lambda: injectivity_probe(m, trials=1, report=rep, tol=tol)):
+            with pytest.raises(InvalidParameterError, match="tol must lie in"):
+                call()
 
 
 # --------------------------------------------------------------------- path
@@ -361,14 +368,15 @@ def test_invert_bracket_is_the_coercivity_bracket(name):
         assert invert(m, eta, report=rep).bracket == coercivity_bracket(rep, eta, m.kappa)
 
 
-def test_invert_unreachable_tolerance_raises_continuation_failure():
+def test_invert_unreachable_tolerance_raises_continuation_failure(monkeypatch):
     # double precision cannot deliver a 1e-30 relative residual on this map,
     # so every corrector call fails and the step underflows
     m = radial_cube_map(3)
     rep = report_for("radial_cube", lambda: radial_cube_map(3))
-    cfg = ContinuationConfig(tol=1e-30, min_step=1e-3, seed_attempts=2)
+    monkeypatch.setattr(inverter, "_MIN_STEP", 1e-3)
+    monkeypatch.setattr(inverter, "_SEED_ATTEMPTS", 2)
     with pytest.raises(ContinuationFailedError) as exc:
-        invert(m, np.array([0.7, -0.2, 1.1]), cfg, report=rep)
+        invert(m, np.array([0.7, -0.2, 1.1]), report=rep, tol=1e-30)
     assert exc.value.last_t is not None
     assert 0.0 <= exc.value.last_t < 1.0
     assert exc.value.last_xi is not None
@@ -439,6 +447,15 @@ def test_inverse_homogeneity_check_rejects_a_scaled_target_that_overflows():
         inverse_homogeneity_check(m, np.array([1e300, 0.0, 0.0]), taus=[1e10], report=rep)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+def test_inverse_homogeneity_check_names_a_tau_that_is_not_positive_and_finite(tau):
+    # the check homogeneity_residual makes: inf and nan are taus, not targets
+    m = radial_cube_map(3)
+    rep = report_for("radial_cube", lambda: radial_cube_map(3))
+    with pytest.raises(InvalidParameterError, match="tau values must be positive"):
+        inverse_homogeneity_check(m, np.array([1.0, 0.5, -0.25]), taus=[2.0, tau], report=rep)
+
+
 def test_roundtrip_check_batch():
     m = radial_linear_map((1.0, 2.0, 3.0), kappa=2.0)
     rep = report_for("radial_linear", lambda: radial_linear_map((1.0, 2.0, 3.0), kappa=2.0))
@@ -485,7 +502,7 @@ def test_top_k_past_its_prefix_matches_stable_argsort(seed, n, k, ties, low_head
 def test_invert_with_fewer_sample_rows_than_seed_attempts():
     m = radial_cube_map(3)
     rep = check_hypotheses(m, count=8)
-    assert rep.sample_count < ContinuationConfig().seed_attempts
+    assert rep.sample_count < inverter._SEED_ATTEMPTS
     eta = np.array([2.0, -3.0, 6.0])
     res = invert(m, eta, report=rep)
     assert math.hypot(*(eval_map(m, res.xi) - eta)) <= 1e-10 * math.hypot(*eta)
@@ -516,17 +533,18 @@ def test_batch_inversion_matches_one_target_at_a_time(name, mags, seed, long_ste
     etas = z / np.linalg.norm(z, axis=1)[:, None] * np.array(mags)[:, None]
     # long steps with few corrector iterations make paths reject steps, so
     # their step sizes part ways inside the batch
-    cfg = (ContinuationConfig(initial_step=0.5, max_newton=2, min_step=1e-6) if long_steps
-           else ContinuationConfig())
-    results = _invert_batch(m, etas, cfg, rep)
+    policy = (mock.patch.multiple(inverter, _INITIAL_STEP=0.5, _MAX_NEWTON=2, _MIN_STEP=1e-6)
+              if long_steps else contextlib.nullcontext())
+    with policy:
+        results = _invert_batch(m, etas, 1e-10, rep, norms=_target_rows(m.n, etas)[1])
+        alones = [invert(m, eta, report=rep) for eta in etas]
     assert len(results) == len(etas)
-    for eta, res in zip(etas, results):
+    for eta, res, alone in zip(etas, results, alones):
         if not eta.any():
             assert np.array_equal(res.xi, np.zeros(m.n)) and res.residual == 0.0
             continue
-        alone = invert(m, eta, cfg, report=rep)
         assert math.hypot(*(res.xi - alone.xi)) <= 1e-12 * math.hypot(*alone.xi)
-        assert res.residual <= cfg.tol * max(1.0, math.hypot(*eta))
+        assert res.residual <= 1e-10 * max(1.0, math.hypot(*eta))
         # the residual is at rounding level, so evaluating it again agrees only
         # to the cross-version gate's 1e-14 * max(1, |eta|)
         assert abs(math.hypot(*(eval_map(m, res.xi) - eta)) - res.residual) \
@@ -536,18 +554,19 @@ def test_batch_inversion_matches_one_target_at_a_time(name, mags, seed, long_ste
             roundtrip_check(m, etas, report=rep)
 
 
-def test_batch_raises_the_error_of_the_lowest_index_target():
+def test_batch_raises_the_error_of_the_lowest_index_target(monkeypatch):
     # no path reaches tol 1e-30, so the second and third targets both fail;
     # the second one's error is raised, as inverting in order would, and it
     # names that target's own seeds
     m = radial_cube_map(3)
     rep = report_for("radial_cube", lambda: radial_cube_map(3))
-    cfg = ContinuationConfig(tol=1e-30, min_step=1e-3, seed_attempts=2)
+    monkeypatch.setattr(inverter, "_MIN_STEP", 1e-3)
+    monkeypatch.setattr(inverter, "_SEED_ATTEMPTS", 2)
     etas = np.array([[0.0, 0.0, 0.0], [0.7, -0.2, 1.1], [-1.0, 2.0, 3.0]])
     with pytest.raises(ContinuationFailedError) as exc:
-        _invert_batch(m, etas, cfg, rep)
+        _invert_batch(m, etas, 1e-30, rep, norms=_target_rows(m.n, etas)[1])
     seeds = [[s for s, _ in err.seed_failures] for err in (
-        pytest.raises(ContinuationFailedError, invert, m, eta, cfg, report=rep).value
+        pytest.raises(ContinuationFailedError, invert, m, eta, report=rep, tol=1e-30).value
         for eta in etas[1:])]
     assert seeds[0] != seeds[1]
     assert [s for s, _ in exc.value.seed_failures] == seeds[0]

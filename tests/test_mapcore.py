@@ -1,6 +1,7 @@
 """Evaluation and differentiation of homogeneous maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from hominv import (
     UndefinedAtOriginError,
     acceptance_maps,
     blackbox_of,
+    check_hypotheses,
     complex_square_map,
+    count_preimages,
     diag_map,
     eval_jacobian,
     eval_jacobian_batch,
@@ -24,11 +27,13 @@ from hominv import (
     extend_at_origin,
     homogeneity_residual,
     identity_map,
+    mapping_degree,
     perturbed_radial_blackbox,
     radial_cube_map,
     radial_linear_map,
     random_admissible_map,
     random_polymap_spec,
+    sample_sphere,
 )
 from hominv.mapcore import _FD_STEP, _eval_batch, _eval_jac_batch, _jacobian_batch, _radii
 
@@ -437,6 +442,29 @@ def test_homogeneity_residual_respects_declared_order():
                     declared_kappa=2.0)
     m = MapSpec(body, n=3)
     assert homogeneity_residual(m, count=20, seed=0) > 1e-2
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+def test_homogeneity_residual_rejects_a_tau_that_is_not_positive_and_finite(tau):
+    # these used to return nan, with a RuntimeWarning for all but nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="tau values must be positive"):
+            homogeneity_residual(identity_map(3), count=5, taus=[2.0, tau])
+
+
+def test_every_seeded_entry_point_rejects_a_negative_seed():
+    m = complex_square_map()
+    rep = check_hypotheses(m, count=50)
+    for call in (lambda: sample_sphere(3, 10, seed=-1),
+                 lambda: check_hypotheses(m, count=50, seed=-1),
+                 lambda: homogeneity_residual(m, count=5, seed=-1),
+                 lambda: count_preimages(m, [1.0, 0.0], starts=8, report=rep, seed=-1),
+                 lambda: mapping_degree(m, [1.0, 0.0], starts=8, report=rep, seed=-1),
+                 lambda: random_admissible_map(n=3, seed=-1),
+                 lambda: random_polymap_spec(-1)):
+        with pytest.raises(InvalidParameterError, match="seed must be a nonnegative integer"):
+            call()
 
 
 def test_weighted_poly_evaluation_is_stable_at_extreme_scales():

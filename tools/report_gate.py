@@ -5,13 +5,15 @@ Usage, from anywhere::
     python tools/report_gate.py OLD NEW
 
 ``OLD`` and ``NEW`` are the roots of two hominv checkouts.  For every map
-file in ``NEW/demos/maps`` the commands ``check``, ``invert``, ``roundtrip``
-and ``degree`` run in both checkouts (``python -m hominv.cli`` with that
-checkout's ``src`` first on the path, the report on standard output).
+file in ``NEW/demos/maps`` the six command lines of ``COMMANDS`` run in
+both checkouts (``python -m hominv.cli`` with that checkout's ``src``
+first on the path, the report on standard output): ``check``, ``invert``,
+and ``roundtrip`` and ``degree`` both at the default ``--tol`` and at
+``--tol 1e-12``, so that a tolerance lost on its way to a solver shows.
 ``invert`` and ``degree`` take the target ``1,-2,0.5,0.25`` cut to the
-map's dimension, so the maps of dimension 2, 3 and 4 there are all covered;
-a map of dimension 5 or more would get too short a target and exit 1 on
-both sides.  Each pair of runs is judged by the per-field rules of
+map's dimension, so the maps of dimension 2, 3 and 4 there are all
+covered; a map of dimension 5 or more would get too short a target and
+exit 1 on both sides.  Each pair of runs is judged by the per-field rules of
 ROADMAP.md:
 
 * ``xi`` within 1e-12 relative, as ``|xi_new - xi_old| / |xi_old|``;
@@ -22,10 +24,11 @@ ROADMAP.md:
 * every other field, the exit code, and the whole ``degree`` report
   exactly.
 
-Each pair prints one line: ``identical`` when the reports are byte for byte
-the same apart from ``timing`` and the summaries on standard error match,
-``within rules`` with the fields that moved, or ``MISMATCH`` with the fields
-that broke a rule.  The exit code is 1 when any pair mismatched, else 0.
+Each pair prints one line, naming the map, the command and its arguments:
+``identical`` when the reports are byte for byte the same apart from
+``timing`` and the summaries on standard error match, ``within rules``
+with the fields that moved, or ``MISMATCH`` with the fields that broke a
+rule.  The exit code is 1 when any pair mismatched, else 0.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ COMMANDS = (
     ("invert", ["--target={target}", "--force"]),
     ("roundtrip", ["--count", "30", "--force"]),
     ("degree", ["--target={target}", "--probe", "5", "--force"]),
+    ("roundtrip", ["--count", "30", "--force", "--tol", "1e-12"]),
+    ("degree", ["--target={target}", "--probe", "5", "--force", "--tol", "1e-12"]),
 )
 TARGET = (1.0, -2.0, 0.5, 0.25)
 #: argmins that rounding decides: |f| (and on radial_cube3 det Df) is flat
@@ -147,7 +152,8 @@ def main(argv=None) -> int:
                 verdict = "within rules"
             counts[verdict] += 1
             detail = ", ".join(broken or moved)
-            print(f"{mapfile.stem:18s} {command:9s} exit {code_b}  {verdict}"
+            shown = " ".join(args)
+            print(f"{mapfile.stem:18s} {command:9s} {shown:48s} exit {code_b}  {verdict}"
                   + (f": {detail}" if detail else ""))
     total = sum(counts.values())
     print(f"{total} command pairs: {counts['identical']} identical apart from timing, "
