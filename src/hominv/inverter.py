@@ -13,14 +13,16 @@ batch of targets at once (:func:`invert` is a batch of one):
 3. join ``eta0 = f(xi0)`` to ``omega`` by a path that interpolates the
    magnitude geometrically and the direction along the great circle, so it
    never crosses the origin;
-4. track every target's path in lock-step, each with its own ``t``, step
-   size and streak: an Euler predictor ``dxi = Df^{-1} dgamma``, then one
-   Newton correction (at most ``_MAX_NEWTON`` iterations) of all live paths.
-   The step starts at ``_INITIAL_STEP``, which also caps it; it halves after
-   a failed correction and doubles after three consecutive easy ones (at
-   most 3 Newton iterations each), and a path whose step falls below
-   ``_MIN_STEP`` stops.  Round ``a`` tracks each target still unsolved from
-   its ``a``-th seed;
+4. track every target's path in lock-step, each with its own ``t`` and
+   step size: an Euler predictor ``dxi = Df^{-1} dgamma``, then one Newton
+   correction (at most ``_MAX_NEWTON`` iterations) of all live paths.  The
+   first step is ``_INITIAL_STEP``.  An accepted correction of at most 3
+   Newton iterations doubles the step, a failed one halves it, and no step
+   runs past ``t = 1``; one that would stop within 1e-12 of it ends on it.
+   Bijectivity makes any point the corrector converges to the one lift, so
+   a long step may fail but cannot land on a wrong preimage.  A path whose
+   step falls below ``_MIN_STEP`` stops.  Round ``a`` tracks each target
+   still unsolved from its ``a``-th seed;
 5. polish: up to two more Newton steps, each kept only when it strictly
    lowers the residual, and rescale by ``|eta|**(1/kappa)``.
 
@@ -50,8 +52,8 @@ _ANTIPODAL_TOL = 1e-8
 _DIVERGE_NORM = 1e12
 # the most (target, sample row) scores computed at once
 _SCORE_CELLS = 2**16
-# the step policy of steps 2 and 4, read at call time: first and largest step
-# in t, smallest step, corrector iterations per step, candidate seeds per target
+# the step policy of steps 2 and 4, read at call time: first step in t,
+# smallest step, corrector iterations per step, candidate seeds per target
 _INITIAL_STEP = 0.1
 _MIN_STEP = 1e-8
 _MAX_NEWTON = 20
@@ -141,7 +143,8 @@ def _path_points(p: _Paths, t: np.ndarray) -> np.ndarray:
 
 def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, tol: float, trace: bool):
     """Track ``f(xi(t)) = gamma(t)`` from ``xi(0) = xi0[i]`` to ``t = 1`` on
-    every path at once, each with its own ``t``, step size and streak.
+    every path at once, each with its own ``t`` and step size, by the step
+    policy of step 4 in the module docstring.
     Returns ``(xi, t, steps, newton, why, waypoints)`` per path; ``why`` is
     ``""`` at ``t = 1``, ``"antipodal"`` for a blocked path, the
     :class:`SingularJacobianError` of a singular Jacobian on the path, or the
@@ -149,24 +152,25 @@ def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, tol: float, trace: bool):
     """
     P = len(xi0)
     X, T, why = np.array(xi0, dtype=float), np.zeros(P), np.full(P, "", dtype=object)
-    steps, newton, streak, ns, nt = np.zeros((5, P), dtype=int)
+    steps, newton, ns, nt = np.zeros((4, P), dtype=int)
     # the paths still tracked, compressed; a path that stops is written out
     live, x, t, g, step = np.arange(P), X, T, _path_points(p, T), np.full(P, _INITIAL_STEP)
     waypoints = [[(0.0, g[i].copy(), x[i].copy())] for i in range(P)] if trace else None
 
     def stop(rows, reasons):
-        nonlocal live, x, t, g, step, streak, ns, nt, p
+        nonlocal live, x, t, g, step, ns, nt, p
         out = live[rows]
         X[out], T[out], why[out] = x[rows], t[rows], reasons
         steps[out], newton[out], keep = ns[rows], nt[rows], ~rows
-        live, x, t, g, step, streak, ns, nt = (
-            v[keep] for v in (live, x, t, g, step, streak, ns, nt))
+        live, x, t, g, step, ns, nt = (v[keep] for v in (live, x, t, g, step, ns, nt))
         p = _Paths._make(v[keep] for v in p)
 
     if np.count_nonzero(p.blocked):
         stop(p.blocked, "antipodal")
     while live.size:
-        t_next = t + np.minimum(step, 1.0 - t)
+        # the last step ends exactly on t = 1, never a rounding distance short
+        step = np.minimum(step, 1.0 - t)
+        t_next = np.where(1.0 - t - step < 1e-12, 1.0, t + step)
         g_next = _path_points(p, t_next)
         # the current points sit on their paths, so a singular Jacobian there
         # is genuine evidence against the hypotheses
@@ -188,13 +192,7 @@ def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, tol: float, trace: bool):
                               for new, old in ((x_new, x), (g_next, g)))
             t_next = np.where(accept, t_next, t)
         x, t, g, ns, nt = x_new, t_next, g_next, ns + accept, nt + iters
-        # three easy acceptances in a row double the step, up to _INITIAL_STEP,
-        # and restart the streak; a rejection halves the step and clears the
-        # streak.  That is the only way off the cap, where the streak is moot
-        if not every or np.count_nonzero(step < _INITIAL_STEP):
-            streak = np.where(accept & (iters <= 3), streak + 1, 0)
-            step = np.minimum(step * np.where(accept, 1.0 + (streak == 3), 0.5), _INITIAL_STEP)
-            streak %= 3
+        step = step * np.where(accept, 1.0 + (iters <= 3), 0.5)
         if trace:
             for i in np.flatnonzero(accept):
                 waypoints[live[i]].append((float(t[i]), g[i].copy(), x[i].copy()))

@@ -24,6 +24,7 @@ maps can be shared between threads and evaluated concurrently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -486,10 +487,16 @@ def extend_at_origin(m: MapSpec) -> np.ndarray:
 
 
 def _rng(seed, salt: int) -> np.random.Generator:
-    """The generator of the stream that ``salt`` names, from a user ``seed``."""
-    if int(seed) < 0:
+    """The generator of the stream that ``salt`` names, from a user ``seed``:
+    a Python or numpy integer, since ``int`` would truncate a float."""
+    try:
+        seed = operator.index(seed)
+        valid = seed >= 0
+    except TypeError:
+        valid = False
+    if not valid:
         raise InvalidParameterError("seed must be a nonnegative integer")
-    return np.random.default_rng([int(seed), salt])
+    return np.random.default_rng([seed, salt])
 
 
 def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

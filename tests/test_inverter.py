@@ -410,6 +410,44 @@ def test_invert_trace_records_waypoints():
         assert np.linalg.norm(eval_map(m, xi) - gamma) <= 1e-8
 
 
+_ACCEPTANCE = sorted(acceptance_maps())
+
+
+@pytest.mark.parametrize("name", _ACCEPTANCE)
+def test_invert_steps_grow_to_the_end_of_the_path(name):
+    m = acceptance_maps()[name]
+    rep = report_for(name, lambda: acceptance_maps()[name])
+    rng = np.random.default_rng(3)
+    for mag in np.logspace(-3.0, 3.0, 7):
+        d = rng.standard_normal(m.n)
+        res = invert(m, mag * d / np.linalg.norm(d), report=rep, trace=True)
+        ts = [t for t, _, _ in res.path_waypoints]
+        assert res.steps <= 5 and len(ts) == res.steps + 1
+        assert ts[0] == 0.0 and ts[-1] == 1.0
+        # no last step of rounding size, as ten steps of 0.1 would leave
+        assert all(b - a >= 1e-12 for a, b in zip(ts, ts[1:]))
+
+
+def _step_map(key):
+    return acceptance_maps()[key] if isinstance(key, str) else random_admissible_map(*key)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from(_ACCEPTANCE), st.tuples(st.integers(3, 5), st.integers(0, 3))),
+       st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_invert_does_not_depend_on_the_first_step(key, log_mag, seed):
+    # bijectivity makes the lifted path unique, so long steps and cautious
+    # ones reach the same preimage
+    m, rep = _step_map(key), report_for(str(key), lambda: _step_map(key))
+    d = np.random.default_rng(seed).standard_normal(m.n)
+    eta = 10.0**log_mag * d / np.linalg.norm(d)
+    fast = invert(m, eta, report=rep)
+    with mock.patch.object(inverter, "_INITIAL_STEP", 0.01):
+        cautious = invert(m, eta, report=rep)
+    assert cautious.steps > fast.steps
+    assert math.hypot(*(fast.xi - cautious.xi)) <= 1e-12 * math.hypot(*cautious.xi)
+
+
 def test_invert_without_trace_has_no_waypoints():
     rep = report_for("radial_cube", lambda: radial_cube_map(3))
     res = invert(radial_cube_map(3), np.array([1.0, 1.0, 1.0]), report=rep)

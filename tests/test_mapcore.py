@@ -467,6 +467,24 @@ def test_every_seeded_entry_point_rejects_a_negative_seed():
             call()
 
 
+@pytest.mark.parametrize("seed", [1.7, 0.9, 2.0, np.float64(1.0), "1"])
+def test_a_seed_that_is_not_an_integer_is_rejected_not_truncated(seed):
+    # int() would draw the stream of the truncated seed and record that seed
+    with pytest.raises(InvalidParameterError, match="seed must be a nonnegative integer"):
+        sample_sphere(3, 4, seed=seed)
+    with pytest.raises(InvalidParameterError, match="seed must be a nonnegative integer"):
+        check_hypotheses(identity_map(3), count=50, seed=seed)
+
+
+def test_python_and_numpy_integer_seeds_draw_the_same_stream():
+    ref = sample_sphere(3, 4, seed=1)
+    for seed in (np.int64(1), np.uint8(1), np.array(1)):
+        sample = sample_sphere(3, 4, seed=seed)
+        assert np.array_equal(sample.points, ref.points) and sample.seed == 1
+        assert type(sample.seed) is int
+    assert check_hypotheses(identity_map(3), count=50, seed=np.int32(1)).seed == 1
+
+
 def test_weighted_poly_evaluation_is_stable_at_extreme_scales():
     # |xi|^(kappa-d) P(xi) evaluated as (r**kappa) P(xi/r): no overflow for
     # inputs whose direct monomial evaluation would degrade

@@ -68,3 +68,15 @@ def test_degree_reports_must_match_exactly():
 def test_a_missing_report_breaks_the_rule():
     assert compare(None, None, "identity3", "check") == ([], [])
     assert compare(_report(), None, "identity3", "check") == ([], [""])
+
+
+def test_a_field_that_differs_in_many_inversions_is_listed_once_with_its_count():
+    old = _report(**{"inversions.0.steps": 11})
+    old["inversions"] = [dict(old["inversions"][0], eta=[3.0, 4.0, k]) for k in range(3)]
+    new = {**old, "inversions": [dict(inv, steps=4) for inv in old["inversions"]]}
+    new["inversions"][1]["bracket"] = [0.5, 3.0]
+    moved, broken = compare(old, new, "identity3", "invert")
+    assert moved == [] and len(broken) == 4
+    assert report_gate.summarize(broken) == ["inversions[*].steps ×3", "inversions[1].bracket[1]"]
+    assert report_gate.summarize(["exit code 0 -> 1", "roundtrip.ok"]) == [
+        "exit code 0 -> 1", "roundtrip.ok"]

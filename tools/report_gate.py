@@ -28,7 +28,9 @@ Each pair prints one line, naming the map, the command and its arguments:
 ``identical`` when the reports are byte for byte the same apart from
 ``timing`` and the summaries on standard error match, ``within rules``
 with the fields that moved, or ``MISMATCH`` with the fields that broke a
-rule.  The exit code is 1 when any pair mismatched, else 0.
+rule.  A field that differs in more than one of a report's inversions is
+listed once with its count, as ``inversions[*].steps ×30``.  The exit code
+is 1 when any pair mismatched, else 0.
 """
 
 from __future__ import annotations
@@ -120,6 +122,16 @@ def compare(old, new, map_name: str, command: str) -> tuple[list[str], list[str]
     return moved, broken
 
 
+def summarize(paths: list[str]) -> list[str]:
+    """``paths`` in order of first appearance, each field that differs in
+    more than one inversion collapsed into one entry with its count."""
+    groups: dict[str, list[str]] = {}
+    for path in paths:
+        groups.setdefault(re.sub(r"^inversions\[\d+\]", "inversions[*]", path), []).append(path)
+    return [f"{field} ×{len(group)}" if len(group) > 1 else group[0]
+            for field, group in groups.items()]
+
+
 def _floats(a, b) -> bool:
     return isinstance(a, float) and isinstance(b, float)
 
@@ -151,7 +163,7 @@ def main(argv=None) -> int:
             else:
                 verdict = "within rules"
             counts[verdict] += 1
-            detail = ", ".join(broken or moved)
+            detail = ", ".join(summarize(broken or moved))
             shown = " ".join(args)
             print(f"{mapfile.stem:18s} {command:9s} {shown:48s} exit {code_b}  {verdict}"
                   + (f": {detail}" if detail else ""))
