@@ -271,10 +271,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     t0 = time.perf_counter()
     try:
         report, human, code = _run(ns)
+        report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
+        _emit(report, human, ns.json_dest)
     except MapDefinitionError as err:
         print(f"hominv: map definition error: {err}", file=sys.stderr)
         return 1
-    except (InvalidInputError, InvalidParameterError, OSError) as err:
+    except (InvalidInputError, InvalidParameterError, OSError, UnicodeDecodeError) as err:
         print(f"hominv: {err}", file=sys.stderr)
         return 1
     except PreconditionError as err:
@@ -283,8 +285,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except HominvError as err:
         print(f"hominv: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
-    report["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
-    _emit(report, human, ns.json_dest)
     return code
 
 

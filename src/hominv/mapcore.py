@@ -24,6 +24,7 @@ maps can be shared between threads and evaluated concurrently.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -105,7 +106,8 @@ class PolyMap:
         nonnegative integers with a sum of at most 1000.  Terms are
         canonicalized on construction: duplicate exponent tuples are merged,
         exact-zero coefficients dropped, and monomials sorted in descending
-        graded-lexicographic order.
+        graded-lexicographic order.  A coefficient, given or merged, that is
+        not finite raises ``InvalidParameterError``.
 
     Notes
     -----
@@ -155,6 +157,12 @@ class PolyMap:
                         f"the total degree of a term must be at most {_MAX_DEGREE}"
                     )
                 acc[e] = acc.get(e, 0.0) + float(coeff)
+            for e, c in acc.items():  # a sum is finite only if its terms are
+                if not math.isfinite(c):
+                    err = InvalidParameterError(f"the coefficient of the monomial {e} in "
+                                                f"component {len(canon) + 1} is not finite: {c!r}")
+                    err._monomial = (len(canon), e)  # where parse_map points
+                    raise err
             terms = tuple(
                 (c, e)
                 for e, c in sorted(

@@ -11,9 +11,17 @@ Grammar (whitespace is insignificant; errors carry 1-based line/column)::
     factor   := VAR ("^" INT)?             VAR is x1..xn
     COEFF    := REAL ("/" REAL)?           rationals are converted to float
 
+The lexer is one regular expression with a group per token kind, matched
+at each position in turn: whitespace (space, tab, CR, LF, FF, VT), an
+operator of ``+-*^=;/``, a number (``\\d`` digits, Unicode ones included,
+with an optional fraction and exponent), or an identifier; any other
+character is an error at its position.  Columns count from the last newline.
+
 A leading sign on the first term and a single trailing semicolon are accepted
 so that every canonical rendering reparses to itself.  Coefficients are stored
-as floats.
+as floats and must be finite: a number is checked where it stands, and the
+merged coefficient of a monomial that repeats in a component is checked by
+``PolyMap``, the error pointing at the monomial's first occurrence.
 
 The canonical form produced by :func:`format_map` lists monomials per
 component in descending graded-lexicographic order with merged coefficients
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -45,58 +54,38 @@ __all__ = [
     "HomogeneityVerdict",
 ]
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: one alternative per token kind; ``bad`` takes any other single character
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r\f\v\n]+)|(?P<op>[-+*^=;/])"
+    r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>.)",
+    re.DOTALL,
+)
 _VAR_RE = re.compile(r"x([0-9]+)\Z")
 _INT_RE = re.compile(r"\d+\Z")
-_OPS = "+-*^=;/"
 #: the largest dimension a map file may give; exponents and a term's total
 #: degree are held to ``mapcore._MAX_DEGREE``, the cap of every ``PolyMap``
 _MAX_SIZE = 1000
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "ident" | "op" | "eof"
-    value: str
-    line: int
-    col: int
+#: ``kind`` is "number", "ident", "op" or "eof"
+_Token = namedtuple("_Token", "kind value line col")
 
 
 def _lex(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r\f\v":
-            i += 1
-            col += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        mo = _NUMBER_RE.match(text, i)
-        if mo:
-            tokens.append(_Token("number", mo.group(), line, col))
-            col += mo.end() - i
-            i = mo.end()
-            continue
-        mo = _IDENT_RE.match(text, i)
-        if mo:
-            tokens.append(_Token("ident", mo.group(), line, col))
-            col += mo.end() - i
-            i = mo.end()
-            continue
-        raise MapSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0  # the line's number and the offset it starts at
+    for mo in _TOKEN_RE.finditer(text):
+        kind, value, col = mo.lastgroup, mo.group(), mo.start() - line_start + 1
+        if kind == "space":
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = mo.start() + value.rindex("\n") + 1
+        elif kind == "bad":
+            raise MapSyntaxError(f"unexpected character {value!r}", line, col)
+        else:
+            tokens.append(_Token(kind, value, line, col))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -113,82 +102,71 @@ class _Parser:
         return self._toks[self._i]
 
     def _next(self) -> _Token:
-        tok = self._toks[self._i]
-        if tok.kind != "eof":
-            self._i += 1
-        return tok
+        self._i += 1
+        return self._toks[self._i - 1]
 
-    def _expect_op(self, op: str) -> _Token:
+    def _accept(self, ops: str) -> _Token | None:
+        """The next token, taken, if it is one of the operators ``ops``."""
         tok = self._peek()
-        if tok.kind != "op" or tok.value != op:
-            raise MapSyntaxError(f"expected '{op}'", tok.line, tok.col)
+        return self._next() if tok.kind == "op" and tok.value in ops else None
+
+    def _expect(self, kind: str, value: str | None = None, what: str | None = None) -> _Token:
+        """The next token, taken; it must be of ``kind`` (and be ``value``),
+        else "expected <what>", ``what`` defaulting to the quoted value."""
+        tok = self._peek()
+        if tok.kind != kind or value not in (None, tok.value):
+            raise MapSyntaxError(f"expected {what or repr(value)}", tok.line, tok.col)
         return self._next()
 
-    def _number(self, what: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != "number":
-            raise MapSyntaxError(f"expected {what}", tok.line, tok.col)
-        return self._next()
-
-    def _signed_value(self, what: str) -> tuple[float, _Token]:
-        sign = 1.0
-        tok = self._peek()
-        if tok.kind == "op" and tok.value in "+-":
-            self._next()
-            sign = 1.0 if tok.value == "+" else -1.0
-        value, num = self._value(what)
-        return sign * value, num
+    def _sign(self) -> float | None:
+        """-1.0 or 1.0 for a ``-`` or ``+`` taken, None when there is none."""
+        tok = self._accept("+-")
+        return None if tok is None else (-1.0 if tok.value == "-" else 1.0)
 
     def _value(self, what: str) -> tuple[float, _Token]:
         """A finite number, or a rational ``a/b``, and the token of ``a``."""
-        num = self._number(what)
+        num = self._expect("number", what=what)
         value = float(num.value)
-        if self._peek().kind == "op" and self._peek().value == "/":
-            self._next()
-            den_tok = self._number("a denominator")
-            den = float(den_tok.value)
-            if den == 0.0:
-                raise MapSyntaxError("zero denominator in rational number", den_tok.line, den_tok.col)
-            value /= den
+        if self._accept("/"):
+            den = self._expect("number", what="a denominator")
+            if float(den.value) == 0.0:
+                raise MapSyntaxError("zero denominator in rational number", den.line, den.col)
+            value /= float(den.value)
         if not math.isfinite(value):
             raise MapSyntaxError("numeric value is not a finite real", num.line, num.col)
         return value, num
 
+    def _capped_int(self, what: str, name: str, integer: str, cap: int) -> tuple[int, _Token]:
+        """The value of a number token that is an integer of at most ``cap``,
+        and the token; "<name> must be <integer>" for any other number."""
+        tok = self._expect("number", what=what)
+        if not _INT_RE.match(tok.value):
+            raise MapSyntaxError(f"{name} must be {integer}", tok.line, tok.col)
+        value = _bounded_int(tok.value, cap)
+        if value > cap:
+            raise MapSyntaxError(f"{name} must be at most {cap}", tok.line, tok.col)
+        return value, tok
+
     def parse(self) -> MapSpec:
-        kappa: float | None = None
-        kappa_tok: _Token | None = None
-        tok = self._peek()
-        if tok.kind == "ident" and tok.value == "kappa":
+        kappa = kappa_tok = None
+        if self._peek().value == "kappa":  # only an identifier reads so
             self._next()
-            self._expect_op("=")
-            kappa, kappa_tok = self._signed_value("a numeric order after 'kappa='")
-            self._expect_op(";")
-            tok = self._peek()
-        if tok.kind != "ident" or tok.value != "n":
-            raise MapSyntaxError("expected the dimension declaration 'n=<int>'", tok.line, tok.col)
-        self._next()
-        self._expect_op("=")
-        n_tok = self._number("an integer dimension")
-        if not _INT_RE.match(n_tok.value):
-            raise MapSyntaxError("dimension n must be an integer", n_tok.line, n_tok.col)
-        n = _bounded_int(n_tok.value, _MAX_SIZE)
+            self._expect("op", "=")
+            sign = self._sign() or 1.0
+            kappa, kappa_tok = self._value("a numeric order after 'kappa='")
+            kappa *= sign
+            self._expect("op", ";")
+        self._expect("ident", "n", "the dimension declaration 'n=<int>'")
+        self._expect("op", "=")
+        n, n_tok = self._capped_int("an integer dimension", "dimension n", "an integer",
+                                    _MAX_SIZE)
         if n < 1:
             raise MapSyntaxError("dimension n must be >= 1", n_tok.line, n_tok.col)
-        if n > _MAX_SIZE:
-            raise MapSyntaxError(f"dimension n must be at most {_MAX_SIZE}", n_tok.line, n_tok.col)
 
         components: list[list[_RawTerm]] = []
-        while True:
-            tok = self._peek()
-            if tok.kind == "eof":
-                break
-            if tok.kind == "op" and tok.value == ";":
-                self._next()
-                if self._peek().kind == "eof":
-                    break  # trailing semicolon
-                components.append(self._component(len(components) + 1, n))
-                continue
-            raise MapSyntaxError("expected ';' between declarations", tok.line, tok.col)
+        while self._accept(";") and self._peek().kind != "eof":  # one trailing ';' is allowed
+            components.append(self._component(len(components) + 1, n))
+        self._expect("eof", what="';' between declarations")
 
         if len(components) != n:
             raise DimensionMismatchError(
@@ -199,56 +177,25 @@ class _Parser:
         return _build(n, components, kappa, kappa_tok)
 
     def _component(self, index: int, n: int) -> list[_RawTerm]:
-        tok = self._next()
-        if tok.kind != "ident" or tok.value != f"f{index}":
-            raise MapSyntaxError(
-                f"expected component 'f{index}' (components must appear as f1..fn in order)",
-                tok.line,
-                tok.col,
-            )
-        self._expect_op("=")
-        return self._polyexpr(n)
-
-    def _polyexpr(self, n: int) -> list[_RawTerm]:
-        terms = []
-        sign = 1.0
-        tok = self._peek()
-        if tok.kind == "op" and tok.value in "+-":
-            self._next()
-            sign = 1.0 if tok.value == "+" else -1.0
-        terms.append(self._term(sign, n))
-        while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.value in "+-":
-                self._next()
-                terms.append(self._term(1.0 if tok.value == "+" else -1.0, n))
-            else:
-                return terms
+        self._expect("ident", f"f{index}", f"component 'f{index}' "
+                     "(components must appear as f1..fn in order)")
+        self._expect("op", "=")
+        terms = [self._term(self._sign() or 1.0, n)]
+        while (sign := self._sign()) is not None:
+            terms.append(self._term(sign, n))
+        return terms
 
     def _term(self, sign: float, n: int) -> _RawTerm:
         start = self._peek()
         if start.kind not in ("number", "ident"):
             raise MapSyntaxError("expected a term", start.line, start.col)
-        coeff = sign
-        if start.kind == "number":
-            coeff *= self._value("a coefficient")[0]
+        coeff = sign * self._value("a coefficient")[0] if start.kind == "number" else sign
         exps = [0] * n
-        while True:
-            tok = self._peek()
-            if tok.kind == "op" and tok.value == "*":
-                self._next()
-                nxt = self._peek()
-                if nxt.kind != "ident":
-                    raise MapSyntaxError("expected a variable after '*'", nxt.line, nxt.col)
-                self._factor(exps, n)
-            elif tok.kind == "ident":
-                self._factor(exps, n)
-            else:
-                break
+        while self._accept("*") or self._peek().kind == "ident":
+            self._factor(self._expect("ident", what="a variable after '*'"), exps, n)
         return coeff, tuple(exps), (start.line, start.col)
 
-    def _factor(self, exps: list[int], n: int) -> None:
-        tok = self._next()  # known to be an ident
+    def _factor(self, tok: _Token, exps: list[int], n: int) -> None:
         mo = _VAR_RE.match(tok.value)
         if not mo:
             raise MapSyntaxError(
@@ -260,16 +207,9 @@ class _Parser:
                 f"variable '{tok.value}' is out of range for n={n}", tok.line, tok.col
             )
         power = 1
-        if self._peek().kind == "op" and self._peek().value == "^":
-            self._next()
-            tok = self._number("an integer exponent")
-            if not _INT_RE.match(tok.value):
-                raise MapSyntaxError(
-                    "exponent must be a nonnegative integer", tok.line, tok.col
-                )
-            power = _bounded_int(tok.value, _MAX_DEGREE)
-            if power > _MAX_DEGREE:
-                raise MapSyntaxError(f"exponent must be at most {_MAX_DEGREE}", tok.line, tok.col)
+        if self._accept("^"):
+            power, tok = self._capped_int("an integer exponent", "exponent",
+                                          "a nonnegative integer", _MAX_DEGREE)
         exps[idx - 1] += power
         if sum(exps) > _MAX_DEGREE:
             raise MapSyntaxError(f"the total degree of a term must be at most {_MAX_DEGREE}",
@@ -308,7 +248,12 @@ def _build(
     for i, raw in enumerate(raw_components):
         for _, e, pos in raw:
             first.setdefault((i, e), pos)
-    poly = PolyMap(n, [[(c, e) for c, e, _ in raw] for raw in raw_components])
+    try:
+        poly = PolyMap(n, [[(c, e) for c, e, _ in raw] for raw in raw_components])
+    except InvalidParameterError as err:  # the one left: a merged sum that is not finite
+        i, e = err._monomial
+        raise MapSyntaxError(f"the merged coefficient of {_mono_text(e)} in component "
+                             f"f{i + 1} is not a finite real", *first[i, e]) from None
     verdict = check_homogeneity_symbolic(poly)
     if verdict.offending:
         i, e = min(verdict.offending, key=first.__getitem__)
@@ -336,7 +281,8 @@ def parse_map(text: str) -> MapSpec:
     carrying the 1-based source position:
 
     * :class:`~hominv.errors.MapSyntaxError` -- the text does not match the
-      grammar (also used for unknown/out-of-range variables);
+      grammar (also used for unknown/out-of-range variables and for a
+      coefficient, given or merged, that is not finite);
     * :class:`~hominv.errors.MixedDegreeError` -- a monomial breaks the
       uniform total degree, named in the message;
     * :class:`~hominv.errors.DimensionMismatchError` -- component count

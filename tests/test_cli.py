@@ -242,6 +242,25 @@ def test_missing_file_exits_one(capsys):
     assert rc == 1
 
 
+def test_unwritable_report_exits_one_with_one_line(mapfile, tmp_path, capsys):
+    rc = main(["check", mapfile("rc.map", RADIAL_CUBE), "--samples", "1000",
+               "--json", str(tmp_path / "missing" / "out.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hominv: ") and err.count("\n") == 1
+    assert "out.json" in err
+
+
+def test_undecodable_map_file_exits_one_with_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.map"
+    path.write_bytes(b"n = 1; f1 = x1 \xff")
+    rc = main(["check", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hominv: ") and err.count("\n") == 1
+    assert "can't decode byte 0xff" in err
+
+
 def test_bad_target_exits_one(mapfile, capsys):
     rc = main(["invert", mapfile("rc.map", RADIAL_CUBE), "--target", "1,zebra,3",
                "--samples", "1000"])

@@ -75,6 +75,16 @@ def test_polymap_rejects_a_term_degree_above_the_cap_before_allocating(exponents
         PolyMap(len(exponents), [[(1.0, exponents)]] * len(exponents))
 
 
+@pytest.mark.parametrize("terms", [
+    [(float("nan"), (1,))],
+    [(float("-inf"), (1,)), (1.0, (1,))],
+    [(1.7976931348623157e308, (1,)), (1.7976931348623157e308, (1,))],
+], ids=["nan", "inf", "merged-overflow"])
+def test_polymap_rejects_a_coefficient_that_is_not_finite(terms):
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        PolyMap(1, [terms])
+
+
 def test_polymap_builds_at_the_degree_cap():
     assert PolyMap(1, [[(1.0, (1000,))]]).degree == 1000
     assert PolyMap(2, [[(1.0, (400, 600))], [(1.0, (0, 1000))]]).degree == 1000

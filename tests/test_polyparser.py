@@ -1,7 +1,9 @@
 """Map definition grammar: parsing, canonical formatting, degree checking."""
 
 import random
+import re
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,11 +194,29 @@ def test_bad_exponent_position():
     assert exc.value.line == 2
 
 
+MAX_FLOAT = "1.7976931348623157e308"
+
+
+def test_merged_coefficients_must_be_finite():
+    # the first x1 of f1 is where the sum of its coefficients overflows from
+    text = f"n = 2;\nf1 = x2 + {MAX_FLOAT} x1 + {MAX_FLOAT} x1 - x2; f2 = x2"
+    with pytest.raises(MapSyntaxError) as exc:
+        parse_map(text)
+    assert str(exc.value) == ("line 2, col 11: the merged coefficient of x1 in component f1 "
+                              "is not a finite real")
+    # a sum that stays finite is kept, whatever its terms' size
+    m = parse_map(f"n = 1; f1 = {MAX_FLOAT} x1 - {MAX_FLOAT} x1 + {MAX_FLOAT} x1")
+    assert m.body.components == (((float(MAX_FLOAT), (1,)),),)
+
+
 def test_fuzzed_inputs_never_crash():
     # mutate canonical strings; outcome must be a parse or a positioned error
     rng = random.Random(12345)
     alphabet = string.ascii_lowercase + string.digits + "+-*^=;/. \n xf"
     seeds = [format_map(random_polymap_spec(s)) for s in range(10)]
+    seeds.append(f"n = 2; f1 = {MAX_FLOAT} x1 + {MAX_FLOAT} x1; f2 = x2")
+    for s in seeds:
+        _parse_or_positioned_error(s)
     for k in range(2000):
         text = list(rng.choice(seeds))
         for _ in range(rng.randint(1, 6)):
@@ -208,12 +228,24 @@ def test_fuzzed_inputs_never_crash():
                 text.insert(pos, rng.choice(alphabet))
             elif text:
                 del text[pos]
-        s = "".join(text)
-        try:
-            parse_map(s)
-        except MapDefinitionError as err:
-            assert isinstance(err.line, int) and err.line >= 1
-            assert isinstance(err.col, int) and err.col >= 1
+        _parse_or_positioned_error("".join(text))
+
+
+def _parse_or_positioned_error(s):
+    try:
+        m = parse_map(s)
+    except MapDefinitionError as err:
+        assert isinstance(err.line, int) and err.line >= 1
+        assert isinstance(err.col, int) and err.col >= 1
+        return
+    # an accepted map's canonical text reparses to the same bits
+    back = parse_map(format_map(m))
+    assert back.kappa.hex() == m.kappa.hex()
+    assert _bits(back.body) == _bits(m.body)
+
+
+def _bits(poly):
+    return [[(c.hex(), e) for c, e in terms] for terms in poly.components]
 
 
 def test_symbolic_homogeneity_verdict():
@@ -234,3 +266,73 @@ def test_parse_then_evaluate_matches_direct_construction():
     direct = hominv.complex_square_map()
     X = np.random.default_rng(0).standard_normal((20, 2))
     assert np.allclose(hominv.eval_map(m, X), hominv.eval_map(direct, X))
+
+
+#: one row per distinct rejection of ``parse_map``:
+#: (text, class, message, line, col, extra attributes)
+REJECTIONS = [
+    ("n = 2; f1 = x1 # x2; f2 = x2", MapSyntaxError, "unexpected character '#'", 1, 16, {}),
+    ("\n\tn = 1;\r\n  f1 = x1 é", MapSyntaxError, "unexpected character 'é'", 3, 11, {}),
+    ("kappa 2; n = 1; f1 = x1", MapSyntaxError, "expected '='", 1, 7, {}),
+    ("kappa = 2 n = 1; f1 = x1", MapSyntaxError, "expected ';'", 1, 11, {}),
+    ("kappa = x1; n = 1; f1 = x1", MapSyntaxError,
+     "expected a numeric order after 'kappa='", 1, 9, {}),
+    ("f1 = x1", MapSyntaxError, "expected the dimension declaration 'n=<int>'", 1, 1, {}),
+    ("n = ; f1 = x1", MapSyntaxError, "expected an integer dimension", 1, 5, {}),
+    ("n = 2.5; f1 = x1", MapSyntaxError, "dimension n must be an integer", 1, 5, {}),
+    ("n = 0; f1 = x1", MapSyntaxError, "dimension n must be >= 1", 1, 5, {}),
+    ("n = 1001; f1 = x1", MapSyntaxError, "dimension n must be at most 1000", 1, 5, {}),
+    ("n = 1 f1 = x1", MapSyntaxError, "expected ';' between declarations", 1, 7, {}),
+    ("n = 1; f1 = x1 = x1", MapSyntaxError, "expected ';' between declarations", 1, 16, {}),
+    ("n = 2; f2 = x1; f1 = x2", MapSyntaxError,
+     "expected component 'f1' (components must appear as f1..fn in order)", 1, 8, {}),
+    ("n = 1; f1 = x1 + ;", MapSyntaxError, "expected a term", 1, 18, {}),
+    ("n = 1; f1 = 2/ x1", MapSyntaxError, "expected a denominator", 1, 16, {}),
+    ("kappa = 5/0; n = 1; f1 = x1", MapSyntaxError,
+     "zero denominator in rational number", 1, 11, {}),
+    ("n = 1; f1 = 1e300/1e-300 x1", MapSyntaxError,
+     "numeric value is not a finite real", 1, 13, {}),
+    ("n = 1; f1 = 2 * 3", MapSyntaxError, "expected a variable after '*'", 1, 17, {}),
+    ("n = 1; f1 = y1", MapSyntaxError, "unknown variable 'y1' (variables are x1..x1)", 1, 13, {}),
+    ("n = 2; f1 = x1; f2 = x3", MapSyntaxError, "variable 'x3' is out of range for n=2",
+     1, 22, {}),
+    ("n = 1; f1 = x1^", MapSyntaxError, "expected an integer exponent", 1, 16, {}),
+    ("n = 1; f1 = x1^1.5", MapSyntaxError, "exponent must be a nonnegative integer", 1, 16, {}),
+    ("n = 1; f1 = x1^1001", MapSyntaxError, "exponent must be at most 1000", 1, 16, {}),
+    ("n = 1; f1 = x1^1000 x1", MapSyntaxError,
+     "the total degree of a term must be at most 1000", 1, 21, {}),
+    ("n = 2; f1 = x1;", DimensionMismatchError, "declared n=2 but found 1 component(s)",
+     1, 5, {}),
+    ("n = 2;\nf1 = x1 + x2^2; f2 = x2", MixedDegreeError,
+     "monomial x1 in component f1 has total degree 1; every monomial must have the "
+     "uniform degree 2", 2, 6, {"component": 1, "exponents": (1, 0)}),
+    ("kappa = -1; n = 1; f1 = x1", InvalidKappaError, "kappa must be positive, got -1.0",
+     1, 10, {}),
+    ("n = 1; f1 = 5", InvalidKappaError,
+     "the map is constant (total degree 0); a positive homogeneity order requires "
+     "polynomial degree >= 1", 1, 13, {}),
+    (b"n = 1; f1 = x1", MapSyntaxError, "map definition must be a string", None, None, {}),
+]
+
+
+@pytest.mark.parametrize("text, cls, message, line, col, extra", REJECTIONS,
+                         ids=[f"{row[1].__name__}-{k}" for k, row in enumerate(REJECTIONS)])
+def test_every_rejection_keeps_its_class_message_and_position(text, cls, message, line,
+                                                               col, extra):
+    with pytest.raises(MapDefinitionError) as exc:
+        parse_map(text)
+    err = exc.value
+    where = f"line {line}, col {col}: " if line is not None else ""
+    assert type(err) is cls
+    assert str(err) == where + message
+    assert (err.line, err.col) == (line, col)
+    assert {key: getattr(err, key) for key in extra} == extra
+
+
+def test_every_map_file_example_in_the_readme_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    examples = [b for b in blocks if re.match(r"\s*(kappa|n)\s*=", b)]
+    assert examples
+    for text in examples:
+        parse_map(text)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from hominv import MapDefinitionError, parse_map
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "report_gate.py"
 _spec = importlib.util.spec_from_file_location("report_gate", _PATH)
 report_gate = importlib.util.module_from_spec(_spec)
@@ -80,3 +82,22 @@ def test_a_field_that_differs_in_many_inversions_is_listed_once_with_its_count()
     assert report_gate.summarize(broken) == ["inversions[*].steps ×3", "inversions[1].bracket[1]"]
     assert report_gate.summarize(["exit code 0 -> 1", "roundtrip.ok"]) == [
         "exit code 0 -> 1", "roundtrip.ok"]
+
+
+def test_each_rejection_text_has_its_own_message():
+    messages = set()
+    for text in report_gate.REJECTIONS:
+        with pytest.raises(MapDefinitionError) as exc:
+            parse_map(text)
+        messages.add(str(exc.value).split(": ", 1)[1])
+    assert len(messages) == len(report_gate.REJECTIONS)
+
+
+def test_rejection_pairs_compare_exit_code_and_stderr(capsys):
+    root = _PATH.parents[1]
+    counts = report_gate.check_rejections(root, root, report_gate.REJECTIONS[:2])
+    assert counts == {"identical": 2, "MISMATCH": 0}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("identical: hominv: map definition error: line 1, col 16: "
+                             "unexpected character '#'")
+    assert lines[-1] == "2 rejection pairs: 2 identical, 0 mismatched"

@@ -29,8 +29,14 @@ Each pair prints one line, naming the map, the command and its arguments:
 ``timing`` and the summaries on standard error match, ``within rules``
 with the fields that moved, or ``MISMATCH`` with the fields that broke a
 rule.  A field that differs in more than one of a report's inversions is
-listed once with its count, as ``inversions[*].steps ×30``.  The exit code
-is 1 when any pair mismatched, else 0.
+listed once with its count, as ``inversions[*].steps ×30``.
+
+Then ``hominv check`` runs in both checkouts on each text of
+``REJECTIONS``, one malformed map per rejection message of ``parse_map``,
+written to a temporary directory.  Such a pair is ``identical`` when the
+exit codes and the whole of standard error match, else ``MISMATCH``; its
+line shows the new checkout's message.  The exit code is 1 when any pair,
+of either kind, mismatched, else 0.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 #: (name, arguments); ``{target}`` is 1,-2,0.5,0.25 cut to the map's dimension
@@ -58,6 +65,36 @@ TARGET = (1.0, -2.0, 0.5, 0.25)
 SKIPPED = {"radial_cube3": {"argmin_f", "argmin_det"}, "axis_cube3": {"argmin_f"}}
 XI_REL = 1e-12
 RESIDUAL_ABS = 1e-14
+#: one malformed map text per rejection message of ``parse_map``
+REJECTIONS = (
+    "n = 2; f1 = x1 # x2; f2 = x2",
+    "kappa 2; n = 1; f1 = x1",
+    "kappa = 2 n = 1; f1 = x1",
+    "kappa = x1; n = 1; f1 = x1",
+    "f1 = x1",
+    "n = ; f1 = x1",
+    "n = 2.5; f1 = x1",
+    "n = 0; f1 = x1",
+    "n = 1001; f1 = x1",
+    "n = 1 f1 = x1",
+    "n = 2; f2 = x1; f1 = x2",
+    "n = 1; f1 = x1 + ;",
+    "n = 1; f1 = 2/ x1",
+    "kappa = 5/0; n = 1; f1 = x1",
+    "n = 1; f1 = 1e300/1e-300 x1",
+    "n = 1; f1 = 2 * 3",
+    "n = 1; f1 = y1",
+    "n = 2; f1 = x1; f2 = x3",
+    "n = 1; f1 = x1^",
+    "n = 1; f1 = x1^1.5",
+    "n = 1; f1 = x1^1001",
+    "n = 1; f1 = x1^1000 x1",
+    "n = 2; f1 = x1;",
+    "n = 2;\nf1 = x1 + x2^2; f2 = x2",
+    "kappa = -1; n = 1; f1 = x1",
+    "n = 1; f1 = 5",
+    "n = 2; f1 = 1.7976931348623157e308 x1 + 1.7976931348623157e308 x1; f2 = x2",
+)
 
 
 def run(root: Path, command: str, args: list[str], mapfile: Path):
@@ -136,6 +173,27 @@ def _floats(a, b) -> bool:
     return isinstance(a, float) and isinstance(b, float)
 
 
+def check_rejections(old_root: Path, new_root: Path, texts=REJECTIONS) -> dict:
+    """Run ``hominv check`` on each of ``texts`` in both checkouts, print
+    one line per pair, and return the count of each verdict."""
+    counts = {"identical": 0, "MISMATCH": 0}
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, text in enumerate(texts):
+            mapfile = Path(tmp) / f"rejection{k:02d}.map"
+            mapfile.write_text(text)
+            code_a, _, err_a = run(old_root, "check", [], mapfile)
+            code_b, _, err_b = run(new_root, "check", [], mapfile)
+            broken = [f"exit code {code_a} -> {code_b}"] if code_a != code_b else []
+            broken += ["stderr"] if err_a != err_b else []
+            verdict = "MISMATCH" if broken else "identical"
+            counts[verdict] += 1
+            detail = ", ".join(broken) if broken else err_b.strip()
+            print(f"{mapfile.stem:18s} check     exit {code_b}  {verdict}: {detail}")
+    print(f"{len(texts)} rejection pairs: {counts['identical']} identical, "
+          f"{counts['MISMATCH']} mismatched")
+    return counts
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -170,7 +228,8 @@ def main(argv=None) -> int:
     total = sum(counts.values())
     print(f"{total} command pairs: {counts['identical']} identical apart from timing, "
           f"{counts['within rules']} within rules, {counts['MISMATCH']} mismatched")
-    return 1 if counts["MISMATCH"] else 0
+    rejected = check_rejections(old_root, new_root)
+    return 1 if counts["MISMATCH"] or rejected["MISMATCH"] else 0
 
 
 if __name__ == "__main__":
