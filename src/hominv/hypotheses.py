@@ -383,7 +383,8 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
         Root seed; the whole report is a deterministic function of
         ``(m, count, seed)``.
 
-    Checks performed: finite image values, positive minimum of ``|f|`` on the
+    Checks performed: finite image values, and finite ``c0``, ``C``,
+    ``min|det Df|`` and homogeneity residual; positive minimum of ``|f|`` on the
     sphere (rejects the zero map), sampled homogeneity residual against
     ``HOMOGENEITY_TOL``, and nonvanishing Jacobian determinant against
     ``DET_TOL``; plus the dimension gate ``n >= 3``, reported separately.
@@ -419,7 +420,9 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
         )
 
     reasons = []
-    if not finite_ok:
+    # a value that is not finite compares as no verdict: nan > tol is false
+    values = (ext.c0, ext.c_max, jac.min_abs_det, resid)
+    if not (finite_ok and all(math.isfinite(v) for v in values)):
         reasons.append("non-finite-values")
     if ext.c0 <= 0.0:
         reasons.append("vanishes-on-sphere")

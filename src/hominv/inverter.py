@@ -16,11 +16,12 @@ batch of targets at once (:func:`invert` is a batch of one):
 4. track every target's path in lock-step, each with its own ``t`` and
    step size: an Euler predictor ``dxi = Df^{-1} dgamma``, then one Newton
    correction (at most ``_MAX_NEWTON`` iterations) of all live paths.  The
-   first step is ``_INITIAL_STEP``.  An accepted correction of at most 3
-   Newton iterations doubles the step, a failed one halves it, and no step
-   runs past ``t = 1``; one that would stop within 1e-12 of it ends on it.
-   Bijectivity makes any point the corrector converges to the one lift, so
-   a long step may fail but cannot land on a wrong preimage.  A path whose
+   first step, ``_INITIAL_STEP``, is the whole path.  A failed correction
+   halves the step, an accepted one of at most 3 Newton iterations doubles
+   it, and no step runs past ``t = 1``; one that would stop within 1e-12
+   of it ends on it.  Bijectivity makes any point the corrector converges
+   to the one lift, so a long step may fail but cannot land on a wrong
+   preimage, and a path is typically tracked in one step.  A path whose
    step falls below ``_MIN_STEP`` stops.  Round ``a`` tracks each target
    still unsolved from its ``a``-th seed;
 5. polish: up to two more Newton steps, each kept only when it strictly
@@ -52,9 +53,10 @@ _ANTIPODAL_TOL = 1e-8
 _DIVERGE_NORM = 1e12
 # the most (target, sample row) scores computed at once
 _SCORE_CELLS = 2**16
-# the step policy of steps 2 and 4, read at call time: first step in t,
-# smallest step, corrector iterations per step, candidate seeds per target
-_INITIAL_STEP = 0.1
+# the step policy of steps 2 and 4, read at call time: first step in t (the
+# whole path), smallest step, corrector iterations per step, candidate seeds
+# per target
+_INITIAL_STEP = 1.0
 _MIN_STEP = 1e-8
 _MAX_NEWTON = 20
 _SEED_ATTEMPTS = 16
@@ -144,7 +146,8 @@ def _path_points(p: _Paths, t: np.ndarray) -> np.ndarray:
 def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, tol: float, trace: bool):
     """Track ``f(xi(t)) = gamma(t)`` from ``xi(0) = xi0[i]`` to ``t = 1`` on
     every path at once, each with its own ``t`` and step size, by the step
-    policy of step 4 in the module docstring.
+    policy of step 4 in the module docstring: the first step tries the whole
+    path, and only a path whose correction fails there takes more.
     Returns ``(xi, t, steps, newton, why, waypoints)`` per path; ``why`` is
     ``""`` at ``t = 1``, ``"antipodal"`` for a blocked path, the
     :class:`SingularJacobianError` of a singular Jacobian on the path, or the
@@ -283,7 +286,8 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, tol: float, report: HypothesisRe
             errors[j] = ContinuationFailedError(message, last_t, last_xi, seen + ((s, reason),))
     for result, err in zip(results, errors):
         if result is None:
-            raise err or ContinuationFailedError("no usable seed: every sample image was zero")
+            raise err or ContinuationFailedError(
+                "no usable seed: every sample image was zero or had no finite norm")
     out = iter(results)
     return [next(out) if mag else _origin(m.n, trace) for mag in norms]
 
@@ -327,7 +331,9 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, report: HypothesisReport | 
     ``tau**(1/kappa) * invert(eta)`` over the given ``tau`` values.
 
     For an exact inverse this is zero because the inverse of an order-``kappa``
-    homogeneous bijection is homogeneous of order ``1/kappa``.
+    homogeneous bijection is homogeneous of order ``1/kappa``.  Each target
+    is inverted alone, as by :func:`invert`, so the value is exactly that
+    definition.
     """
     _check_tol(tol)
     (e,), (mag,) = _target_rows(m.n, eta, ndim=1)
@@ -337,7 +343,9 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, report: HypothesisReport | 
     taus = _taus(taus)
     # tau * e may overflow
     etas, norms = _target_rows(m.n, np.array([e] + [tau * e for tau in taus]))
-    base, *scaled = _invert_batch(m, etas, tol, report, norms=norms)
+    # a batch would round its rows otherwise
+    base, *scaled = (_invert_batch(m, etas[i:i + 1], tol, report, norms=norms[i:i + 1])[0]
+                     for i in range(len(etas)))
     base_norm = math.hypot(*base.xi)
     return max((math.hypot(*(res.xi - tau ** (1.0 / m.kappa) * base.xi))
                 / (tau ** (1.0 / m.kappa) * base_norm) for tau, res in zip(taus, scaled)),

@@ -107,7 +107,8 @@ class PolyMap:
         canonicalized on construction: duplicate exponent tuples are merged,
         exact-zero coefficients dropped, and monomials sorted in descending
         graded-lexicographic order.  A coefficient, given or merged, that is
-        not finite raises ``InvalidParameterError``.
+        not finite, or whose product with an exponent (a Jacobian coefficient)
+        overflows, raises ``InvalidParameterError``.
 
     Notes
     -----
@@ -157,12 +158,16 @@ class PolyMap:
                         f"the total degree of a term must be at most {_MAX_DEGREE}"
                     )
                 acc[e] = acc.get(e, 0.0) + float(coeff)
-            for e, c in acc.items():  # a sum is finite only if its terms are
-                if not math.isfinite(c):
-                    err = InvalidParameterError(f"the coefficient of the monomial {e} in "
-                                                f"component {len(canon) + 1} is not finite: {c!r}")
-                    err._monomial = (len(canon), e)  # where parse_map points
-                    raise err
+            # a sum is finite only if its terms are, and the Jacobian's
+            # coefficients c * e[j] are when the largest of them is
+            for e, c in acc.items():
+                for what, v in (("coefficient", c), ("Jacobian coefficient", c * max(e))):
+                    if not math.isfinite(v):
+                        err = InvalidParameterError(f"the {what} of the monomial {e} in "
+                                                    f"component {len(canon) + 1} is not "
+                                                    f"finite: {v!r}")
+                        err._monomial = (len(canon), e, what)  # where parse_map points
+                        raise err
             terms = tuple(
                 (c, e)
                 for e, c in sorted(

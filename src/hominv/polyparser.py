@@ -20,7 +20,8 @@ character is an error at its position.  Columns count from the last newline.
 A leading sign on the first term and a single trailing semicolon are accepted
 so that every canonical rendering reparses to itself.  Coefficients are stored
 as floats and must be finite: a number is checked where it stands, and the
-merged coefficient of a monomial that repeats in a component is checked by
+merged coefficient of a monomial that repeats in a component, and each
+coefficient of the Jacobian (``c * e[j]``, which can overflow), are checked by
 ``PolyMap``, the error pointing at the monomial's first occurrence.
 
 The canonical form produced by :func:`format_map` lists monomials per
@@ -250,9 +251,10 @@ def _build(
             first.setdefault((i, e), pos)
     try:
         poly = PolyMap(n, [[(c, e) for c, e, _ in raw] for raw in raw_components])
-    except InvalidParameterError as err:  # the one left: a merged sum that is not finite
-        i, e = err._monomial
-        raise MapSyntaxError(f"the merged coefficient of {_mono_text(e)} in component "
+    except InvalidParameterError as err:  # the one left: a coefficient that is not finite
+        i, e, what = err._monomial
+        what = "merged coefficient" if what == "coefficient" else what
+        raise MapSyntaxError(f"the {what} of {_mono_text(e)} in component "
                              f"f{i + 1} is not a finite real", *first[i, e]) from None
     verdict = check_homogeneity_symbolic(poly)
     if verdict.offending:
@@ -282,7 +284,7 @@ def parse_map(text: str) -> MapSpec:
 
     * :class:`~hominv.errors.MapSyntaxError` -- the text does not match the
       grammar (also used for unknown/out-of-range variables and for a
-      coefficient, given or merged, that is not finite);
+      coefficient, given, merged or of the Jacobian, that is not finite);
     * :class:`~hominv.errors.MixedDegreeError` -- a monomial breaks the
       uniform total degree, named in the message;
     * :class:`~hominv.errors.DimensionMismatchError` -- component count

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hominv
@@ -186,6 +187,22 @@ def test_roundtrip_over_limit_exits_three(mapfile):
     rc = main(["roundtrip", mapfile("rc.map", RADIAL_CUBE), "--count", "2",
                "--samples", "1000", "--max-residual", "1e-30"])
     assert rc == 3
+
+
+def test_check_on_a_map_whose_jacobian_overflows_exits_one(mapfile, capsys):
+    # it used to report "hypotheses-met-but-n<3" with c0 = C = inf and exit 0
+    rc = main(["check", mapfile("big.map", "n = 1; f1 = 1e308 x1^2")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("hominv: map definition error: line 1, col 13: the "
+                                       "Jacobian coefficient of x1^2 in component f1 is not "
+                                       "a finite real\n")
+
+
+def test_check_with_values_that_are_not_finite_exits_two(mapfile, capsys):
+    path = mapfile("big.map", "n = 3; f1 = 1e200 x1^3 + x2^3; f2 = x2^3; f3 = x3^3")
+    with np.errstate(all="ignore"):
+        assert main(["check", path, "--samples", "500"]) == 2
+    assert "violated: non-finite-values" in capsys.readouterr().out
 
 
 def test_parse_error_exits_one(mapfile, capsys):

@@ -10,6 +10,7 @@ from hominv import (
     NoBracketError,
     PolyMap,
     MapSpec,
+    PreconditionError,
     acceptance_maps,
     axis_cube_map,
     blackbox_of,
@@ -22,6 +23,8 @@ from hominv import (
     eval_map,
     homogeneity_residual,
     identity_map,
+    invert,
+    parse_map,
     perturbed_radial_blackbox,
     radial_cube_map,
     radial_linear_map,
@@ -208,6 +211,27 @@ def test_check_hypotheses_flags_inhomogeneous_blackbox():
     rep = check_hypotheses(perturbed_radial_blackbox(), count=500, seed=0)
     assert rep.status == "fail"
     assert "homogeneity-residual" in rep.reasons
+
+
+def _scaled_radial_cube(scale):
+    return MapSpec(PolyMap(3, [[(scale * c, e) for c, e in terms]
+                               for terms in radial_cube_map(3).body.components]))
+
+
+@pytest.mark.parametrize("m", [
+    # |f| overflows off the plane x1 = 0: c0 = C = inf, and the residual is nan
+    parse_map("n = 3; f1 = 1e200 x1^3 + x2^3; f2 = x2^3; f3 = x3^3"),
+    # finite, moderate |f| with a determinant of 3e360 on the sphere
+    _scaled_radial_cube(1e120),
+], ids=["norms-overflow", "det-overflows"])
+def test_a_report_with_values_that_are_not_finite_fails(m):
+    # the images are finite, but a value that is not finite is no verdict:
+    # nan > HOMOGENEITY_TOL is false and inf > DET_TOL is true
+    with np.errstate(all="ignore"):
+        rep = check_hypotheses(m, count=500, seed=0)
+    assert (rep.status, rep.overall, rep.reasons) == ("fail", "fail", ("non-finite-values",))
+    with pytest.raises(PreconditionError, match="non-finite-values"):
+        invert(m, np.array([1.0, 2.0, 3.0]), report=rep)
 
 
 @pytest.mark.parametrize("with_jacobian", [False, True])

@@ -37,6 +37,7 @@ from hominv import (
     radial_cube_map,
     radial_linear_map,
     random_admissible_map,
+    reflection_map,
     roundtrip_check,
 )
 from hominv import inverter
@@ -428,6 +429,39 @@ def test_invert_steps_grow_to_the_end_of_the_path(name):
         assert all(b - a >= 1e-12 for a, b in zip(ts, ts[1:]))
 
 
+_ONE_STEP_MAPS = {**{name: (lambda name=name: acceptance_maps()[name]) for name in _ACCEPTANCE},
+                  "reflection3": lambda: reflection_map(3),
+                  "complex_square": complex_square_map, "axis_cube3": lambda: axis_cube_map(3)}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_STEP_MAPS))
+def test_invert_tracks_each_path_in_one_step(name):
+    # the first step spans the whole path, and bijectivity (or, on the
+    # forced maps, a well-aligned seed) lets its correction converge
+    m = _ONE_STEP_MAPS[name]()
+    rep = report_for(name, _ONE_STEP_MAPS[name])
+    rng = np.random.default_rng(17)
+    for mag in np.logspace(-3.0, 3.0, 13):
+        d = rng.standard_normal(m.n)
+        res = invert(m, mag * d / np.linalg.norm(d), report=rep, force=True, trace=True)
+        assert res.steps == 1
+        assert [t for t, _, _ in res.path_waypoints] == [0.0, 1.0]
+
+
+def test_a_rejected_whole_path_step_halves_and_reaches_the_same_preimage():
+    # one corrector iteration is too few for the whole path on radial_cube3,
+    # so the first step is rejected and halved until its correction converges
+    m = radial_cube_map(3)
+    rep = report_for("radial_cube", lambda: radial_cube_map(3))
+    eta = np.array([0.7, -2.0, 1.3])
+    want = invert(m, eta, report=rep)
+    with mock.patch.object(inverter, "_MAX_NEWTON", 1):
+        res = invert(m, eta, report=rep, trace=True)
+    first = res.path_waypoints[1][0]
+    assert res.steps > 1 and first < 1.0 and math.frexp(first)[0] == 0.5
+    assert math.hypot(*(res.xi - want.xi)) <= 1e-12 * math.hypot(*want.xi)
+
+
 def _step_map(key):
     return acceptance_maps()[key] if isinstance(key, str) else random_admissible_map(*key)
 
@@ -483,6 +517,21 @@ def test_inverse_homogeneity_check_rejects_a_scaled_target_that_overflows():
     rep = report_for("radial_cube", lambda: radial_cube_map(3))
     with pytest.raises(InvalidInputError), np.errstate(over="ignore"):
         inverse_homogeneity_check(m, np.array([1e300, 0.0, 0.0]), taus=[1e10], report=rep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["radial_cube", "random_admissible"]), st.floats(-3.0, 3.0),
+       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_inverse_homogeneity_check_is_its_definition(name, log_mag, log_taus, seed):
+    # every target is inverted alone, as invert does: a batch would round its
+    # rows otherwise
+    m, rep = _BATCH_MAPS[name](), report_for(name, _BATCH_MAPS[name])
+    d = np.random.default_rng(seed).standard_normal(m.n)
+    eta, taus = 10.0**log_mag * d / np.linalg.norm(d), [10.0**e for e in log_taus]
+    xi = invert(m, eta, report=rep).xi
+    want = max(math.hypot(*(invert(m, tau * eta, report=rep).xi - tau ** (1.0 / m.kappa) * xi))
+               / (tau ** (1.0 / m.kappa) * math.hypot(*xi)) for tau in taus)
+    assert inverse_homogeneity_check(m, eta, taus, report=rep) == want
 
 
 @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])

@@ -85,6 +85,15 @@ def test_polymap_rejects_a_coefficient_that_is_not_finite(terms):
         PolyMap(1, [terms])
 
 
+def test_polymap_rejects_a_jacobian_coefficient_that_overflows():
+    # d/dx1 of 1e308 x1^2 has the coefficient 2e308
+    with pytest.raises(InvalidParameterError, match="Jacobian coefficient .* not finite: inf"):
+        PolyMap(1, [[(1e308, (2,))]])
+    with pytest.raises(InvalidParameterError, match="Jacobian coefficient"):
+        PolyMap(2, [[(1.0, (0, 2))], [(-2e306, (1, 999))]])
+    assert PolyMap(1, [[(8e307, (2,))]])._D.tolist() == [[1.6e308]]
+
+
 def test_polymap_builds_at_the_degree_cap():
     assert PolyMap(1, [[(1.0, (1000,))]]).degree == 1000
     assert PolyMap(2, [[(1.0, (400, 600))], [(1.0, (0, 1000))]]).degree == 1000

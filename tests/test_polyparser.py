@@ -209,6 +209,18 @@ def test_merged_coefficients_must_be_finite():
     assert m.body.components == (((float(MAX_FLOAT), (1,)),),)
 
 
+def test_jacobian_coefficients_must_be_finite():
+    # 1e308 is finite, but the coefficient 2e308 of its derivative is not
+    for text, where in (("n = 1; f1 = 1e308 x1^2", "line 1, col 13"),
+                        ("n = 2;\nf1 = x2^2 + 1e308 x1^2 - x2^2; f2 = x2^2", "line 2, col 13")):
+        with pytest.raises(MapSyntaxError) as exc:
+            parse_map(text)
+        assert str(exc.value) == (f"{where}: the Jacobian coefficient of x1^2 in component f1 "
+                                  "is not a finite real")
+    assert parse_map(f"n = 1; f1 = {MAX_FLOAT} x1").body.components == (
+        ((float(MAX_FLOAT), (1,)),),)
+
+
 def test_fuzzed_inputs_never_crash():
     # mutate canonical strings; outcome must be a parse or a positioned error
     rng = random.Random(12345)

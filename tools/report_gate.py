@@ -5,11 +5,14 @@ Usage, from anywhere::
     python tools/report_gate.py OLD NEW
 
 ``OLD`` and ``NEW`` are the roots of two hominv checkouts.  For every map
-file in ``NEW/demos/maps`` the six command lines of ``COMMANDS`` run in
+file in ``NEW/demos/maps`` the seven command lines of ``COMMANDS`` run in
 both checkouts (``python -m hominv.cli`` with that checkout's ``src``
 first on the path, the report on standard output): ``check``, ``invert``,
 and ``roundtrip`` and ``degree`` both at the default ``--tol`` and at
 ``--tol 1e-12``, so that a tolerance lost on its way to a solver shows.
+One more ``roundtrip`` runs on a sample of 64 points: its seeds align
+poorly with the targets, so long continuation steps get rejected and the
+tracker's halving path is compared too.
 ``invert`` and ``degree`` take the target ``1,-2,0.5,0.25`` cut to the
 map's dimension, so the maps of dimension 2, 3 and 4 there are all
 covered; a map of dimension 5 or more would get too short a target and
@@ -58,6 +61,7 @@ COMMANDS = (
     ("degree", ["--target={target}", "--probe", "5", "--force"]),
     ("roundtrip", ["--count", "30", "--force", "--tol", "1e-12"]),
     ("degree", ["--target={target}", "--probe", "5", "--force", "--tol", "1e-12"]),
+    ("roundtrip", ["--count", "30", "--force", "--samples", "64"]),
 )
 TARGET = (1.0, -2.0, 0.5, 0.25)
 #: argmins that rounding decides: |f| (and on radial_cube3 det Df) is flat
@@ -94,6 +98,7 @@ REJECTIONS = (
     "kappa = -1; n = 1; f1 = x1",
     "n = 1; f1 = 5",
     "n = 2; f1 = 1.7976931348623157e308 x1 + 1.7976931348623157e308 x1; f2 = x2",
+    "n = 1; f1 = 1e308 x1^2",
 )
 
 
