@@ -175,6 +175,8 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
     human: list[str] = []
     code = 0
 
+    if ns.samples is not None and ns.samples < 1:
+        raise InvalidParameterError("--samples must be >= 1")
     hyp = check_hypotheses(m, count=ns.samples, seed=ns.seed)
     report["hypothesis"] = hyp.to_json_dict()
     if hyp.status == _STATUS_WARN:

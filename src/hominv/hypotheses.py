@@ -22,7 +22,9 @@ gradient, not certified bounds.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +80,8 @@ _REFINE_STEP_TOL = 1e-10
 
 #: report status when every analytic check passed but ``n < 3``
 _STATUS_WARN = "hypotheses-met-but-n<3"
+
+_UnitImages = namedtuple("_UnitImages", "directions unusable usable")
 
 
 @dataclass(frozen=True)
@@ -283,8 +287,9 @@ class HypothesisReport:
     The originating sphere sample, the image values and their row norms
     ``image_norms`` are attached (not serialized) so that downstream
     consumers can reuse them: :func:`~hominv.inverter.invert` scores every
-    sample row's alignment with its target from ``images`` and
-    ``image_norms`` without normalizing the images again.  So is the
+    sample row's alignment with its target against the unit image
+    directions that the report derives from ``images`` and ``image_norms``
+    on first use and then keeps (``_unit_images``).  So is the
     ``fingerprint`` of the map the report was computed for: ``(n, kappa,
     terms)`` for polynomial bodies and ``(n, kappa, body)`` for black boxes,
     whose body is compared by identity (see :meth:`matches`).
@@ -320,6 +325,22 @@ class HypothesisReport:
         if isinstance(m.body, PolyMap):
             return key == m.body.components
         return key is m.body
+
+    @cached_property
+    def _unit_images(self) -> _UnitImages:
+        """The sample's unit image directions ``images / image_norms`` as a
+        read-only C-contiguous ``(n, N)`` array, zero on the ``unusable``
+        rows (an index list: zero or non-finite norm), and the ``usable``
+        mask.  Built on first use from this report's own fields, so a report
+        made by ``dataclasses.replace`` builds its own."""
+        norms = self.image_norms
+        usable = np.isfinite(norms) & (norms > 0.0)
+        unusable = np.flatnonzero(~usable)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            directions = np.ascontiguousarray((self.images / norms[:, None]).T)
+        directions[:, unusable] = 0.0
+        directions.flags.writeable = False
+        return _UnitImages(directions, unusable, usable)
 
     def to_json_dict(self) -> dict:
         return {

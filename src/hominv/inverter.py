@@ -7,9 +7,13 @@ bijectivity makes every path lift unique.  The inverter exploits this on a
 batch of targets at once (:func:`invert` is a batch of one):
 
 1. reduce each target to the unit sphere, ``omega = eta / |eta|``;
-2. take as candidate seeds ``xi0`` the ``_SEED_ATTEMPTS`` sample rows whose
-   images align best with ``omega`` (score ``(f(w_i) . omega) / |f(w_i)|``
-   from the images and norms cached on the report; ties in sample order);
+2. score every sample row ``w_i`` by how well its image aligns with
+   ``omega``, ``omega . f(w_i) / |f(w_i)|``: one product of ``omega`` with
+   the unit image directions the report caches.  A candidate seed ``xi0``
+   is a row of highest score (ties in sample order): round 0 takes the best
+   one, and only a target still unsolved after it ranks its next
+   ``_SEED_ATTEMPTS - 1``; a row whose image is zero or not finite is never
+   a seed;
 3. join ``eta0 = f(xi0)`` to ``omega`` by a path that interpolates the
    magnitude geometrically and the direction along the great circle, so it
    never crosses the origin;
@@ -51,8 +55,6 @@ __all__ = ["InversionResult", "invert", "inverse_homogeneity_check", "roundtrip_
 _ANTIPODAL_TOL = 1e-8
 # the corrector gives up on a row that leaves this ball
 _DIVERGE_NORM = 1e12
-# the most (target, sample row) scores computed at once
-_SCORE_CELLS = 2**16
 # the step policy of steps 2 and 4, read at call time: first step in t (the
 # whole path), smallest step, corrector iterations per step, candidate seeds
 # per target
@@ -162,6 +164,11 @@ def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, tol: float, trace: bool):
 
     def stop(rows, reasons):
         nonlocal live, x, t, g, step, ns, nt, p
+        if np.count_nonzero(rows) == rows.size:
+            # every path stops: nothing is left to compress
+            X[live], T[live], why[live], steps[live], newton[live] = x, t, reasons, ns, nt
+            live = live[:0]
+            return
         out = live[rows]
         X[out], T[out], why[out] = x[rows], t[rows], reasons
         steps[out], newton[out], keep = ns[rows], nt[rows], ~rows
@@ -220,22 +227,15 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
 
 
-def _seeds(report: HypothesisReport, omega: np.ndarray, k: int):
-    """Each unit target's ``k`` candidate seeds (step 2), best first, and
-    whether each is usable; targets are scored ``_SCORE_CELLS`` cells at a time."""
-    images, norms = report.images, report.image_norms
-    usable = np.isfinite(norms) & (norms > 0.0)
-    # an index list, not a mask: usually empty, and then nearly free to apply
-    unusable, block = np.flatnonzero(~usable), max(1, _SCORE_CELLS // len(norms))
-    seeds = np.empty((len(omega), min(k, len(norms))), dtype=np.intp)
-    for lo in range(0, len(omega), block):
-        # one matrix-vector product per target: the bits of images @ omega
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = (images @ omega[lo:lo + block, :, None])[:, :, 0] / norms
-        scores[:, unusable] = -np.inf
-        for i, row in enumerate(scores):
-            seeds[lo + i] = _top_k(row, k)
-    return seeds, usable[seeds]
+def _scores(report: HypothesisReport, w: np.ndarray) -> np.ndarray:
+    """Every sample row's score against one unit target ``w`` (step 2): one
+    product with the report's unit image directions, ``-inf`` on the rows
+    that are never seeds.  One target at a time, so its seeds never depend
+    on its batch."""
+    directions, unusable, _ = report._unit_images
+    scores = w @ directions
+    scores[unusable] = -np.inf
+    return scores
 
 
 def _invert_batch(m: MapSpec, etas: np.ndarray, tol: float, report: HypothesisReport,
@@ -250,12 +250,19 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, tol: float, report: HypothesisRe
     E, mags = etas[nz], [norms[i] for i in nz]
     brackets = [_bracket(report, mag, m.kappa) for mag in mags]
     omega = E / np.array(mags).reshape(-1, 1)
-    seeds, usable = _seeds(report, omega, _SEED_ATTEMPTS)
+    usable = report._unit_images.usable
+    # each target's seeds in the order tried; past round 0, filled only for
+    # the targets that round leaves unsolved
+    seeds = np.zeros((len(nz), min(_SEED_ATTEMPTS, len(usable))), dtype=np.intp)
+    seeds[:, 0] = [np.argmax(_scores(report, w)) for w in omega]
     results, errors, unsolved = [None] * len(nz), [None] * len(nz), np.ones(len(nz), bool)
     for a in range(seeds.shape[1]):
         if not np.count_nonzero(unsolved):
             break
-        rows = np.flatnonzero(unsolved & usable[:, a])
+        if a == 1:
+            for j in np.flatnonzero(unsolved):
+                seeds[j] = _top_k(_scores(report, omega[j]), seeds.shape[1])
+        rows = np.flatnonzero(unsolved & usable[seeds[:, a]])
         k = seeds[rows, a]
         X, T, steps, newton, why, waypoints = _track(
             m, _paths(report.images[k], omega[rows]), report.sample.points[k], tol, trace)

@@ -164,6 +164,15 @@ def test_degree_negative_probe_is_a_usage_error(mapfile, capsys):
     assert "--probe must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_is_a_usage_error_named_by_its_flag(mapfile, capsys, samples):
+    # it used to exit 1 with "count must be >= 1", the library parameter's name
+    for command, extra in (("check", []), ("roundtrip", ["--count", "2"])):
+        rc = main([command, mapfile("rc.map", RADIAL_CUBE), *extra, "--samples", samples])
+        assert rc == 1
+        assert capsys.readouterr().err == "hominv: --samples must be >= 1\n"
+
+
 def test_degree_on_failing_map_requires_force(mapfile):
     rc = main(["degree", mapfile("ax.map", AXIS_CUBE), "--target", "1,1,1",
                "--samples", "1000"])

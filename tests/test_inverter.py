@@ -42,7 +42,7 @@ from hominv import (
 )
 from hominv import inverter
 from hominv.hypotheses import _target_rows
-from hominv.inverter import _invert_batch, _path_points, _paths, _top_k
+from hominv.inverter import _invert_batch, _path_points, _paths, _scores, _top_k
 from hominv.polyparser import parse_map
 
 _REPORTS = {}
@@ -657,3 +657,132 @@ def test_batch_raises_the_error_of_the_lowest_index_target(monkeypatch):
         for eta in etas[1:])]
     assert seeds[0] != seeds[1]
     assert [s for s, _ in exc.value.seed_failures] == seeds[0]
+
+
+# ------------------------------------------------------------- seed choice
+
+
+def tried_seeds(m, rep, etas):
+    """The sample rows that each target of the batch ``etas`` tries as seeds,
+    round by round, when every path fails: ``_track`` is replaced by one that
+    fails them all, and the sample points by their row indices, which only
+    ``_track`` reads."""
+    n_rows = len(rep.image_norms)
+    indexed = dataclasses.replace(rep, sample=dataclasses.replace(
+        rep.sample, points=np.repeat(np.arange(n_rows, dtype=float)[:, None], m.n, axis=1)))
+    rounds = []
+
+    def fail(m, p, xi0, tol, trace):
+        rounds.append(xi0[:, 0].astype(int))
+        P = len(xi0)
+        return (xi0, np.zeros(P), np.zeros(P, int), np.zeros(P, int),
+                np.full(P, "no-convergence", dtype=object), None)
+
+    with mock.patch.object(inverter, "_track", fail), pytest.raises(ContinuationFailedError):
+        _invert_batch(m, etas, 1e-10, indexed, norms=_target_rows(m.n, etas)[1])
+    return rounds
+
+
+def reference_seeds(rep, omega, k):
+    """Each unit target's ``k`` seeds by the scoring the cached unit image
+    directions replaced: ``(images @ omega) / image_norms``, ``2**16``
+    (target, row) cells at a time, ranked by ``_top_k``."""
+    images, norms = rep.images, rep.image_norms
+    usable = np.isfinite(norms) & (norms > 0.0)
+    block, seeds = max(1, 2**16 // len(norms)), []
+    for lo in range(0, len(omega), block):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = (images @ omega[lo:lo + block, :, None])[:, :, 0] / norms
+        scores[:, ~usable] = -np.inf
+        seeds += [_top_k(row, k) for row in scores]
+    return np.array(seeds)
+
+
+def _unit(eta):
+    return eta / math.hypot(*eta)
+
+
+@given(st.sampled_from(sorted(_BATCH_MAPS)), st.integers(0, 2**32 - 1), st.booleans(),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_best_seed_first_then_the_rest_in_score_order(name, seed, duplicated, aligned):
+    m, rep = _BATCH_MAPS[name](), report_for(name, _BATCH_MAPS[name])
+    rng = np.random.default_rng(seed)
+    if duplicated:
+        # every odd row's image repeats the row before it: ties in sample order
+        images = rep.images.copy()
+        images[1::2] = images[:-1:2][:len(images[1::2])]
+        rep = dataclasses.replace(rep, images=images,
+                                  image_norms=np.linalg.norm(images, axis=1))
+    # a target along a sample image makes the best score itself a tie
+    eta = (rep.images[rng.integers(len(rep.images))] if aligned
+           else rng.standard_normal(m.n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    scores = _scores(rep, _unit(eta))
+    order = np.argsort(-scores, kind="stable")
+    (best,), *rest = tried_seeds(m, rep, eta[None, :])
+    assert best == order[0] == np.argmax(scores)
+    assert [best, *np.concatenate(rest)] == list(order[:inverter._SEED_ATTEMPTS])
+    if duplicated and aligned:
+        assert scores[best] == scores[best + 1] and best % 2 == 0
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 24))
+@settings(max_examples=40, deadline=None)
+def test_rows_whose_image_norm_is_zero_or_not_finite_are_never_tried(seed, count):
+    m = radial_cube_map(3)
+    rep = check_hypotheses(m, count=count, seed=seed % 7)
+    rng = np.random.default_rng(seed)
+    eta = rng.standard_normal(3)
+    # spoil a random subset of rows, the best-scoring ones most likely
+    spoiled = rng.random(count) < 0.3 + 0.6 * (_scores(rep, _unit(eta)) > 0.5)
+    images = rep.images.copy()
+    images[spoiled] = rng.choice([0.0, np.inf, np.nan], size=(np.count_nonzero(spoiled), 1))
+    bad = dataclasses.replace(rep, images=images, image_norms=np.linalg.norm(images, axis=1))
+    usable = ~spoiled
+    assert np.array_equal(bad._unit_images.usable, usable)
+    assert np.array_equal(bad._unit_images.unusable, np.flatnonzero(spoiled))
+    assert np.all(bad._unit_images.directions[:, spoiled] == 0.0)
+    tried = np.concatenate(tried_seeds(m, bad, eta[None, :]))
+    assert not spoiled[tried].any()
+    scores = np.where(usable, _scores(rep, _unit(eta)), -np.inf)
+    order = np.argsort(-scores, kind="stable")[:inverter._SEED_ATTEMPTS]
+    assert list(tried) == [i for i in order if usable[i]]
+
+
+@given(st.sampled_from(sorted(_BATCH_MAPS)), st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_a_target_gets_the_same_seeds_alone_as_in_a_batch(name, seed):
+    m, rep = _BATCH_MAPS[name](), report_for(name, _BATCH_MAPS[name])
+    rng = np.random.default_rng(seed)
+    etas = rng.standard_normal((50, m.n)) * 10.0 ** rng.uniform(-3.0, 3.0, (50, 1))
+    batch = np.array(tried_seeds(m, rep, etas)).T
+    for eta, seeds in zip(etas, batch):
+        assert list(np.concatenate(tried_seeds(m, rep, eta[None, :]))) == list(seeds)
+
+
+def test_the_unit_image_directions_are_cached_read_only_and_follow_the_images():
+    m = random_admissible_map(n=4, seed=7, kappa=3.5)
+    rep = report_for("random_admissible", lambda: m)
+    directions = rep._unit_images.directions
+    assert rep._unit_images is rep._unit_images
+    assert directions.shape == (4, rep.sample_count) and directions.flags.c_contiguous
+    assert np.array_equal(directions, (rep.images / rep.image_norms[:, None]).T)
+    with pytest.raises(ValueError, match="read-only"):
+        directions[0, 0] = 1.0
+    # a report made by dataclasses.replace derives its own from its images
+    flipped = dataclasses.replace(rep, images=-rep.images)
+    assert np.array_equal(flipped._unit_images.directions, -directions)
+    eta = np.array([0.3, 1.0, -0.8, 0.2])
+    (best,), *_ = tried_seeds(m, flipped, eta[None, :])
+    assert best == np.argmin(_scores(rep, _unit(eta)))
+
+
+def test_the_seeds_are_those_of_the_uncached_scoring():
+    maps = {**acceptance_maps(), "reflection3": reflection_map(3)}
+    for name, m in maps.items():
+        rep = check_hypotheses(m)
+        z = np.random.default_rng(2024).standard_normal((200, m.n))
+        etas = z * 10.0 ** np.linspace(-3.0, 3.0, 200)[:, None]
+        omega = etas / np.array(_target_rows(m.n, etas)[1])[:, None]
+        want = reference_seeds(rep, omega, inverter._SEED_ATTEMPTS)
+        assert np.array_equal(np.array(tried_seeds(m, rep, etas)).T, want), name

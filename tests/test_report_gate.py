@@ -101,3 +101,10 @@ def test_rejection_pairs_compare_exit_code_and_stderr(capsys):
     assert lines[0].endswith("identical: hominv: map definition error: line 1, col 16: "
                              "unexpected character '#'")
     assert lines[-1] == "2 rejection pairs: 2 identical, 0 mismatched"
+
+
+def test_the_target_repeats_to_the_map_dimension():
+    # cut to TARGET, a map of dimension 5 or more got too short a target
+    assert report_gate.target(2) == "1,-2"
+    assert report_gate.target(4) == "1,-2,0.5,0.25"
+    assert report_gate.target(6) == "1,-2,0.5,0.25,1,-2"

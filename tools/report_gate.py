@@ -13,11 +13,10 @@ and ``roundtrip`` and ``degree`` both at the default ``--tol`` and at
 One more ``roundtrip`` runs on a sample of 64 points: its seeds align
 poorly with the targets, so long continuation steps get rejected and the
 tracker's halving path is compared too.
-``invert`` and ``degree`` take the target ``1,-2,0.5,0.25`` cut to the
-map's dimension, so the maps of dimension 2, 3 and 4 there are all
-covered; a map of dimension 5 or more would get too short a target and
-exit 1 on both sides.  Each pair of runs is judged by the per-field rules of
-ROADMAP.md:
+``invert`` and ``degree`` take the target ``1,-2,0.5,0.25`` repeated
+cyclically to the map's dimension (cut to it below 4, ``1,-2,0.5,0.25,1``
+at 5), so a map of any dimension gets a target of its own length.  Each
+pair of runs is judged by the per-field rules of ROADMAP.md:
 
 * ``xi`` within 1e-12 relative, as ``|xi_new - xi_old| / |xi_old|``;
 * ``residual`` and ``relative_residual`` within ``1e-14 * max(1, |eta|)``,
@@ -53,7 +52,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-#: (name, arguments); ``{target}`` is 1,-2,0.5,0.25 cut to the map's dimension
+#: (name, arguments); ``{target}`` is ``target(n)`` for a map of dimension n
 COMMANDS = (
     ("check", []),
     ("invert", ["--target={target}", "--force"]),
@@ -100,6 +99,11 @@ REJECTIONS = (
     "n = 2; f1 = 1.7976931348623157e308 x1 + 1.7976931348623157e308 x1; f2 = x2",
     "n = 1; f1 = 1e308 x1^2",
 )
+
+
+def target(n: int) -> str:
+    """``TARGET`` repeated cyclically to length ``n``, as a CLI argument."""
+    return ",".join(f"{TARGET[i % len(TARGET)]:g}" for i in range(n))
 
 
 def run(root: Path, command: str, args: list[str], mapfile: Path):
@@ -209,9 +213,8 @@ def main(argv=None) -> int:
     counts = {"identical": 0, "within rules": 0, "MISMATCH": 0}
     for mapfile in maps:
         n = int(re.search(r"\bn\s*=\s*(\d+)", mapfile.read_text()).group(1))
-        target = ",".join(f"{v:g}" for v in TARGET[:n])
         for command, args in COMMANDS:
-            args = [a.format(target=target) for a in args]
+            args = [a.format(target=target(n)) for a in args]
             code_a, old, err_a = run(old_root, command, args, mapfile)
             code_b, new, err_b = run(new_root, command, args, mapfile)
             moved, broken = compare(old, new, mapfile.stem, command)
