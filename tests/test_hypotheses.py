@@ -1,7 +1,13 @@
 """Sphere sampling, extrema estimation, and the hypothesis verdicts."""
 
+import math
+from fractions import Fraction
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hominv import (
     BlackBox,
@@ -30,8 +36,10 @@ from hominv import (
     radial_linear_map,
     random_admissible_map,
     random_polymap_spec,
+    reflection_map,
     sample_sphere,
 )
+from hominv import hypotheses
 
 
 def zero_map(n=3):
@@ -176,6 +184,110 @@ def test_jacobian_check_axis_cube_fails():
     chk = check_jacobian_nonvanishing(axis_cube_map(3), s)
     assert chk.verdict == "fail"
     assert chk.min_abs_det < 1e-12
+
+
+def _exact_det_and_permanent(A):
+    det = perm = Fraction(0)
+    for p in permutations(range(len(A))):
+        prod = math.prod((Fraction(A[i][p[i]]) for i in range(len(A))), start=Fraction(1))
+        inversions = sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+        det += -prod if inversions % 2 else prod
+        perm += abs(prod)
+    return det, perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 50), st.floats(0.0, 0.4), st.integers(0, 2**32 - 1))
+@example(3, 50, 0.2, 0)
+@example(4, 50, 0.0, 1)
+def test_closed_form_det_is_within_the_summed_products_bound(n, count, zero_share, seed):
+    # entries of magnitude 1e-30 to 1e30 with zeros, zero rows and repeated
+    # rows: each determinant is within 16 eps perm(|J|) of the exact one,
+    # taken in rationals from the float entries (Higham, ASNA §3)
+    rng = np.random.default_rng(seed)
+    J = (rng.choice([-1.0, 1.0], (count, n, n)) * 10.0 ** rng.uniform(-30.0, 30.0, (count, n, n)))
+    J[rng.random((count, n, n)) < zero_share] = 0.0
+    for k, kind in enumerate(rng.integers(0, 3, count)):
+        i, j = rng.integers(0, n, 2)
+        if kind == 1:
+            J[k, i] = 0.0
+        elif kind == 2:
+            J[k, i] = J[k, j]
+    got = hypotheses._det(J)
+    assert got.shape == (count,)
+    for d, A in zip(got, J.tolist()):
+        exact, perm = _exact_det_and_permanent(A)
+        assert abs(Fraction(d) - exact) <= 16 * Fraction(np.finfo(float).eps) * perm
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_det_from_five_dimensions_on_is_lapacks(n):
+    J = np.random.default_rng(n).standard_normal((300, n, n)) * 10.0 ** np.arange(n)
+    assert np.array_equal(hypotheses._det(J), np.linalg.det(J))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_det_of_an_empty_stack_is_empty(n):
+    got = hypotheses._det(np.empty((0, n, n)))
+    assert got.shape == (0,) and got.dtype == float
+
+
+def test_a_closed_form_that_overflows_takes_lapacks_value():
+    # 1e160 * 1e160 overflows: the closed form of the first matrix is
+    # inf - inf = nan, where LAPACK gives about 1.56e304.  A nan row would
+    # win np.argmin and hide the second matrix's determinant of 1e-13.
+    J = np.array([[[1.0, 0.0, 0.0], [0.0, 1e160, 1e160], [0.0, 1e160, 1e160 * (1.0 + 2.0**-52)]],
+                  np.diag([1e-3, 1.0, 1e-10])])
+    dets = hypotheses._det(J)  # no RuntimeWarning: the suite makes them errors
+    assert dets[0] == np.linalg.det(J[:1])[0] and np.isfinite(dets[0])
+    sample = sample_sphere(3, 2, seed=0)
+    chk = check_jacobian_nonvanishing(identity_map(3), sample, _jacobians=J)
+    # the refinement starts at the second sample point, where the identity's
+    # determinant is 1 everywhere, so it stays there
+    assert np.allclose(chk.argmin, sample.points[1], rtol=0.0, atol=1e-15)
+    assert chk.min_abs_det == abs(dets[1]) == pytest.approx(1e-13, rel=1e-15)
+    assert chk.verdict == "fail"
+
+
+# The sample scan as it was before the closed forms, one LAPACK factorization
+# per row, kept as the reference the closed-form scan must match.  Only the
+# maps whose |det Df| is constant on the sphere, where rounding alone picks
+# the sampled argmin, may move: min |det Df| by at most 4 ulps there.
+_DET_SCAN_MAPS = {**acceptance_maps(), "reflection3": reflection_map(3),
+                  "axis_cube3": axis_cube_map(3), "complex_square": complex_square_map(),
+                  "random_admissible5": random_admissible_map(n=5, seed=5),
+                  "blackbox_radial_cube3": blackbox_of(radial_cube_map(3))}
+_CONSTANT_DET = {"complex_square", "radial_cube3", "radial_linear123", "blackbox_radial_cube3"}
+
+
+@pytest.mark.parametrize("name", sorted(_DET_SCAN_MAPS))
+def test_report_matches_the_lapack_det_scan(name, monkeypatch):
+    m = _DET_SCAN_MAPS[name]
+    count = 2000 if name.startswith("blackbox") else None
+    for seed in range(6):
+        got = check_hypotheses(m, count=count, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(hypotheses, "_det", np.linalg.det)
+            want = check_hypotheses(m, count=count, seed=seed)
+        assert (got.status, got.reasons) == (want.status, want.reasons)
+        got_json, want_json = got.to_json_dict(), want.to_json_dict()
+        if name in _CONSTANT_DET:
+            ulps = abs(int(np.float64(got_json.pop("min_abs_det_j")).view(np.int64))
+                       - int(np.float64(want_json.pop("min_abs_det_j")).view(np.int64)))
+            assert ulps <= 4
+            del got_json["argmin_det"], want_json["argmin_det"]
+        assert got_json == want_json
+
+
+def test_the_check_factorizes_no_stack_of_jacobians(monkeypatch):
+    # the sample scan is elementwise; LAPACK sees only the refinement's
+    # single matrices, one call each
+    shapes = []
+    lapack = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: shapes.append(np.shape(a)) or lapack(a))
+    for m in (random_admissible_map(n=4, seed=7, kappa=3.5), radial_cube_map(3)):
+        assert check_hypotheses(m).status == "pass"
+    assert shapes and all(len(s) == 2 or s[0] <= 1 for s in shapes)
 
 
 # ------------------------------------------------------------- aggregation

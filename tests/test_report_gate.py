@@ -57,14 +57,39 @@ def test_rounding_decided_argmins_are_left_out_where_the_map_is_flat():
                      "hypothesis.argmin_det": [1.0, 0.0, 0.0]})
     assert compare(_report(), new, "radial_cube3", "check") == (
         ["hypothesis.argmin_f", "hypothesis.argmin_det"], [])
+    # 0.0 and 1.0 are 0x3FF0000000000000 floats apart
     assert compare(_report(), new, "axis_cube3", "check") == (
-        ["hypothesis.argmin_f"], ["hypothesis.argmin_det[0]", "hypothesis.argmin_det[1]"])
+        ["hypothesis.argmin_f"], ["hypothesis.argmin_det[0] (4607182418800017408 ulp)",
+                                  "hypothesis.argmin_det[1] (4607182418800017408 ulp)"])
 
 
 def test_degree_reports_must_match_exactly():
-    new = _report(**{"inversions.0.xi": [1.0 + 2e-15, 2.0, 2.0]})
+    new = _report(**{"inversions.0.xi": [1.0 + 2e-15, 2.0, 2.0], "roundtrip.count": 2,
+                     "hypothesis.argmin_det": [0.0, 1.0, 1.5e-323]})
     assert compare(_report(), _report(), "identity3", "degree") == ([], [])
-    assert compare(_report(), new, "identity3", "degree") == ([], ["report"])
+    # no tolerance and no field left out, not even on radial_cube3
+    assert compare(_report(), new, "radial_cube3", "degree") == ([], [
+        "hypothesis.argmin_det[2] (3 ulp)", "inversions[0].xi[0] (9 ulp)", "roundtrip.count"])
+
+
+@pytest.mark.parametrize("path,value,shown", [
+    ("hypothesis.c0_empirical", 1.0000000000000004, "hypothesis.c0_empirical (2 ulp)"),
+    ("hypothesis.c0_empirical", 0.9999999999999999, "hypothesis.c0_empirical (1 ulp)"),
+    ("hypothesis.c0_empirical", float("inf"), "hypothesis.c0_empirical"),
+    ("hypothesis.c0_empirical", "1.0", "hypothesis.c0_empirical"),
+    # a tolerance that breaks is not the exact rule
+    ("inversions.0.residual", 7e-14, "inversions[0].residual"),
+])
+def test_a_float_that_breaks_the_exact_rule_shows_its_distance_in_ulps(path, value, shown):
+    assert compare(_report(), _report(**{path: value}), "identity3", "check") == ([], [shown])
+
+
+def test_ulps_counts_the_floats_between_two_values():
+    ulps = report_gate.ulps
+    assert ulps(1.0, 1.0) == ulps(0.0, -0.0) == 0
+    assert ulps(1.0, 1.0000000000000002) == ulps(-1.0, -1.0000000000000002) == 1
+    assert ulps(-5e-324, 5e-324) == 2 and ulps(5e-324, 0.0) == 1
+    assert ulps(2.0, 4.0) == 2**52
 
 
 def test_a_missing_report_breaks_the_rule():
@@ -76,10 +101,21 @@ def test_a_field_that_differs_in_many_inversions_is_listed_once_with_its_count()
     old = _report(**{"inversions.0.steps": 11})
     old["inversions"] = [dict(old["inversions"][0], eta=[3.0, 4.0, k]) for k in range(3)]
     new = {**old, "inversions": [dict(inv, steps=4) for inv in old["inversions"]]}
-    new["inversions"][1]["bracket"] = [0.5, 3.0]
+    new["inversions"][1]["bracket"] = [0.5, 2.0000000000000004]
     moved, broken = compare(old, new, "identity3", "invert")
     assert moved == [] and len(broken) == 4
-    assert report_gate.summarize(broken) == ["inversions[*].steps ×3", "inversions[1].bracket[1]"]
+    assert report_gate.summarize(broken) == ["inversions[*].steps ×3",
+                                             "inversions[1].bracket[1] (1 ulp)"]
+    new["inversions"][2]["bracket"] = [0.5000000000000003, 2.0]
+    _, broken = compare(old, new, "identity3", "invert")
+    assert report_gate.summarize(broken) == ["inversions[*].steps ×3",
+                                             "inversions[1].bracket[1] (1 ulp)",
+                                             "inversions[2].bracket[0] (3 ulp)"]
+    new["inversions"][0]["bracket"] = [0.5, 2.000000000000001]
+    _, broken = compare(old, new, "identity3", "invert")
+    assert report_gate.summarize(broken) == ["inversions[*].bracket[1] ×2 (max 2 ulp)",
+                                             "inversions[*].steps ×3",
+                                             "inversions[2].bracket[0] (3 ulp)"]
     assert report_gate.summarize(["exit code 0 -> 1", "roundtrip.ok"]) == [
         "exit code 0 -> 1", "roundtrip.ok"]
 

@@ -24,14 +24,17 @@ pair of runs is judged by the per-field rules of ROADMAP.md:
 * ``argmin_f`` and ``argmin_det`` left out on radial_cube3, and
   ``argmin_f`` on axis_cube3, where rounding alone picks the argmin;
 * every other field, the exit code, and the whole ``degree`` report
-  exactly.
+  exactly.  A float that breaks the exact rule is shown with the number of
+  floats between its two values, as ``hypothesis.min_abs_det_j (2 ulp)``,
+  and a ``degree`` report names each field that differs.
 
 Each pair prints one line, naming the map, the command and its arguments:
 ``identical`` when the reports are byte for byte the same apart from
 ``timing`` and the summaries on standard error match, ``within rules``
 with the fields that moved, or ``MISMATCH`` with the fields that broke a
 rule.  A field that differs in more than one of a report's inversions is
-listed once with its count, as ``inversions[*].steps ×30``.
+listed once with its count, as ``inversions[*].steps ×30``, and with the
+largest distance in ulps when it is a float.
 
 Then ``hominv check`` runs in both checkouts on each text of
 ``REJECTIONS``, one malformed map per rejection message of ``parse_map``,
@@ -47,6 +50,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -68,6 +72,8 @@ TARGET = (1.0, -2.0, 0.5, 0.25)
 SKIPPED = {"radial_cube3": {"argmin_f", "argmin_det"}, "axis_cube3": {"argmin_f"}}
 XI_REL = 1e-12
 RESIDUAL_ABS = 1e-14
+#: how ``compare`` notes a float's distance, as in ``c0_empirical (2 ulp)``
+_ULP_NOTE = re.compile(r" \((\d+) ulp\)$")
 #: one malformed map text per rejection message of ``parse_map``
 REJECTIONS = (
     "n = 2; f1 = x1 # x2; f2 = x2",
@@ -128,16 +134,18 @@ def _norm(v) -> float:
 def compare(old, new, map_name: str, command: str) -> tuple[list[str], list[str]]:
     """Fields of two reports (``timing`` removed) that differ, split into
     ``(moved within the rules, broke a rule)``; paths like
-    ``inversions[3].xi``."""
-    if command == "degree":
-        return ([], []) if old == new else ([], ["report"])
+    ``inversions[3].xi``.  A ``degree`` report is held exactly, field by
+    field.  A float that breaks the exact rule carries its distance in ulps,
+    as ``hypothesis.min_abs_det_j (2 ulp)``."""
+    exact = command == "degree"
     moved, broken = [], []
-    skipped = SKIPPED.get(map_name, set())
+    skipped = set() if exact else SKIPPED.get(map_name, set())
     inversions = (old or {}).get("inversions") or []
     eta_max = max([_norm(e["eta"]) for e in inversions], default=0.0)
 
     def walk(a, b, path: str, eta: float):
         key = path.rsplit(".", 1)[-1]
+        rule = "" if exact else key  # the key a tolerance is looked up by
         if key in skipped and path.startswith("hypothesis."):
             if a != b:
                 moved.append(path)
@@ -148,34 +156,53 @@ def compare(old, new, map_name: str, command: str) -> tuple[list[str], list[str]
             for k in a:
                 walk(a[k], b[k], f"{path}.{k}" if path else k, eta)
             return
-        if isinstance(a, list) and isinstance(b, list) and len(a) == len(b) and key != "xi":
+        if isinstance(a, list) and isinstance(b, list) and len(a) == len(b) and rule != "xi":
             for i, (x, y) in enumerate(zip(a, b)):
                 walk(x, y, f"{path}[{i}]", eta)
             return
         if a == b:
             return
-        if key == "xi" and isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        if rule == "xi" and isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
             ok = _norm([y - x for x, y in zip(a, b)]) <= XI_REL * _norm(a)
-        elif key in ("residual", "relative_residual") and _floats(a, b):
+        elif rule in ("residual", "relative_residual") and _floats(a, b):
             ok = abs(b - a) <= RESIDUAL_ABS * max(1.0, eta)
-        elif key == "max_relative_residual" and _floats(a, b):
+        elif rule == "max_relative_residual" and _floats(a, b):
             ok = abs(b - a) <= RESIDUAL_ABS * max(1.0, eta_max)
         else:
             ok = False
+            if _floats(a, b) and math.isfinite(a) and math.isfinite(b):
+                path = f"{path} ({ulps(a, b)} ulp)"
         (moved if ok else broken).append(path)
 
     walk(old, new, "", 0.0)
     return moved, broken
 
 
+def ulps(a: float, b: float) -> int:
+    """The number of floats from ``a`` to ``b`` (both finite); 0 and -0 are
+    one float."""
+    def rank(x: float) -> int:
+        bits = struct.unpack("<q", struct.pack("<d", x))[0]
+        return bits if bits >= 0 else -(1 << 63) - bits
+    return abs(rank(a) - rank(b))
+
+
 def summarize(paths: list[str]) -> list[str]:
     """``paths`` in order of first appearance, each field that differs in
-    more than one inversion collapsed into one entry with its count."""
+    more than one inversion collapsed into one entry with its count and,
+    for floats, the largest distance in ulps."""
     groups: dict[str, list[str]] = {}
     for path in paths:
-        groups.setdefault(re.sub(r"^inversions\[\d+\]", "inversions[*]", path), []).append(path)
-    return [f"{field} ×{len(group)}" if len(group) > 1 else group[0]
-            for field, group in groups.items()]
+        field = re.sub(r"^inversions\[\d+\]", "inversions[*]", _ULP_NOTE.sub("", path))
+        groups.setdefault(field, []).append(path)
+    out = []
+    for field, group in groups.items():
+        notes = [int(m.group(1)) for m in map(_ULP_NOTE.search, group) if m]
+        if len(group) == 1:
+            out.append(group[0])
+        else:
+            out.append(f"{field} ×{len(group)}" + (f" (max {max(notes)} ulp)" if notes else ""))
+    return out
 
 
 def _floats(a, b) -> bool:
