@@ -1,11 +1,11 @@
 """Command line front end: check, invert, degree, roundtrip.
 
 Every command loads a polynomial map definition file (grammar documented in
-:mod:`hominv.polyparser`), runs the hypothesis checks, and emits a JSON run
-report plus a short human summary.  With ``--json PATH`` the report goes to
-the file and the summary to stdout; with ``--json -`` the report goes to
-stdout and the summary to stderr; without ``--json`` only the summary is
-printed.
+:mod:`hominv.polyparser`), checks its arguments, runs the hypothesis checks,
+and emits a JSON run report plus a short human summary.  With ``--json
+PATH`` the report goes to the file and the summary to stdout; with ``--json
+-`` the report goes to stdout and the summary to stderr; without ``--json``
+only the summary is printed.
 
 Exit codes
 ----------
@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .degree import injectivity_probe, mapping_degree
+from .degree import _start_count, _unit_target, injectivity_probe, mapping_degree
 from .errors import (
     HominvError,
     InvalidInputError,
@@ -41,7 +41,7 @@ from .errors import (
     MapDefinitionError,
     PreconditionError,
 )
-from .hypotheses import _STATUS_WARN, check_hypotheses
+from .hypotheses import _STATUS_WARN, _check_tol, _target_rows, check_hypotheses
 from .inverter import _roundtrips, invert
 from .mapcore import MapSpec, _rng, _unit_directions
 from .polyparser import format_map, parse_map
@@ -126,7 +126,7 @@ def _parse_target(text: str, n: int) -> np.ndarray:
         raise InvalidInputError(
             f"target has {len(values)} components but the map has dimension {n}"
         )
-    return np.array(values, dtype=float)
+    return _target_rows(n, values, ndim=1)[0][0]
 
 
 def _load_map(path: str) -> MapSpec:
@@ -171,12 +171,25 @@ def _emit(report: dict, human: list[str], json_dest: Optional[str]) -> None:
 
 def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
     m = _load_map(ns.mapfile)
+    # a usage error exits before the hypothesis checks run
+    if ns.samples is not None and ns.samples < 1:
+        raise InvalidParameterError("--samples must be >= 1")
+    if ns.command != "check":
+        _check_tol(ns.tol)
+    if ns.command == "roundtrip" and ns.count < 1:
+        raise InvalidParameterError("--count must be >= 1")
+    if ns.command == "roundtrip" and not ns.max_residual >= 0.0:
+        raise InvalidParameterError("--max-residual must be >= 0")
+    if ns.command == "degree" and ns.probe < 0:
+        raise InvalidParameterError("--probe must be >= 0")
+    eta = _parse_target(ns.target, m.n) if ns.command in ("invert", "degree") else None
+    if ns.command == "degree":
+        _unit_target(m, eta)
+    starts = _start_count(m, ns.starts) if ns.command == "degree" else None
     report = _new_report(m)
     human: list[str] = []
     code = 0
 
-    if ns.samples is not None and ns.samples < 1:
-        raise InvalidParameterError("--samples must be >= 1")
     hyp = check_hypotheses(m, count=ns.samples, seed=ns.seed)
     report["hypothesis"] = hyp.to_json_dict()
     if hyp.status == _STATUS_WARN:
@@ -197,7 +210,6 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
             code = 2
 
     elif ns.command == "invert":
-        eta = _parse_target(ns.target, m.n)
         res = invert(m, eta, hyp, tol=ns.tol, force=ns.force, trace=ns.trace)
         report["inversions"] = [res.to_json_dict(eta=eta)]
         human.append("xi = [" + ", ".join(f"{v:.12g}" for v in res.xi) + "]")
@@ -207,10 +219,7 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
         )
 
     elif ns.command == "degree":
-        if ns.probe < 0:
-            raise InvalidParameterError("--probe must be >= 0")
-        eta = _parse_target(ns.target, m.n)
-        deg = mapping_degree(m, eta, starts=ns.starts, report=hyp, tol=ns.tol,
+        deg = mapping_degree(m, eta, starts=starts, report=hyp, tol=ns.tol,
                              force=ns.force, seed=ns.seed)
         report["degree"] = deg.to_json_dict()
         human.append(
@@ -221,7 +230,7 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
                 "the hedged rerun found extra preimages; raise --starts"
             )
         if ns.probe > 0:
-            probe = injectivity_probe(m, trials=ns.probe, starts=ns.starts,
+            probe = injectivity_probe(m, trials=ns.probe, starts=starts,
                                       report=hyp, tol=ns.tol, force=ns.force)
             report["degree"]["injectivity_probe"] = {
                 "counts": probe["counts"],
@@ -234,10 +243,6 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
             )
 
     elif ns.command == "roundtrip":
-        if ns.count < 1:
-            raise InvalidParameterError("--count must be >= 1")
-        if not ns.max_residual >= 0.0:
-            raise InvalidParameterError("--max-residual must be >= 0")
         targets = _random_targets(m.n, ns.count, ns.seed)
         entries = []
         worst = 0.0

@@ -8,12 +8,15 @@ geometric radii) therefore finds all preimages with high probability; a
 second run at four times the start count flags searches that look
 unsaturated.
 
-The search takes a stack of targets, each with its own bracket and seed,
-and is array code from start to finish: one batched Newton run from every
-start of every target, one batched polish of the converged rows, a filter
-on the residuals the polish returns, and per target a greedy dedup in
-lexicographic order that loops once per kept root.  ``count_preimages`` is
-a batch of one; ``injectivity_probe`` searches all its trials in one batch.
+The search takes a stack of targets, each with its own bracket, start
+count and seed, and is array code from start to finish: one batched Newton
+run from every start of every target, one batched polish of the converged
+rows, a filter on the residuals the polish returns, and per target a
+greedy dedup in lexicographic order that loops once per kept root.  The
+kernels round a row the same in any batch, so a target finds in a stack
+what it finds alone.  ``count_preimages`` is a batch of one;
+``mapping_degree`` searches its first pass and its rerun as one batch of
+two, and ``injectivity_probe`` searches all its trials in one batch.
 
 The degree at a regular value is the sum of Jacobian determinant signs over
 the preimages.  An admissible map in dimension ``n >= 3`` is bijective, so a
@@ -88,16 +91,18 @@ def _dedup(rows: np.ndarray, radius: float) -> np.ndarray:
     return np.array(kept).reshape(len(kept), rows.shape[1])
 
 
-def _search_roots(m: MapSpec, omegas: np.ndarray, brackets, starts: int, tol: float,
+def _search_roots(m: MapSpec, omegas: np.ndarray, brackets, starts, tol: float,
                   seeds) -> list[np.ndarray]:
-    """For each unit target (a row of ``omegas``, with its own bracket and
-    seed), all distinct Newton limits x with ``|f(x) - omega| <= tol *
-    max(1, |omega|)``, as rows in lexicographic order: one array per target.
-    Each start's Newton radius cap comes from its own target's bracket."""
-    n_radii = max(1, int(round(starts ** (1.0 / 3.0))))
-    n_dirs = int(np.ceil(starts / n_radii))
+    """For each unit target (a row of ``omegas``, with its own bracket, start
+    count and seed), all distinct Newton limits x with ``|f(x) - omega| <=
+    tol * max(1, |omega|)``, as rows in lexicographic order: one array per
+    target.  Each start's Newton radius cap comes from its own target's
+    bracket.  A row's iterates do not depend on the other rows of the
+    batch, so each target finds what it would find searched alone."""
     X0, caps = [], []
-    for (r_lo, r_hi), seed in zip(brackets, seeds):
+    for (r_lo, r_hi), count, seed in zip(brackets, starts, seeds):
+        n_radii = max(1, int(round(count ** (1.0 / 3.0))))
+        n_dirs = int(np.ceil(count / n_radii))
         lo, hi = (1.0 - _ANNULUS_SLACK) * r_lo, (1.0 + _ANNULUS_SLACK) * r_hi
         if lo <= 0.0:
             lo = min(1e-3 * hi, hi)
@@ -105,7 +110,7 @@ def _search_roots(m: MapSpec, omegas: np.ndarray, brackets, starts: int, tol: fl
         dirs = _unit_directions(_rng(seed, _SALT_DIRECTIONS), n_dirs, m.n)
         X0.append((radii[:, None, None] * dirs[None, :, :]).reshape(-1, m.n))
         caps.append(100.0 * hi)
-    owner = np.repeat(np.arange(len(caps)), n_radii * n_dirs)
+    owner = np.repeat(np.arange(len(caps)), [len(x) for x in X0])
     T = omegas[owner]
     roots, ok, _, _ = newton_batch(m, np.vstack(X0), T, tol, np.array(caps)[owner], max_iter=60)
     found, res = _polish(m, roots[ok], T[ok])
@@ -123,29 +128,32 @@ def _unit_target(m: MapSpec, eta) -> tuple[np.ndarray, float]:
     return e / mag, mag
 
 
+def _start_count(m: MapSpec, starts) -> int:
+    """The start count of a public call: ``starts``, at least 1, or 64 per
+    dimension when it is ``None``."""
+    if starts is not None and starts < 1:
+        raise InvalidParameterError("starts must be >= 1")
+    return 64 * m.n if starts is None else starts
+
+
 def _checked(m: MapSpec, report, force: bool, starts, tol: float):
     """The report and start count of a public call, checked with its ``tol``."""
     _check_tol(tol)
-    report = _require_report(m, report, force, allow_warn=True)
-    if starts is None:
-        starts = 64 * m.n
-    if starts < 1:
-        raise InvalidParameterError("starts must be >= 1")
-    return report, starts
+    return _require_report(m, report, force, allow_warn=True), _start_count(m, starts)
 
 
 def _preimages(m: MapSpec, omega: np.ndarray, mag: float, report: HypothesisReport,
-               tol: float, runs) -> list[list]:
+               tol: float, starts, seeds) -> list[list]:
     """The ``(xi, sign)`` pairs of :func:`count_preimages` at ``mag * omega``
-    from one search per ``(starts, seed)`` in ``runs``, each a batch of one.
+    from one search per start count and seed, all in one batch.
     It searches at the unit target, where the absolute tolerance is
     relative, and rescales: f(s x) = |eta| f(x) for s = |eta|**(1/kappa),
     and det Df(s x) = s**(n (kappa - 1)) det Df(x) keeps its sign."""
     bracket = _bracket(report, math.hypot(*omega), m.kappa)
     scale = mag ** (1.0 / m.kappa)
     out = []
-    for starts, seed in runs:
-        kept, = _search_roots(m, omega[None, :], [bracket], starts, tol, [seed])
+    for kept in _search_roots(m, np.repeat(omega[None, :], len(seeds), axis=0),
+                              [bracket] * len(seeds), starts, tol, seeds):
         dets = np.linalg.det(eval_jacobian_batch(m, kept)) if len(kept) else []
         out.append([(scale * x, 1 if d > 0 else -1) for x, d in zip(kept, dets)])
     return out
@@ -165,7 +173,7 @@ def count_preimages(m: MapSpec, eta, starts: Optional[int] = None,
     """
     omega, mag = _unit_target(m, eta)
     report, starts = _checked(m, report, force, starts, tol)
-    return _preimages(m, omega, mag, report, tol, [(starts, seed)])[0]
+    return _preimages(m, omega, mag, report, tol, [starts], [seed])[0]
 
 
 def mapping_degree(m: MapSpec, eta, starts: Optional[int] = None,
@@ -173,12 +181,12 @@ def mapping_degree(m: MapSpec, eta, starts: Optional[int] = None,
                    force: bool = False, seed: int = 0) -> DegreeReport:
     """Mapping degree at a regular value: the determinant-sign sum over the
     preimages that :func:`count_preimages` finds, hedged by a rerun at four
-    times the start count with the next seed.  Both are batches of one.  A
+    times the start count with the next seed, in the same search.  A
     bijection has degree +1 or -1; the planar complex square has degree 2."""
     omega, mag = _unit_target(m, eta)
     report, starts = _checked(m, report, force, starts, tol)
-    pre, pre_hedged = _preimages(m, omega, mag, report, tol,
-                                 [(starts, seed), (4 * starts, seed + 1)])
+    pre, pre_hedged = _preimages(m, omega, mag, report, tol, [starts, 4 * starts],
+                                 [seed, seed + 1])
     missed = len(pre_hedged) > len(pre)
     final = pre_hedged if missed else pre
     notes = (f"rerun at {4 * starts} starts found {len(pre_hedged)} preimages where {starts} "
@@ -214,6 +222,7 @@ def injectivity_probe(m: MapSpec, trials: int = 20, starts: Optional[int] = None
         targets.append(10.0 ** rng.uniform(-2.0, 2.0) * direction / nrm)
     omegas = np.array([eta / math.hypot(*eta) for eta in targets])
     brackets = [_bracket(report, math.hypot(*omega), m.kappa) for omega in omegas]
-    counts = [len(r) for r in _search_roots(m, omegas, brackets, starts, tol, range(trials))]
+    counts = [len(r) for r in _search_roots(m, omegas, brackets, [starts] * trials, tol,
+                                            range(trials))]
     verdict = "consistent-with-injective" if all(c == 1 for c in counts) else "not-injective"
     return {"counts": counts, "targets": targets, "verdict": verdict, "max_count": max(counts)}

@@ -41,6 +41,7 @@ from .mapcore import (
     _eval_jac_batch,
     _jacobian_batch,
     _rng,
+    _row_norms,
     _unit_directions,
     eval_jacobian_batch,
     eval_map,
@@ -114,15 +115,14 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SphereSample:
     return SphereSample(_unit_directions(_rng(seed, _SALT_SPHERE), count, n), count, n, int(seed))
 
 
-def _fd_tangent_gradient(value_fn, w: np.ndarray, delta: float = 1e-6) -> np.ndarray:
-    g = np.empty_like(w)
-    for j in range(len(w)):
-        step = np.zeros_like(w)
-        step[j] = delta
-        up = (w + step) / np.linalg.norm(w + step)
-        dn = (w - step) / np.linalg.norm(w - step)
-        g[j] = (value_fn(up) - value_fn(dn)) / (2.0 * delta)
-    return g
+def _fd_tangent_gradient(values_fn, w: np.ndarray, delta: float = 1e-6) -> np.ndarray:
+    """Central differences at ``w`` along each coordinate of ``values_fn``,
+    which maps a batch of unit rows to their values: the ``2n`` shifted
+    points are put back on the sphere and evaluated in one call."""
+    steps = delta * np.eye(len(w))
+    shifted = np.vstack([w + steps, w - steps])
+    v = values_fn(shifted / _row_norms(shifted)[:, None])
+    return (v[:len(w)] - v[len(w):]) / (2.0 * delta)
 
 
 def _retract(w: np.ndarray, step: float, g: np.ndarray):
@@ -131,15 +131,17 @@ def _retract(w: np.ndarray, step: float, g: np.ndarray):
     return cand / nrm if nrm > 0.0 else None
 
 
-def _refine_on_sphere(value_fn, w0: np.ndarray, mode: str, grad_fn=None,
+def _refine_on_sphere(value_fn, w0: np.ndarray, mode: str, grad_fn,
                       max_iter: int = _REFINE_MAX_ITER, step_tol: float = _REFINE_STEP_TOL):
     """Projected-gradient extremum refinement constrained to the unit sphere.
 
-    ``value_fn`` maps a unit vector to a scalar.  The iteration takes steps
-    along the (ascending or descending) tangent gradient with a doubling /
-    halving line search that only accepts improvements, renormalizes after
-    each step, and stops when the accepted tangent step drops below
-    ``step_tol`` or ``max_iter`` is exhausted.  Returns ``(point, value)``.
+    ``value_fn`` maps a unit vector to a scalar and ``grad_fn`` to the
+    gradient of that scalar, whose tangent part is used.  The iteration
+    takes steps along the (ascending or descending) tangent gradient with a
+    doubling / halving line search that only accepts improvements,
+    renormalizes after each step, and stops when the accepted tangent step
+    drops below ``step_tol`` or ``max_iter`` is exhausted.  Returns
+    ``(point, value)``.
     """
     w = np.array(w0, dtype=float)
     w /= np.linalg.norm(w)
@@ -147,7 +149,7 @@ def _refine_on_sphere(value_fn, w0: np.ndarray, mode: str, grad_fn=None,
     sgn = 1.0 if mode == "max" else -1.0
     t = 1.0
     for _ in range(max_iter):
-        g = grad_fn(w) if grad_fn is not None else _fd_tangent_gradient(value_fn, w)
+        g = grad_fn(w)
         g = g - np.dot(g, w) * w
         gn = float(np.linalg.norm(g))
         if gn == 0.0 or not np.isfinite(gn):
@@ -288,10 +290,12 @@ def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample, *,
 
     Evaluates ``det Df`` on every sample point, then drives the smallest
     ``|det|`` further down with projected-gradient minimization of
-    ``|det(Df(w))|`` (finite-difference tangent gradient).  The absolute
-    value, not its square, is minimized: where the determinant vanishes to
-    order ``p`` along the sphere, ``|det|`` is conditioned like ``t**p``
-    instead of ``t**(2p)``, and the descent actually reaches the zero set.
+    ``|det(Df(w))|`` (finite-difference tangent gradient, whose ``2n``
+    points take one Jacobian call and one stacked ``np.linalg.det``).  The
+    absolute value, not its square, is minimized: where the determinant
+    vanishes to order ``p`` along the sphere, ``|det|`` is conditioned like
+    ``t**p`` instead of ``t**(2p)``, and the descent actually reaches the
+    zero set.
     The verdict is ``"pass"`` iff the refined minimum stays above
     ``DET_TOL``; by homogeneity of ``Df`` this settles the sign question on
     every sphere ``|xi| = r`` at once.  ``_jacobians`` are the sample's
@@ -299,9 +303,11 @@ def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample, *,
 
     The sample's determinants take the closed forms of ``_det`` for
     ``n <= 4``: one elementwise pass over the stack.  ``n >= 5``, a sample
-    row whose closed form is not finite, and the refinement's single rows
-    take ``np.linalg.det`` (on one matrix, the closed form costs more than
-    LAPACK's one call).
+    row whose closed form is not finite, and the refinement's points and
+    gradients take ``np.linalg.det`` (on a handful of matrices, the closed
+    form costs more than LAPACK).  LAPACK and the kernels give each point
+    the bits it gets alone, so a gradient's stack rounds as its ``2n``
+    single points would.
     """
     if sample.n != m.n:
         raise InvalidInputError("sample dimension disagrees with the map")
@@ -309,10 +315,11 @@ def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample, *,
     dets = np.abs(_det(J))
     i0 = int(np.argmin(dets))
 
-    def abs_det(w):
-        return float(abs(np.linalg.det(_jacobian_batch(m, w[None, :])[0])))
+    def abs_dets(W):
+        return np.abs(np.linalg.det(_jacobian_batch(m, W)))
 
-    w_min, v = _refine_on_sphere(abs_det, sample.points[i0], "min")
+    w_min, v = _refine_on_sphere(lambda w: float(abs_dets(w[None, :])[0]), sample.points[i0],
+                                 "min", lambda w: _fd_tangent_gradient(abs_dets, w))
     min_det = min(float(max(v, 0.0)), float(dets[i0]))
     verdict = "pass" if min_det > DET_TOL else "fail"
     return JacobianCheck(min_abs_det=min_det, argmin=w_min, verdict=verdict)

@@ -338,9 +338,9 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, report: HypothesisReport | 
     ``tau**(1/kappa) * invert(eta)`` over the given ``tau`` values.
 
     For an exact inverse this is zero because the inverse of an order-``kappa``
-    homogeneous bijection is homogeneous of order ``1/kappa``.  Each target
-    is inverted alone, as by :func:`invert`, so the value is exactly that
-    definition.
+    homogeneous bijection is homogeneous of order ``1/kappa``.  The targets
+    are inverted as one batch, which gives each the bits :func:`invert`
+    gives it alone, so the value is exactly that definition.
     """
     _check_tol(tol)
     (e,), (mag,) = _target_rows(m.n, eta, ndim=1)
@@ -350,9 +350,7 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, report: HypothesisReport | 
     taus = _taus(taus)
     # tau * e may overflow
     etas, norms = _target_rows(m.n, np.array([e] + [tau * e for tau in taus]))
-    # a batch would round its rows otherwise
-    base, *scaled = (_invert_batch(m, etas[i:i + 1], tol, report, norms=norms[i:i + 1])[0]
-                     for i in range(len(etas)))
+    base, *scaled = _invert_batch(m, etas, tol, report, norms=norms)
     base_norm = math.hypot(*base.xi)
     return max((math.hypot(*(res.xi - tau ** (1.0 / m.kappa) * base.xi))
                 / (tau ** (1.0 / m.kappa) * base_norm) for tau, res in zip(taus, scaled)),

@@ -128,11 +128,14 @@ class PolyMap:
     monomial from one power table ``X**k``, ``k = 0..d``, one variable's
     factors at a time.  Values and Jacobians read the same table, so where
     both are wanted at the same points the table is built once and passed
-    to both.  ``components`` remains the canonical form that formatting and
-    equality use.
+    to both.  The table is built by multiplication and a one-row batch is
+    evaluated as two equal rows, so the kernel is batch-invariant: a row's
+    value and Jacobian have the same bits in a batch of any size.
+    ``components`` remains the canonical form that formatting and equality
+    use.
     """
 
-    __slots__ = ("n", "components", "degree", "_powers", "_E", "_C", "_dE", "_D")
+    __slots__ = ("n", "components", "degree", "_E", "_C", "_dE", "_D")
 
     def __init__(self, n: int, components: Sequence[Sequence[Term]]):
         n = int(n)
@@ -180,7 +183,6 @@ class PolyMap:
         self.components = tuple(canon)
         degrees = [sum(e) for terms in canon for _, e in terms]
         self.degree = max(degrees) if degrees else 1
-        self._powers = np.arange(self.degree + 1.0)[:, None, None]
         # E and E' are kept as the gather indices of _basis
         self._E, self._C = _coefficient_matrix(
             n, n, ((i, c, e) for i, terms in enumerate(canon) for c, e in terms)
@@ -199,9 +201,22 @@ class PolyMap:
 
     def _power_table(self, X: np.ndarray) -> np.ndarray:
         """The power table of a ``(B, n)`` batch: row ``k*n + j`` holds
-        ``X[:, j]**k`` for ``k = 0..d``.  Values and Jacobians both read it."""
-        # the row count is given, not -1, which an empty batch cannot infer
-        return (X.T[None, :, :] ** self._powers).reshape(len(self._powers) * self.n, len(X))
+        ``X[:, j]**k`` for ``k = 0..d``.  Values and Jacobians both read it.
+
+        ``X**k`` is ``X**(k-1) * X``, never ``np.power``, whose rounding
+        changes with the array's shape: a product of ``k`` factors, within
+        ``gamma_{k-1} |x**k|`` of the exact power while no power underflows
+        or overflows (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, §3.1), whose bits do not depend on the batch.  A
+        one-row batch gets two equal columns, so that its basis product
+        takes the many-row path and rounds as a row of any other batch
+        does."""
+        P = np.empty((self.degree + 1, self.n, len(X) + (len(X) == 1)))
+        P[0], P[1] = 1.0, X.T
+        for k in range(2, self.degree + 1):
+            np.multiply(P[k - 1], P[1], out=P[k])
+        # the column count is inferred, which an empty batch can do
+        return P.reshape(len(P) * self.n, -1)
 
     def _basis(self, P: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Monomials of a batch as a ``(B, M)`` view, from its power table
@@ -218,7 +233,7 @@ class PolyMap:
         ``_table`` is the batch's power table when the caller has built it."""
         X = np.asarray(points, dtype=float)
         P = self._power_table(X) if _table is None else _table
-        return self._basis(P, self._E) @ self._C.T
+        return (self._basis(P, self._E) @ self._C.T)[:len(X)]
 
     def jacobian(self, points: np.ndarray, _table: np.ndarray | None = None) -> np.ndarray:
         """Exact derivative of the polynomial part at a ``(B, n)`` batch.
@@ -228,7 +243,7 @@ class PolyMap:
         """
         X = np.asarray(points, dtype=float)
         P = self._power_table(X) if _table is None else _table
-        return (self._basis(P, self._dE) @ self._D.T).reshape(X.shape[0], self.n, self.n)
+        return (self._basis(P, self._dE) @ self._D.T)[:len(X)].reshape(len(X), self.n, self.n)
 
     def __eq__(self, other):
         if not isinstance(other, PolyMap):
@@ -392,14 +407,9 @@ def _eval_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
             # plain polynomial: exact at the origin too (degree >= 1)
             return body.evaluate(X)
         r = _radii(X)
-        if np.count_nonzero(r) == len(r):  # no origin row: no mask needed
-            return (r ** m.kappa)[:, None] * body.evaluate(X / r[:, None])
-        out = np.zeros((X.shape[0], m.n))
-        pos = r > 0.0
-        if np.any(pos):
-            U = X[pos] / r[pos, None]
-            out[pos] = (r[pos] ** m.kappa)[:, None] * body.evaluate(U)
-        return out
+        # an origin row is divided by the smallest positive float, below any
+        # other row's norm, and scaled by 0**kappa = 0
+        return (r ** m.kappa)[:, None] * body.evaluate(X / np.maximum(r, 5e-324)[:, None])
     return _rows(body.eval, X, (m.n,), body.batched)
 
 

@@ -263,6 +263,33 @@ def test_zero_tol_is_a_usage_error_before_the_report_check(mapfile, capsys):
         assert "tol must lie in (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["roundtrip", "--count", "0"], "--count must be >= 1"),
+    (["roundtrip", "--tol", "2"], "tol must lie in (0, 1)"),
+    (["invert", "--target", "1,2,3", "--tol", "2"], "tol must lie in (0, 1)"),
+    (["degree", "--target", "1,2,3", "--tol", "2"], "tol must lie in (0, 1)"),
+    (["degree", "--target", "1,2,3", "--starts", "0"], "starts must be >= 1"),
+    (["degree", "--target", "1,2,3", "--probe", "-1"], "--probe must be >= 0"),
+    (["roundtrip", "--max-residual", "-1"], "--max-residual must be >= 0"),
+    (["invert", "--target", "1,2"], "target has 2 components but the map has dimension 3"),
+    (["degree", "--target", "1,2"], "target has 2 components but the map has dimension 3"),
+    (["invert", "--target", "nan,1,2"], "eta contains non-finite components"),
+    (["degree", "--target", "1,inf,2"], "eta contains non-finite components"),
+    (["degree", "--target", "0,0,0"], "eta must be finite and nonzero"),
+    (["check", "--samples", "0"], "--samples must be >= 1"),
+])
+def test_usage_errors_exit_before_the_hypothesis_checks(mapfile, capsys, monkeypatch, argv,
+                                                        message):
+    # each of these ran the whole sphere check before it exited 1
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_hypotheses ran on a usage error")
+
+    monkeypatch.setattr(hominv.cli, "check_hypotheses", forbidden)
+    command, *flags = argv
+    assert main([command, mapfile("rc.map", RADIAL_CUBE), *flags]) == 1
+    assert capsys.readouterr().err == f"hominv: {message}\n"
+
+
 def test_missing_file_exits_one(capsys):
     rc = main(["check", "/nonexistent/path.map"])
     assert rc == 1

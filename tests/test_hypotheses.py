@@ -281,13 +281,15 @@ def test_report_matches_the_lapack_det_scan(name, monkeypatch):
 
 def test_the_check_factorizes_no_stack_of_jacobians(monkeypatch):
     # the sample scan is elementwise; LAPACK sees only the refinement's
-    # single matrices, one call each
+    # points, one matrix each, and its gradients, 2n matrices each
     shapes = []
     lapack = np.linalg.det
     monkeypatch.setattr(np.linalg, "det", lambda a: shapes.append(np.shape(a)) or lapack(a))
     for m in (random_admissible_map(n=4, seed=7, kappa=3.5), radial_cube_map(3)):
+        shapes.clear()
         assert check_hypotheses(m).status == "pass"
-    assert shapes and all(len(s) == 2 or s[0] <= 1 for s in shapes)
+        assert shapes and all(s[0] in (1, 2 * m.n) for s in shapes)
+        assert (2 * m.n, m.n, m.n) in shapes
 
 
 # ------------------------------------------------------------- aggregation
@@ -382,9 +384,7 @@ def test_batched_blackbox_report_equals_the_per_row_report(kappa, shift):
 def test_blackbox_of_reports_as_its_map(name):
     # The finite-difference report is held to tolerances, not to the bits:
     # its Jacobians are differences, so the refinement of |f| takes other
-    # steps (c0 on random_admissible4 can differ in its last digit).
-    # Nor does a blackbox_of body match itself declared per row: a one-row
-    # polynomial evaluation rounds differently from a batched one.  The
+    # steps (c0 on random_admissible4 can differ in its last digit).  The
     # exact-Jacobian body reaches the polynomial's own kernels on the same
     # rows, so its report is the polynomial's.
     m = acceptance_maps()[name]
@@ -403,7 +403,9 @@ def test_blackbox_check_makes_a_bounded_number_of_evaluator_calls():
     # a batched body's sample scan, finite-difference sample Jacobians and
     # homogeneity residual take one or two calls each; a per-row body took
     # 14 390 calls here, one a row.  The sphere refinement calls with one
-    # point (or its 2n shifted rows) at a time, 33 calls here.
+    # point (or its 2n shifted rows) at a time, and a finite-difference
+    # gradient of |det Df| with its 2n points' 2n shifted rows each: 28
+    # calls here, where one call a gradient point made 33.
     inner = blackbox_of(radial_cube_map(3)).body
     rows = []
 
@@ -419,8 +421,8 @@ def test_blackbox_check_makes_a_bounded_number_of_evaluator_calls():
     assert rows[-2:] == [106, 106]  # the homogeneity residual, 100 rows + ladder
     refinement = rows[1:-2]
     refinement.remove(2 * 3 * 2000)
-    assert max(refinement) <= 2 * 3
-    assert len(rows) <= 48
+    assert max(refinement) == (2 * 3) ** 2
+    assert len(rows) <= 36
 
 
 _SHARED_SCAN_MAPS = {**acceptance_maps(), "axis_cube3": axis_cube_map(3),

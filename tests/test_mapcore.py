@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,14 @@ from hominv import (
     random_polymap_spec,
     sample_sphere,
 )
-from hominv.mapcore import _FD_STEP, _eval_batch, _eval_jac_batch, _jacobian_batch, _radii
+from hominv.mapcore import (
+    _FD_STEP,
+    _MAX_DEGREE,
+    _eval_batch,
+    _eval_jac_batch,
+    _jacobian_batch,
+    _radii,
+)
 
 
 def test_polymap_merges_duplicate_monomials():
@@ -560,11 +568,16 @@ def test_polymap_kernel_matches_term_by_term_sums(spec_seed, rows, x_seed):
 
 # The kernel and the weighted wrappers as they were before values and
 # Jacobians shared one power table, kept as the reference the shared kernel
-# must match bit for bit.
+# must match bit for bit.  Each call builds its own table by the kernel's
+# rule: X**k is X**(k-1) * X, and a one-row batch is two equal rows.
 
 
 def _ref_basis(body, X, index):
-    P = (X.T[None, :, :] ** body._powers).reshape(len(body._powers) * body.n, len(X))
+    Y = np.repeat(X, 2, axis=0) if len(X) == 1 else X
+    P = [np.ones(Y.T.shape), Y.T]
+    while len(P) <= body.degree:
+        P.append(P[-1] * Y.T)
+    P = np.concatenate(P)
     out = P.take(index[0], axis=0)
     for j in range(1, body.n):
         out *= P.take(index[j], axis=0)
@@ -572,11 +585,12 @@ def _ref_basis(body, X, index):
 
 
 def _ref_evaluate(body, X):
-    return _ref_basis(body, X, body._E) @ body._C.T
+    return (_ref_basis(body, X, body._E) @ body._C.T)[:len(X)]
 
 
 def _ref_jacobian(body, X):
-    return (_ref_basis(body, X, body._dE) @ body._D.T).reshape(X.shape[0], body.n, body.n)
+    F = (_ref_basis(body, X, body._dE) @ body._D.T)[:len(X)]
+    return F.reshape(X.shape[0], body.n, body.n)
 
 
 def _ref_eval_batch(m, X):
@@ -638,6 +652,54 @@ def test_kernels_match_the_unshared_kernel_bit_for_bit(spec_seed, rows, center, 
         assert _same(J, _ref_jacobian_batch(m, Y))
         assert _same(_eval_batch(m, Y), F)
         assert _same(_jacobian_batch(m, Y), J)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.integers(1, 140), st.integers(0, 2**32 - 1))
+@example(3, False, 130, 0)
+@example(3, True, 70, 1)
+def test_a_row_gets_the_same_bits_at_every_batch_size(spec_seed, black_box, rows, x_seed):
+    # random_polymap_spec covers n = 1, plain and weighted bodies; its
+    # batched black box takes the 2n shifted rows of its finite differences
+    # through the polynomial kernel
+    m = random_polymap_spec(spec_seed)
+    m = blackbox_of(m) if black_box else m
+    rng = np.random.default_rng(x_seed)
+    X = rng.standard_normal((rows, m.n)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+
+    def kernels(Y):
+        return (eval_map(m, Y), eval_jacobian_batch(m, Y), *_eval_jac_batch(m, Y))
+
+    whole = kernels(X)
+    for size in (1, 2, 3, 7, 64):
+        chunks = [kernels(X[i:i + size]) for i in range(0, rows, size)]
+        for got, want in zip(zip(*chunks), whole):
+            assert _same(np.concatenate(got), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, _MAX_DEGREE), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+@example(_MAX_DEGREE, 2, 3, 0)
+@example(_MAX_DEGREE - 1, 1, 1, 1)
+def test_power_table_is_within_gamma_of_the_exact_powers(degree, n, rows, x_seed):
+    # a product of k factors is within gamma_{k-1} |x**k| of the exact power
+    # (Higham, ASNA, Lemma 3.1), gamma_m = m u / (1 - m u) with u = 2**-53,
+    # while every power stays a normal float
+    body = PolyMap(n, [[(1.0, (degree,) + (0,) * (n - 1))]] + [[]] * (n - 1))
+    rng = np.random.default_rng(x_seed)
+    bound = 1000.0 / degree
+    X = rng.choice([-1.0, 1.0], (rows, n)) * 2.0 ** rng.uniform(-bound, bound, (rows, n))
+    P = body._power_table(X).reshape(degree + 1, n, -1)
+    for j in range(n):
+        for b in range(rows):
+            exact = Fraction(1)
+            for k in range(degree + 1):
+                # |p/q - x**k| <= m/(2**53 - m) |x**k|, cleared of denominators
+                (p, q), m = P[k, j, b].as_integer_ratio(), max(k - 1, 0)
+                assert (abs(p * exact.denominator - exact.numerator * q) * (2**53 - m)
+                        <= m * abs(exact.numerator) * q)
+                exact *= Fraction(X[b, j])
 
 
 def test_shared_kernel_builds_one_power_table(monkeypatch):
