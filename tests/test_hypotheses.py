@@ -17,6 +17,8 @@ from hominv import (
     PolyMap,
     MapSpec,
     PreconditionError,
+    SphereSample,
+    UndefinedAtOriginError,
     acceptance_maps,
     axis_cube_map,
     blackbox_of,
@@ -40,6 +42,7 @@ from hominv import (
     sample_sphere,
 )
 from hominv import hypotheses
+from hominv.mapcore import _eval_jac_batch
 
 
 def zero_map(n=3):
@@ -241,7 +244,7 @@ def test_a_closed_form_that_overflows_takes_lapacks_value():
     dets = hypotheses._det(J)  # no RuntimeWarning: the suite makes them errors
     assert dets[0] == np.linalg.det(J[:1])[0] and np.isfinite(dets[0])
     sample = sample_sphere(3, 2, seed=0)
-    chk = check_jacobian_nonvanishing(identity_map(3), sample, _jacobians=J)
+    chk = check_jacobian_nonvanishing(identity_map(3), sample, _dets=hypotheses._det(J))
     # the refinement starts at the second sample point, where the identity's
     # determinant is 1 everywhere, so it stays there
     assert np.allclose(chk.argmin, sample.points[1], rtol=0.0, atol=1e-15)
@@ -290,6 +293,81 @@ def test_the_check_factorizes_no_stack_of_jacobians(monkeypatch):
         assert check_hypotheses(m).status == "pass"
         assert shapes and all(s[0] in (1, 2 * m.n) for s in shapes)
         assert (2 * m.n, m.n, m.n) in shapes
+
+
+# The sample scan as one block of all the rows, kept as the reference the
+# blocked scan must match to the bit: one kernel call, the row norms, and the
+# determinants of the whole stack.
+def _whole_batch_scan(m, X):
+    F, J = _eval_jac_batch(m, X)
+    return F, np.linalg.norm(F, axis=1), hypotheses._det(J)
+
+
+_ROWS = hypotheses._SCAN_ROWS
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.builds(random_polymap_spec, st.integers(0, 2**32 - 1), n_max=st.just(6)),
+                 st.builds(random_admissible_map, n=st.integers(1, 6),
+                           seed=st.integers(0, 2**32 - 1))),
+       st.sampled_from([1, 2, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 7]),
+       st.integers(0, 2**32 - 1))
+@example(random_admissible_map(n=6, seed=1), 3 * _ROWS + 7, 0)
+@example(random_polymap_spec(6, n_max=6), _ROWS + 1, 0)  # n = 2, weighted; a one-row last block
+@example(random_polymap_spec(5, n_max=6), _ROWS + 1, 0)  # n = 6, plain
+def test_blocked_scan_equals_the_whole_batch_scan(m, count, seed):
+    X = sample_sphere(m.n, count, seed).points
+    got = hypotheses._sample_scan(m, X)
+    for g, w in zip(got, _whole_batch_scan(m, X)):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_the_scan_stops_its_determinants_at_the_first_block_that_overflows():
+    # f1 overflows where x1 + x2 > 1.06, as in the first block
+    m = parse_map("n = 3; f1 = 1.7e308 x1 + 1.7e308 x2; f2 = x2; f3 = x3")
+    X = sample_sphere(3, 3 * _ROWS + 7, seed=0).points
+    with np.errstate(all="ignore"):
+        images, norms, dets = hypotheses._sample_scan(m, X)
+        want = _whole_batch_scan(m, X)
+        everything = hypotheses._sample_scan(m, X, all_dets=True)
+    assert dets is None and not np.isfinite(images[:_ROWS]).all()
+    assert np.array_equal(images, want[0]) and np.array_equal(norms, want[1])
+    for g, w in zip(everything, want):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad, error", [(0.0, UndefinedAtOriginError), (np.nan, InvalidInputError)])
+def test_a_hand_made_sample_is_checked_before_the_scan(bad, error):
+    s = sample_sphere(3, 10, seed=0)
+    points = s.points.copy()
+    points[4] = bad
+    for check in (estimate_extrema, check_jacobian_nonvanishing):
+        with pytest.raises(error):
+            check(radial_cube_map(3), SphereSample(points, s.count, s.n, s.seed))
+
+
+def test_the_check_evaluates_and_factorizes_at_most_one_block_at_a_time(monkeypatch):
+    # no kernel call and no np.linalg.det call sees more than one block of
+    # the sample, whose default size at n = 5 is 24 blocks and 848 rows
+    rows, stacks = [], []
+    table = PolyMap._power_table
+    lapack = np.linalg.det
+    monkeypatch.setattr(PolyMap, "_power_table", lambda body, X: rows.append(len(X))
+                        or table(body, X))
+    monkeypatch.setattr(np.linalg, "det", lambda a: stacks.append(len(a)) or lapack(a))
+    for m in (random_admissible_map(n=5, seed=5), random_admissible_map(n=4, seed=7),
+              axis_cube_map(3), diag_map((1.0, 2.0, 3.0))):
+        rows.clear()
+        report = check_hypotheses(m)
+        assert report.sample_count > _ROWS
+        assert max(rows) == _ROWS and rows.count(_ROWS) == report.sample_count // _ROWS
+    assert max(stacks) == _ROWS  # the n = 5 sample's blocks and the refinement
+    for m in (random_admissible_map(n=5, seed=5), axis_cube_map(3)):
+        rows.clear()
+        sample = sample_sphere(m.n, 3 * _ROWS + 7, seed=1)
+        estimate_extrema(m, sample)
+        check_jacobian_nonvanishing(m, sample)
+        assert max(rows) == _ROWS
 
 
 # ------------------------------------------------------------- aggregation

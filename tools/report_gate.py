@@ -5,14 +5,16 @@ Usage, from anywhere::
     python tools/report_gate.py OLD NEW
 
 ``OLD`` and ``NEW`` are the roots of two hominv checkouts.  For every map
-file in ``NEW/demos/maps`` the seven command lines of ``COMMANDS`` run in
+file in ``NEW/demos/maps`` the eight command lines of ``COMMANDS`` run in
 both checkouts (``python -m hominv.cli`` with that checkout's ``src``
 first on the path, the report on standard output): ``check``, ``invert``,
 and ``roundtrip`` and ``degree`` both at the default ``--tol`` and at
 ``--tol 1e-12``, so that a tolerance lost on its way to a solver shows.
 One more ``roundtrip`` runs on a sample of 64 points: its seeds align
 poorly with the targets, so long continuation steps get rejected and the
-tracker's halving path is compared too.
+tracker's halving path is compared too.  One more ``check`` runs on 2049
+points, one more than a block of the sample scan, so that its last block
+of one row is compared too.
 ``invert`` and ``degree`` take the target ``1,-2,0.5,0.25`` repeated
 cyclically to the map's dimension (cut to it below 4, ``1,-2,0.5,0.25,1``
 at 5), so a map of any dimension gets a target of its own length.  Each
@@ -65,6 +67,7 @@ COMMANDS = (
     ("roundtrip", ["--count", "30", "--force", "--tol", "1e-12"]),
     ("degree", ["--target={target}", "--probe", "5", "--force", "--tol", "1e-12"]),
     ("roundtrip", ["--count", "30", "--force", "--samples", "64"]),
+    ("check", ["--samples", "2049", "--seed", "3"]),
 )
 TARGET = (1.0, -2.0, 0.5, 0.25)
 #: argmins that rounding decides: |f| (and on radial_cube3 det Df) is flat
