@@ -14,9 +14,11 @@ This module samples the sphere, estimates ``c0``, ``C``, and
 and aggregates the verdicts into a :class:`HypothesisReport`.  A polynomial
 body's sample is scanned in blocks of ``_SCAN_ROWS`` rows: each block's
 images, their norms and its Jacobian determinants, with no stack of the
-whole sample's Jacobians.  In dimension 2
-the checks can all pass while injectivity still fails (the planar squaring
-map is the canonical example), so ``n >= 3`` is reported as its own gate.
+whole sample's Jacobians.  The refinement evaluates each line search's
+ladder of steps in one batch (one row at a time for a black box).
+In dimension 2 the checks can all pass while injectivity still fails (the
+planar squaring map is the canonical example), so ``n >= 3`` is reported as
+its own gate.
 
 All estimates are empirical: sampled quantities refined by projected
 gradient, not certified bounds.
@@ -137,58 +139,111 @@ def _fd_tangent_gradient(values_fn, w: np.ndarray, delta: float = 1e-6) -> np.nd
     return (v[:len(w)] - v[len(w):]) / (2.0 * delta)
 
 
-def _retract(w: np.ndarray, step: float, g: np.ndarray):
-    cand = w + step * g
-    nrm = float(np.linalg.norm(cand))
-    return cand / nrm if nrm > 0.0 else None
-
-
-def _refine_on_sphere(value_fn, w0: np.ndarray, mode: str, grad_fn,
+def _refine_on_sphere(rungs_fn, w0: np.ndarray, mode: str,
                       max_iter: int = _REFINE_MAX_ITER, step_tol: float = _REFINE_STEP_TOL):
     """Projected-gradient extremum refinement constrained to the unit sphere.
 
-    ``value_fn`` maps a unit vector to a scalar and ``grad_fn`` to the
-    gradient of that scalar, whose tangent part is used.  The iteration
-    takes steps along the (ascending or descending) tangent gradient with a
-    doubling / halving line search that only accepts improvements,
-    renormalizes after each step, and stops when the accepted tangent step
-    drops below ``step_tol`` or ``max_iter`` is exhausted.  Returns
-    ``(point, value)``.
+    ``rungs_fn`` maps an ``(L, n)`` batch of unit rows to ``(value, grad)``,
+    two functions of a row index: ``value(k)`` is the scalar at row ``k`` and
+    ``grad(k)`` its gradient, whose tangent part is used.  The walk reads
+    each row's value at most once and in a sequential line search's order,
+    so ``value`` may evaluate the rows one at a time as they are read.
+
+    Each iteration steps along the (ascending or descending) tangent
+    gradient ``g``.  Its line search is a ladder of steps ``t, t/2, t/4,
+    ...``, from four times the last accepted step (at most ``1e8``; 1 before
+    the first) down to the first ``t`` with ``t |g| < step_tol``; each rung
+    ``w + t g`` (``w - t g`` to descend) is put back on the sphere, and a
+    rung of zero norm counts as no improvement.  The whole ladder is one
+    ``rungs_fn`` call.  The first rung that improves on the current value is
+    taken, then halved while each halving improves on the last, so the
+    accepted point sits near the ray's one-dimensional optimum instead of
+    zigzagging across it.  The walk stops when no rung improves, the
+    gradient vanishes, or ``max_iter`` is exhausted.  Returns ``(point,
+    value)``.  The kernels give a row the same bits in every batch, so this
+    is bit for bit the line search that evaluates one step at a time.
     """
     w = np.array(w0, dtype=float)
     w /= np.linalg.norm(w)
-    best = float(value_fn(w))
+    value, grad = rungs_fn(w[None, :])
+    best, k = value(0), 0
     sgn = 1.0 if mode == "max" else -1.0
     t = 1.0
     for _ in range(max_iter):
-        g = grad_fn(w)
+        g = grad(k)
         g = g - np.dot(g, w) * w
         gn = float(np.linalg.norm(g))
         if gn == 0.0 or not np.isfinite(gn):
             break
-        t = min(t * 4.0, 1e8)
-        moved = False
-        while t * gn >= step_tol:
-            cand = _retract(w, sgn * t, g)
-            val = None if cand is None else float(value_fn(cand))
-            if val is not None and sgn * (val - best) > 0.0:
-                # largest improving step found; now shrink it while shrinking
-                # keeps helping, so the accepted point sits near the ray's
-                # one-dimensional optimum instead of zigzagging across it
-                while t * gn >= step_tol:
-                    cand2 = _retract(w, sgn * t * 0.5, g)
-                    val2 = None if cand2 is None else float(value_fn(cand2))
-                    if val2 is not None and sgn * (val2 - val) > 0.0:
-                        t, cand, val = t * 0.5, cand2, val2
-                    else:
-                        break
-                w, best = cand, val
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
+        steps = [min(t * 4.0, 1e8)]
+        while steps[-1] * gn >= step_tol:
+            steps.append(steps[-1] * 0.5)
+        # rungs 0 .. last - 1 meet the tolerance; rung ``last`` is read only
+        # as the halving of rung last - 1
+        last = len(steps) - 1
+        if last == 0:
             break
-    return w, best
+        W = w + (sgn * np.array(steps))[:, None] * g
+        norms = _row_norms(W)
+        ok = norms > 0.0
+        W = np.where(ok[:, None], W / np.where(ok, norms, 1.0)[:, None], w)
+        value, grad = rungs_fn(W)
+        for k in range(last):
+            if ok[k] and sgn * ((val := value(k)) - best) > 0.0:
+                # shrink the improving step while shrinking keeps helping
+                while k < last and ok[k + 1] and sgn * ((val2 := value(k + 1)) - val) > 0.0:
+                    k, val = k + 1, val2
+                break
+        else:  # no rung improves
+            break
+        w, best, t = W[k], val, steps[k]
+    return np.array(w), best
+
+
+def _refine_norm(m: MapSpec, w0: np.ndarray, mode: str):
+    """Refine ``|f(w)|**2`` from ``w0`` (``mode`` ``"min"`` or ``"max"``) with
+    its exact gradient ``2 Df(w)^T f(w)``.  A polynomial body's ladder is
+    one :func:`_eval_jac_batch` call, whose rows also give the accepted
+    rung's gradient.  A black box's rungs are read one call each, values
+    only, and each accepted point takes one more call for its gradient, so
+    an evaluator whose cost grows with its rows evaluates no rung the walk
+    does not read.  The refinement evaluates unit vectors only, so the
+    unvalidated kernels serve."""
+
+    def sq(w):
+        v = _eval_batch(m, w[None, :])[0]
+        return float(v @ v)
+
+    def grad(w):
+        F, J = _eval_jac_batch(m, w[None, :])
+        return 2.0 * (J[0].T @ F[0])
+
+    def rungs(W):
+        if not isinstance(m.body, PolyMap):
+            return (lambda k: sq(W[k])), (lambda k: grad(W[k]))
+        F, J = _eval_jac_batch(m, W)
+        return (F[:, None, :] @ F[:, :, None])[:, 0, 0].item, lambda k: 2.0 * (J[k].T @ F[k])
+
+    return _refine_on_sphere(rungs, w0, mode)
+
+
+def _refine_det(m: MapSpec, w0: np.ndarray):
+    """Refine ``|det Df(w)|`` down from ``w0`` with a finite-difference
+    tangent gradient.  A polynomial body's ladder takes one Jacobian call
+    and one stacked ``np.linalg.det``; a black box's takes one a rung read."""
+
+    def abs_dets(W):
+        return np.abs(np.linalg.det(_jacobian_batch(m, W)))
+
+    def rungs(W):
+        if isinstance(m.body, PolyMap):
+            value = abs_dets(W).item
+        else:
+            def value(k):
+                return float(abs_dets(W[k:k + 1])[0])
+        return value, lambda k: _fd_tangent_gradient(abs_dets, W[k])
+
+    return _refine_on_sphere(rungs, w0, "min")
 
 
 @dataclass(frozen=True)
@@ -215,32 +270,25 @@ def estimate_extrema(m: MapSpec, sample: SphereSample,
 
     Evaluates ``|f|`` on the sample (or reuses ``image_norms``, the
     precomputed norms of the sample's images; a polynomial body's come from
-    the blocked scan of :func:`_sample_scan`), then refines both arg-extrema
-    with projected gradient on ``|f(w)|**2`` using the exact gradient
-    ``2 Df(w)^T f(w)``, whose ``f(w)`` and ``Df(w)`` come from one call.
+    the blocked scan of :func:`_sample_scan`, values only), then refines
+    both arg-extrema with projected gradient on ``|f(w)|**2`` using the
+    exact gradient ``2 Df(w)^T f(w)``.  A polynomial body's line search takes
+    ``f`` and ``Df`` at all its steps in one call, and the accepted step's
+    rows give the next gradient (:func:`_refine_norm`).
     """
     if sample.n != m.n:
         raise InvalidInputError("sample dimension disagrees with the map")
     if image_norms is not None:
         mags = image_norms
     elif isinstance(m.body, PolyMap):
-        mags = _scan(m, sample)[1]
+        mags = _scan(m, sample, dets=None)[1]
     else:
         mags = np.linalg.norm(eval_map(m, sample.points), axis=1)
     i0 = int(np.argmin(mags))
     i1 = int(np.argmax(mags))
 
-    # the refinement evaluates unit vectors only, so the unvalidated kernels serve
-    def sq(w):
-        v = _eval_batch(m, w[None, :])[0]
-        return float(v @ v)
-
-    def grad(w):
-        F, J = _eval_jac_batch(m, w[None, :])
-        return 2.0 * (J[0].T @ F[0])
-
-    w_min, v_min = _refine_on_sphere(sq, sample.points[i0], "min", grad_fn=grad)
-    w_max, v_max = _refine_on_sphere(sq, sample.points[i1], "max", grad_fn=grad)
+    w_min, v_min = _refine_norm(m, sample.points[i0], "min")
+    w_max, v_max = _refine_norm(m, sample.points[i1], "max")
     c0 = min(float(np.sqrt(max(v_min, 0.0))), float(mags[i0]))
     c_max = max(float(np.sqrt(max(v_max, 0.0))), float(mags[i1]))
     return ExtremaEstimate(
@@ -301,7 +349,7 @@ def _det(J: np.ndarray) -> np.ndarray:
     return d
 
 
-def _sample_scan(m: MapSpec, X: np.ndarray, all_dets: bool = False):
+def _sample_scan(m: MapSpec, X: np.ndarray, dets: str | None = "finite"):
     """Images, their norms and the Jacobian determinants of a polynomial
     body at a finite ``(N, n)`` batch of nonzero rows, ``(images,
     image_norms, dets)``, walked in blocks of ``_SCAN_ROWS`` rows.
@@ -310,36 +358,39 @@ def _sample_scan(m: MapSpec, X: np.ndarray, all_dets: bool = False):
     rows and ``_det`` of its Jacobians, written into arrays of ``N`` rows; so
     no ``(N, n, n)`` stack and no ``N``-row kernel temporary is allocated.
     The kernel rounds a row alike at every batch size, so the result is bit
-    for bit that of one block of ``N`` rows.  From the first block whose
-    images are not all finite on, the determinants are not computed and
-    ``dets`` is None, unless ``all_dets`` is set.
+    for bit that of one block of ``N`` rows.  ``dets`` names which
+    determinants are computed: ``"all"``, ``"finite"`` (up to the first
+    block whose images are not all finite; from there on none, and the
+    returned ``dets`` is None) or None (none: every block takes
+    ``_eval_batch``, and the returned ``dets`` is None).
     """
     N = len(X)
     images = np.empty((N, m.n))
     image_norms = np.empty(N)
-    dets = np.empty(N)
+    out = None if dets is None else np.empty(N)
     for lo in range(0, N, _SCAN_ROWS):
         block = slice(lo, lo + _SCAN_ROWS)
-        if dets is None:
+        if out is None:
             F = _eval_batch(m, X[block])
         else:
             F, J = _eval_jac_batch(m, X[block])
-            if all_dets or np.isfinite(F).all():
-                dets[block] = _det(J)
+            if dets == "all" or np.isfinite(F).all():
+                out[block] = _det(J)
             else:
-                dets = None
+                out = None
         images[block] = F
         image_norms[block] = np.linalg.norm(F, axis=1)
-    return images, image_norms, dets
+    return images, image_norms, out
 
 
-def _scan(m: MapSpec, sample: SphereSample):
-    """``_sample_scan`` of a caller's sample, every determinant included;
-    its points are held to the rules of :func:`eval_jacobian_batch`."""
+def _scan(m: MapSpec, sample: SphereSample, dets: str | None = "all"):
+    """``_sample_scan`` of a caller's sample, every determinant included
+    unless ``dets`` says otherwise; its points are held to the rules of
+    :func:`eval_jacobian_batch`."""
     X, _ = _as_matrix(sample.points, m.n, "sample points")
     if not X.any(axis=1).all():
         raise UndefinedAtOriginError("a sphere sample cannot hold the origin")
-    return _sample_scan(m, X, all_dets=True)
+    return _sample_scan(m, X, dets)
 
 
 def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample, *,
@@ -348,12 +399,13 @@ def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample, *,
 
     Evaluates ``det Df`` on every sample point, then drives the smallest
     ``|det|`` further down with projected-gradient minimization of
-    ``|det(Df(w))|`` (finite-difference tangent gradient, whose ``2n``
-    points take one Jacobian call and one stacked ``np.linalg.det``).  The
-    absolute value, not its square, is minimized: where the determinant
-    vanishes to order ``p`` along the sphere, ``|det|`` is conditioned like
-    ``t**p`` instead of ``t**(2p)``, and the descent actually reaches the
-    zero set.
+    ``|det(Df(w))|`` (:func:`_refine_det`: a finite-difference tangent
+    gradient, whose ``2n`` points take one Jacobian call and one stacked
+    ``np.linalg.det``, and a polynomial body's line searches likewise, each
+    ladder of steps in one call).  The absolute value, not its square, is
+    minimized: where the determinant vanishes to order ``p`` along the
+    sphere, ``|det|`` is conditioned like ``t**p`` instead of ``t**(2p)``,
+    and the descent actually reaches the zero set.
     The verdict is ``"pass"`` iff the refined minimum stays above
     ``DET_TOL``; by homogeneity of ``Df`` this settles the sign question on
     every sphere ``|xi| = r`` at once.  ``_dets`` are the sample's
@@ -363,11 +415,12 @@ def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample, *,
 
     The sample's determinants take the closed forms of ``_det`` for
     ``n <= 4``: one elementwise pass over each block.  ``n >= 5``, a sample
-    row whose closed form is not finite, and the refinement's points and
-    gradients take ``np.linalg.det`` (on a handful of matrices, the closed
-    form costs more than LAPACK).  LAPACK and the kernels give each point
-    the bits it gets alone, so a gradient's stack rounds as its ``2n``
-    single points would.
+    row whose closed form is not finite, and the refinement's stacks (a
+    start point, a line search's rungs, a gradient's ``2n`` points) take
+    ``np.linalg.det``: on a few dozen matrices or fewer the closed form
+    costs more than LAPACK, and the refinement's values keep LAPACK's bits.
+    LAPACK and the kernels give each point the bits it gets alone, so a
+    stack rounds as its single points would.
     """
     if sample.n != m.n:
         raise InvalidInputError("sample dimension disagrees with the map")
@@ -377,11 +430,7 @@ def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample, *,
     dets = np.abs(_dets)
     i0 = int(np.argmin(dets))
 
-    def abs_dets(W):
-        return np.abs(np.linalg.det(_jacobian_batch(m, W)))
-
-    w_min, v = _refine_on_sphere(lambda w: float(abs_dets(w[None, :])[0]), sample.points[i0],
-                                 "min", lambda w: _fd_tangent_gradient(abs_dets, w))
+    w_min, v = _refine_det(m, sample.points[i0])
     min_det = min(float(max(v, 0.0)), float(dets[i0]))
     verdict = "pass" if min_det > DET_TOL else "fail"
     return JacobianCheck(min_abs_det=min_det, argmin=w_min, verdict=verdict)

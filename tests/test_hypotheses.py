@@ -28,6 +28,7 @@ from hominv import (
     complex_square_map,
     diag_map,
     estimate_extrema,
+    eval_jacobian_batch,
     eval_map,
     homogeneity_residual,
     identity_map,
@@ -42,7 +43,7 @@ from hominv import (
     sample_sphere,
 )
 from hominv import hypotheses
-from hominv.mapcore import _eval_jac_batch
+from hominv.mapcore import _eval_batch, _eval_jac_batch, _jacobian_batch
 
 
 def zero_map(n=3):
@@ -284,15 +285,28 @@ def test_report_matches_the_lapack_det_scan(name, monkeypatch):
 
 def test_the_check_factorizes_no_stack_of_jacobians(monkeypatch):
     # the sample scan is elementwise; LAPACK sees only the refinement's
-    # points, one matrix each, and its gradients, 2n matrices each
-    shapes = []
+    # rungs, each call's as one stack of exactly its rung count right after
+    # it is asked for (one matrix at the start of the walk, a line search's
+    # ladder after that), and its gradients, 2n matrices each
+    log = []
     lapack = np.linalg.det
-    monkeypatch.setattr(np.linalg, "det", lambda a: shapes.append(np.shape(a)) or lapack(a))
+    monkeypatch.setattr(np.linalg, "det", lambda a: log.append(("det", np.shape(a))) or lapack(a))
+    refine = hypotheses._refine_on_sphere
+
+    def logged(rungs_fn, w0, mode, **kw):
+        return refine(lambda W: log.append(("rungs", len(W))) or rungs_fn(W), w0, mode, **kw)
+
+    monkeypatch.setattr(hypotheses, "_refine_on_sphere", logged)
     for m in (random_admissible_map(n=4, seed=7, kappa=3.5), radial_cube_map(3)):
-        shapes.clear()
-        assert check_hypotheses(m).status == "pass"
-        assert shapes and all(s[0] in (1, 2 * m.n) for s in shapes)
-        assert (2 * m.n, m.n, m.n) in shapes
+        log.clear()
+        report = check_hypotheses(m)
+        assert report.status == "pass"
+        stacks = [(i, shape) for i, (kind, shape) in enumerate(log) if kind == "det"]
+        assert stacks and ("det", (2 * m.n, m.n, m.n)) in log
+        for i, (count, *square) in stacks:
+            assert square == [m.n, m.n] and count != report.sample_count
+            assert count == 2 * m.n or log[i - 1] == ("rungs", count)
+        assert any(shape[0] not in (1, 2 * m.n) for _, shape in stacks)  # a ladder
 
 
 # The sample scan as one block of all the rows, kept as the reference the
@@ -329,7 +343,7 @@ def test_the_scan_stops_its_determinants_at_the_first_block_that_overflows():
     with np.errstate(all="ignore"):
         images, norms, dets = hypotheses._sample_scan(m, X)
         want = _whole_batch_scan(m, X)
-        everything = hypotheses._sample_scan(m, X, all_dets=True)
+        everything = hypotheses._sample_scan(m, X, dets="all")
     assert dets is None and not np.isfinite(images[:_ROWS]).all()
     assert np.array_equal(images, want[0]) and np.array_equal(norms, want[1])
     for g, w in zip(everything, want):
@@ -368,6 +382,233 @@ def test_the_check_evaluates_and_factorizes_at_most_one_block_at_a_time(monkeypa
         estimate_extrema(m, sample)
         check_jacobian_nonvanishing(m, sample)
         assert max(rows) == _ROWS
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.builds(random_polymap_spec, st.integers(0, 2**32 - 1), n_max=st.just(6)),
+                 st.builds(random_admissible_map, n=st.integers(1, 6),
+                           seed=st.integers(0, 2**32 - 1))),
+       st.sampled_from([1, _ROWS, _ROWS + 1]), st.integers(0, 2**32 - 1))
+def test_the_values_only_scan_keeps_the_scans_images_and_norms(m, count, seed):
+    X = sample_sphere(m.n, count, seed).points
+    images, norms, dets = hypotheses._sample_scan(m, X, dets=None)
+    want = hypotheses._sample_scan(m, X)
+    assert dets is None
+    assert np.array_equal(images, want[0]) and np.array_equal(norms, want[1])
+
+
+@pytest.mark.parametrize("m", [random_admissible_map(n=4, seed=7), diag_map((1.0, 2.0, 3.0))],
+                         ids=["weighted", "plain"])
+def test_estimate_extrema_alone_scans_the_sample_for_values_only(m, monkeypatch):
+    # every block of the sample is evaluated, and none is differentiated;
+    # the refinement's Jacobians are of its rungs, a few dozen rows a call
+    values, jacobians = [], []
+    evaluate, jacobian = PolyMap.evaluate, PolyMap.jacobian
+    monkeypatch.setattr(PolyMap, "evaluate", lambda body, X, _table=None: values.append(len(X))
+                        or evaluate(body, X, _table))
+    monkeypatch.setattr(PolyMap, "jacobian", lambda body, X, _table=None: jacobians.append(len(X))
+                        or jacobian(body, X, _table))
+    sample = sample_sphere(m.n, 2 * _ROWS, seed=2)
+    got = estimate_extrema(m, sample)
+    assert values.count(_ROWS) == 2 and jacobians and max(jacobians) < 100
+    monkeypatch.undo()
+    want = estimate_extrema(m, sample, image_norms=hypotheses._sample_scan(m, sample.points)[1])
+    for field in ("c0", "c_max", "argmin", "argmax", "c0_sampled", "c_max_sampled"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+# The sphere refinement as it was before its line searches were batched, one
+# point a call, kept as the reference the ladder walk must match to the bit.
+def _reference_retract(w, step, g):
+    cand = w + step * g
+    nrm = float(np.linalg.norm(cand))
+    return cand / nrm if nrm > 0.0 else None
+
+
+def _reference_refine(value_fn, w0, mode, grad_fn, max_iter=200, step_tol=1e-10):
+    w = np.array(w0, dtype=float)
+    w /= np.linalg.norm(w)
+    best = float(value_fn(w))
+    sgn = 1.0 if mode == "max" else -1.0
+    t = 1.0
+    for _ in range(max_iter):
+        g = grad_fn(w)
+        g = g - np.dot(g, w) * w
+        gn = float(np.linalg.norm(g))
+        if gn == 0.0 or not np.isfinite(gn):
+            break
+        t = min(t * 4.0, 1e8)
+        moved = False
+        while t * gn >= step_tol:
+            cand = _reference_retract(w, sgn * t, g)
+            val = None if cand is None else float(value_fn(cand))
+            if val is not None and sgn * (val - best) > 0.0:
+                while t * gn >= step_tol:
+                    cand2 = _reference_retract(w, sgn * t * 0.5, g)
+                    val2 = None if cand2 is None else float(value_fn(cand2))
+                    if val2 is not None and sgn * (val2 - val) > 0.0:
+                        t, cand, val = t * 0.5, cand2, val2
+                    else:
+                        break
+                w, best = cand, val
+                moved = True
+                break
+            t *= 0.5
+        if not moved:
+            break
+    return w, best
+
+
+def _reference_norm_walk(m, w0, mode):
+    def sq(w):
+        v = _eval_batch(m, w[None, :])[0]
+        return float(v @ v)
+
+    def grad(w):
+        F, J = _eval_jac_batch(m, w[None, :])
+        return 2.0 * (J[0].T @ F[0])
+
+    return _reference_refine(sq, w0, mode, grad)
+
+
+def _reference_det_walk(m, w0):
+    def abs_dets(W):
+        return np.abs(np.linalg.det(_jacobian_batch(m, W)))
+
+    return _reference_refine(lambda w: float(abs_dets(w[None, :])[0]), w0, "min",
+                             lambda w: hypotheses._fd_tangent_gradient(abs_dets, w))
+
+
+def _walk(m, w0, walk, reference=False):
+    """``(point, value)`` of the ``"min"``, ``"max"`` or ``"det"`` walk."""
+    if walk == "det":
+        return (_reference_det_walk if reference else hypotheses._refine_det)(m, w0)
+    return (_reference_norm_walk if reference else hypotheses._refine_norm)(m, w0, walk)
+
+
+def _walk_start(m, walk, sampled, seed):
+    """The check's start, the sampled arg-extremum of a 300-point sample, or
+    a random unit point."""
+    if not sampled:
+        w = np.random.default_rng(seed).standard_normal(m.n)
+        return w / np.linalg.norm(w)
+    X = sample_sphere(m.n, 300, seed).points
+    if walk == "det":
+        return X[np.argmin(np.abs(np.linalg.det(_jacobian_batch(m, X))))]
+    norms = np.linalg.norm(_eval_batch(m, X), axis=1)
+    return X[np.argmax(norms) if walk == "max" else np.argmin(norms)]
+
+
+def _bits(point_and_value):
+    w, v = point_and_value
+    return np.append(w, v).tobytes()
+
+
+_PERTURBED = st.builds(perturbed_radial_blackbox, kappa=st.floats(1.0, 4.0),
+                       shift=st.tuples(*[st.floats(-0.05, 0.05)] * 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.builds(random_polymap_spec, st.integers(0, 2**32 - 1), n_max=st.just(6)),
+                 st.builds(random_admissible_map, n=st.integers(1, 6),
+                           seed=st.integers(0, 2**32 - 1)),
+                 _PERTURBED),
+       st.sampled_from(["min", "max", "det"]), st.booleans(), st.integers(0, 2**32 - 1))
+@example(random_admissible_map(n=4, seed=7), "min", True, 0)
+@example(random_admissible_map(n=4, seed=7), "max", True, 0)
+@example(random_admissible_map(n=4, seed=7), "det", True, 0)
+@example(random_admissible_map(n=6, seed=6), "det", False, 1)
+@example(axis_cube_map(3), "det", True, 0)  # walks down to a zero of det Df
+@example(perturbed_radial_blackbox(), "min", True, 3)
+def test_the_ladder_walk_equals_the_reference_walk_bit_for_bit(m, walk, sampled, seed):
+    w0 = _walk_start(m, walk, sampled, seed)
+    assert _bits(_walk(m, w0, walk)) == _bits(_walk(m, w0, walk, reference=True))
+
+
+def _recording_blackbox(m, with_jacobian, batched, log):
+    def body(x):
+        log.append(("eval", np.array(x).tobytes()))
+        return eval_map(m, x)
+
+    def jac(x):
+        log.append(("jacobian", np.array(x).tobytes()))
+        return eval_jacobian_batch(m, x) if batched else eval_jacobian_batch(m, x[None, :])[0]
+
+    return MapSpec(BlackBox(eval=body, declared_kappa=m.kappa, batched=batched,
+                            jacobian=jac if with_jacobian else None), n=m.n)
+
+
+_BLACKBOXES = pytest.mark.parametrize("with_jacobian, batched",
+                                      [(False, False), (True, False), (False, True),
+                                       (True, True)],
+                                      ids=["differences", "callback", "batched-differences",
+                                           "batched-callback"])
+
+
+@_BLACKBOXES
+@pytest.mark.parametrize("walk", ["min", "max", "det"])
+def test_a_blackbox_walk_makes_the_reference_calls(walk, with_jacobian, batched):
+    # a black box, per-row or batched, is read one rung at a time, in the
+    # reference's order: the same rows, in the same order, and the same result
+    log = []
+    m = _recording_blackbox(random_admissible_map(n=4, seed=7), with_jacobian, batched, log)
+    w0 = _walk_start(m, walk, True, 2)
+    log.clear()
+    got = _walk(m, w0, walk)
+    calls = log[:]
+    log.clear()
+    want = _walk(m, w0, walk, reference=True)
+    assert len(calls) > 50 and calls == log
+    assert _bits(got) == _bits(want)
+
+
+@_BLACKBOXES
+def test_a_blackbox_check_makes_the_reference_calls(with_jacobian, batched, monkeypatch):
+    log = []
+    m = _recording_blackbox(radial_linear_map((1.0, 2.0, 3.0), kappa=2.0), with_jacobian,
+                            batched, log)
+    got = check_hypotheses(m, count=300, seed=1)
+    calls = log[:]
+    log.clear()
+    monkeypatch.setattr(hypotheses, "_refine_norm", _reference_norm_walk)
+    monkeypatch.setattr(hypotheses, "_refine_det", _reference_det_walk)
+    want = check_hypotheses(m, count=300, seed=1)
+    assert calls == log
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("name, tables", [("random_admissible4", 85), ("radial_linear123", 45)])
+def test_the_refinement_makes_one_kernel_call_a_step_and_two_a_det_step(name, tables,
+                                                                        monkeypatch):
+    # one kernel call starts each walk; then each iteration of a |f|**2 walk
+    # makes at most one (its ladder, whose rows carry the next gradient), and
+    # each of the det walk at most two (its gradient's 2n points and its
+    # ladder).  One point a call made 261 and 159 calls.
+    calls, walks = [], []  # every power table; each walk's tables and iterations
+    table = PolyMap._power_table
+    monkeypatch.setattr(PolyMap, "_power_table", lambda body, X: calls.append(len(X))
+                        or table(body, X))
+    refine = hypotheses._refine_on_sphere
+
+    def counted(rungs_fn, w0, mode, **kw):
+        def rungs(W):
+            value, grad = rungs_fn(W)
+
+            def counted_grad(k):
+                walks[-1][1] += 1
+                return grad(k)
+            return value, counted_grad
+        walks.append([len(calls), 0])
+        point_and_value = refine(rungs, w0, mode, **kw)
+        walks[-1][0] = len(calls) - walks[-1][0]
+        return point_and_value
+
+    monkeypatch.setattr(hypotheses, "_refine_on_sphere", counted)
+    check_hypotheses(acceptance_maps()[name])
+    assert len(calls) == tables
+    assert len(walks) == 3  # min and max of |f|**2, then min of |det Df|
+    for (walk_tables, iterations), per_iteration in zip(walks, (1, 1, 2)):
+        assert 0 < walk_tables <= 1 + per_iteration * iterations
 
 
 # ------------------------------------------------------------- aggregation
