@@ -11,11 +11,12 @@ on the unit sphere: writing ``c0 = min_{|w|=1} |f(w)|`` and
 
 This module samples the sphere, estimates ``c0``, ``C``, and
 ``min |det Df|`` with local refinement, measures the homogeneity residual,
-and aggregates the verdicts into a :class:`HypothesisReport`.  A polynomial
-body's sample is scanned in blocks of ``_SCAN_ROWS`` rows: each block's
-images, their norms and its Jacobian determinants, with no stack of the
-whole sample's Jacobians.  The refinement evaluates each line search's
-ladder of steps in one batch (one row at a time for a black box).
+and aggregates the verdicts into a :class:`HypothesisReport`.  Every body's
+sample, polynomial or black box, is scanned in blocks of ``_SCAN_ROWS``
+rows: each block's images, their norms and its Jacobian determinants, with
+no stack of the whole sample's Jacobians and no evaluator call of more than
+one block.  The refinement evaluates each line search's ladder of steps in
+one batch (one row at a time for a black box).
 In dimension 2 the checks can all pass while injectivity still fails (the
 planar squaring map is the canonical example), so ``n >= 3`` is reported as
 its own gate.
@@ -50,8 +51,6 @@ from .mapcore import (
     _rng,
     _row_norms,
     _unit_directions,
-    eval_jacobian_batch,
-    eval_map,
     homogeneity_residual,
 )
 
@@ -93,6 +92,9 @@ _SCAN_ROWS = 2048
 _REFINE_MAX_ITER = 200
 _REFINE_STEP_TOL = 1e-10
 
+#: coordinate step of the refinement's central-difference tangent gradient
+_FD_GRADIENT_STEP = 1e-6
+
 #: report status when every analytic check passed but ``n < 3``
 _STATUS_WARN = "hypotheses-met-but-n<3"
 
@@ -129,18 +131,18 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SphereSample:
     return SphereSample(_unit_directions(_rng(seed, _SALT_SPHERE), count, n), count, n, int(seed))
 
 
-def _fd_tangent_gradient(values_fn, w: np.ndarray, delta: float = 1e-6) -> np.ndarray:
-    """Central differences at ``w`` along each coordinate of ``values_fn``,
-    which maps a batch of unit rows to their values: the ``2n`` shifted
-    points are put back on the sphere and evaluated in one call."""
-    steps = delta * np.eye(len(w))
+def _fd_tangent_gradient(values_fn, w: np.ndarray) -> np.ndarray:
+    """Central differences at ``w``, step ``_FD_GRADIENT_STEP``, along each
+    coordinate of ``values_fn``, which maps a batch of unit rows to their
+    values: the ``2n`` shifted points are put back on the sphere and
+    evaluated in one call."""
+    steps = _FD_GRADIENT_STEP * np.eye(len(w))
     shifted = np.vstack([w + steps, w - steps])
     v = values_fn(shifted / _row_norms(shifted)[:, None])
-    return (v[:len(w)] - v[len(w):]) / (2.0 * delta)
+    return (v[:len(w)] - v[len(w):]) / (2.0 * _FD_GRADIENT_STEP)
 
 
-def _refine_on_sphere(rungs_fn, w0: np.ndarray, mode: str,
-                      max_iter: int = _REFINE_MAX_ITER, step_tol: float = _REFINE_STEP_TOL):
+def _refine_on_sphere(rungs_fn, w0: np.ndarray, mode: str):
     """Projected-gradient extremum refinement constrained to the unit sphere.
 
     ``rungs_fn`` maps an ``(L, n)`` batch of unit rows to ``(value, grad)``,
@@ -152,16 +154,17 @@ def _refine_on_sphere(rungs_fn, w0: np.ndarray, mode: str,
     Each iteration steps along the (ascending or descending) tangent
     gradient ``g``.  Its line search is a ladder of steps ``t, t/2, t/4,
     ...``, from four times the last accepted step (at most ``1e8``; 1 before
-    the first) down to the first ``t`` with ``t |g| < step_tol``; each rung
-    ``w + t g`` (``w - t g`` to descend) is put back on the sphere, and a
-    rung of zero norm counts as no improvement.  The whole ladder is one
-    ``rungs_fn`` call.  The first rung that improves on the current value is
-    taken, then halved while each halving improves on the last, so the
-    accepted point sits near the ray's one-dimensional optimum instead of
-    zigzagging across it.  The walk stops when no rung improves, the
-    gradient vanishes, or ``max_iter`` is exhausted.  Returns ``(point,
-    value)``.  The kernels give a row the same bits in every batch, so this
-    is bit for bit the line search that evaluates one step at a time.
+    the first) down to the first ``t`` with ``t |g| < _REFINE_STEP_TOL``;
+    each rung ``w + t g`` (``w - t g`` to descend) is put back on the
+    sphere, and a rung of zero norm counts as no improvement.  The whole
+    ladder is one ``rungs_fn`` call.  The first rung that improves on the
+    current value is taken, then halved while each halving improves on the
+    last, so the accepted point sits near the ray's one-dimensional optimum
+    instead of zigzagging across it.  The walk stops when no rung improves,
+    the gradient vanishes, or after ``_REFINE_MAX_ITER`` iterations.
+    Returns ``(point, value)``.  The kernels give a row the same bits in
+    every batch, so this is bit for bit the line search that evaluates one
+    step at a time.
     """
     w = np.array(w0, dtype=float)
     w /= np.linalg.norm(w)
@@ -169,14 +172,14 @@ def _refine_on_sphere(rungs_fn, w0: np.ndarray, mode: str,
     best, k = value(0), 0
     sgn = 1.0 if mode == "max" else -1.0
     t = 1.0
-    for _ in range(max_iter):
+    for _ in range(_REFINE_MAX_ITER):
         g = grad(k)
         g = g - np.dot(g, w) * w
         gn = float(np.linalg.norm(g))
         if gn == 0.0 or not np.isfinite(gn):
             break
         steps = [min(t * 4.0, 1e8)]
-        while steps[-1] * gn >= step_tol:
+        while steps[-1] * gn >= _REFINE_STEP_TOL:
             steps.append(steps[-1] * 0.5)
         # rungs 0 .. last - 1 meet the tolerance; rung ``last`` is read only
         # as the halving of rung last - 1
@@ -268,22 +271,23 @@ def estimate_extrema(m: MapSpec, sample: SphereSample,
                      image_norms: np.ndarray | None = None) -> ExtremaEstimate:
     """Estimate ``min`` and ``max`` of ``|f|`` over the unit sphere.
 
-    Evaluates ``|f|`` on the sample (or reuses ``image_norms``, the
-    precomputed norms of the sample's images; a polynomial body's come from
-    the blocked scan of :func:`_sample_scan`, values only), then refines
-    both arg-extrema with projected gradient on ``|f(w)|**2`` using the
-    exact gradient ``2 Df(w)^T f(w)``.  A polynomial body's line search takes
-    ``f`` and ``Df`` at all its steps in one call, and the accepted step's
-    rows give the next gradient (:func:`_refine_norm`).
+    Evaluates ``|f|`` on the sample by the blocked scan of
+    :func:`_sample_scan`, values only, whatever the body (or reuses
+    ``image_norms``, the precomputed norms of the sample's images, one per
+    sample point), then refines both arg-extrema with projected gradient on
+    ``|f(w)|**2`` using the exact gradient ``2 Df(w)^T f(w)``.  A polynomial
+    body's line search takes ``f`` and ``Df`` at all its steps in one call,
+    and the accepted step's rows give the next gradient
+    (:func:`_refine_norm`).
     """
     if sample.n != m.n:
         raise InvalidInputError("sample dimension disagrees with the map")
-    if image_norms is not None:
-        mags = image_norms
-    elif isinstance(m.body, PolyMap):
+    if image_norms is None:
         mags = _scan(m, sample, dets=None)[1]
     else:
-        mags = np.linalg.norm(eval_map(m, sample.points), axis=1)
+        mags = np.asarray(image_norms, dtype=float)
+        if mags.shape != (len(sample.points),):
+            raise InvalidInputError("image_norms must hold one norm per sample point")
     i0 = int(np.argmin(mags))
     i1 = int(np.argmax(mags))
 
@@ -350,32 +354,39 @@ def _det(J: np.ndarray) -> np.ndarray:
 
 
 def _sample_scan(m: MapSpec, X: np.ndarray, dets: str | None = "finite"):
-    """Images, their norms and the Jacobian determinants of a polynomial
-    body at a finite ``(N, n)`` batch of nonzero rows, ``(images,
-    image_norms, dets)``, walked in blocks of ``_SCAN_ROWS`` rows.
+    """Images, their norms and the Jacobian determinants of any body at a
+    finite ``(N, n)`` batch of nonzero rows, ``(images, image_norms,
+    dets)``, walked in blocks of ``_SCAN_ROWS`` rows.
 
-    Each block takes one ``_eval_jac_batch`` call, ``np.linalg.norm`` of its
-    rows and ``_det`` of its Jacobians, written into arrays of ``N`` rows; so
-    no ``(N, n, n)`` stack and no ``N``-row kernel temporary is allocated.
-    The kernel rounds a row alike at every batch size, so the result is bit
-    for bit that of one block of ``N`` rows.  ``dets`` names which
+    Each block's images, ``np.linalg.norm`` of its rows and ``_det`` of its
+    Jacobians are written into arrays of ``N`` rows; so no ``(N, n, n)``
+    stack and no ``N``-row kernel temporary is allocated, and no evaluator
+    call sees more than one block's rows (or, for a black box's finite
+    differences, their ``2n`` shifted rows each).  A polynomial body's
+    block takes one ``_eval_jac_batch`` call, which shares its power table;
+    a black box's takes ``_eval_batch``, then ``_jacobian_batch`` only when
+    its determinants are wanted.  The kernels round a row alike at every
+    batch size, so the result is bit for bit that of one block of ``N``
+    rows (for a black box, when its evaluator does too).  ``dets`` names which
     determinants are computed: ``"all"``, ``"finite"`` (up to the first
     block whose images are not all finite; from there on none, and the
     returned ``dets`` is None) or None (none: every block takes
     ``_eval_batch``, and the returned ``dets`` is None).
     """
     N = len(X)
+    poly = isinstance(m.body, PolyMap)
     images = np.empty((N, m.n))
     image_norms = np.empty(N)
     out = None if dets is None else np.empty(N)
     for lo in range(0, N, _SCAN_ROWS):
         block = slice(lo, lo + _SCAN_ROWS)
-        if out is None:
-            F = _eval_batch(m, X[block])
-        else:
+        if out is not None and poly:
             F, J = _eval_jac_batch(m, X[block])
+        else:
+            F, J = _eval_batch(m, X[block]), None
+        if out is not None:
             if dets == "all" or np.isfinite(F).all():
-                out[block] = _det(J)
+                out[block] = _det(_jacobian_batch(m, X[block]) if J is None else J)
             else:
                 out = None
         images[block] = F
@@ -386,7 +397,7 @@ def _sample_scan(m: MapSpec, X: np.ndarray, dets: str | None = "finite"):
 def _scan(m: MapSpec, sample: SphereSample, dets: str | None = "all"):
     """``_sample_scan`` of a caller's sample, every determinant included
     unless ``dets`` says otherwise; its points are held to the rules of
-    :func:`eval_jacobian_batch`."""
+    :func:`~hominv.mapcore.eval_jacobian_batch`."""
     X, _ = _as_matrix(sample.points, m.n, "sample points")
     if not X.any(axis=1).all():
         raise UndefinedAtOriginError("a sphere sample cannot hold the origin")
@@ -409,9 +420,9 @@ def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample, *,
     The verdict is ``"pass"`` iff the refined minimum stays above
     ``DET_TOL``; by homogeneity of ``Df`` this settles the sign question on
     every sphere ``|xi| = r`` at once.  ``_dets`` are the sample's
-    determinants when the caller has computed them; else a polynomial body's
-    come from the blocked scan of :func:`_sample_scan`, and a black box's from
-    one Jacobian call on the sample.
+    determinants when the caller has computed them; else they come from the
+    blocked scan of :func:`_sample_scan`, whatever the body, which evaluates
+    the sample's images too.
 
     The sample's determinants take the closed forms of ``_det`` for
     ``n <= 4``: one elementwise pass over each block.  ``n >= 5``, a sample
@@ -425,8 +436,7 @@ def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample, *,
     if sample.n != m.n:
         raise InvalidInputError("sample dimension disagrees with the map")
     if _dets is None:
-        _dets = (_scan(m, sample)[2] if isinstance(m.body, PolyMap)
-                 else _det(eval_jacobian_batch(m, sample.points)))
+        _dets = _scan(m, sample)[2]
     dets = np.abs(_dets)
     i0 = int(np.argmin(dets))
 
@@ -478,6 +488,11 @@ class HypothesisReport:
     images: np.ndarray = field(repr=False)
     image_norms: np.ndarray = field(repr=False)
     fingerprint: tuple = field(repr=False)
+
+    @staticmethod
+    def _fingerprint_of(m: MapSpec) -> tuple:
+        """The ``fingerprint`` of a report computed for ``m``."""
+        return m.n, float(m.kappa), m.body.components if isinstance(m.body, PolyMap) else m.body
 
     def matches(self, m: MapSpec) -> bool:
         """True when this report was computed for ``m``: same dimension and
@@ -573,21 +588,17 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
     ``HOMOGENEITY_TOL``, and nonvanishing Jacobian determinant against
     ``DET_TOL``; plus the dimension gate ``n >= 3``, reported separately.
 
-    A polynomial body's images, their norms and its Jacobian determinants
-    at the sample come from one scan in blocks of ``_SCAN_ROWS`` rows
-    (:func:`_sample_scan`), which builds no stack of the sample's
-    Jacobians; a black box's images take one evaluator call, and its
-    Jacobians are computed only when its images are all finite.
+    The images, their norms and the Jacobian determinants at the sample,
+    for a polynomial body or a black box alike, come from one scan in blocks
+    of ``_SCAN_ROWS`` rows (:func:`_sample_scan`), which builds no stack of
+    the sample's Jacobians; the determinants are computed only while the
+    images are finite, so they exist exactly when every image is finite.
     """
     defaulted = count is None
     n_points = DEFAULT_SAMPLES_PER_DIM * m.n if count is None else int(count)
     sample = sample_sphere(m.n, n_points, seed)
-    if isinstance(m.body, PolyMap):
-        images, image_norms, dets = _sample_scan(m, sample.points)
-    else:
-        images, dets = _eval_batch(m, sample.points), None
-        image_norms = np.linalg.norm(images, axis=1)
-    finite_ok = bool(np.all(np.isfinite(images)))
+    images, image_norms, dets = _sample_scan(m, sample.points)
+    finite_ok = dets is not None
     if finite_ok:
         ext = estimate_extrema(m, sample, image_norms=image_norms)
         jac = check_jacobian_nonvanishing(m, sample, _dets=dets)
@@ -643,11 +654,7 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
         sample=sample,
         images=images,
         image_norms=image_norms,
-        fingerprint=(
-            m.n,
-            float(m.kappa),
-            m.body.components if isinstance(m.body, PolyMap) else m.body,
-        ),
+        fingerprint=HypothesisReport._fingerprint_of(m),
     )
 
 

@@ -139,6 +139,14 @@ def test_refined_extrema_bracket_sampled_values():
     assert ext.c_max >= ext.c_max_sampled - 1e-15
 
 
+@pytest.mark.parametrize("norms", [np.ones(5), np.ones((100, 1)), np.ones((100, 3))],
+                         ids=["too-few", "column", "matrix"])
+def test_estimate_extrema_rejects_image_norms_of_another_shape(norms):
+    # one norm per sample point, or the arg-extrema index another sample
+    with pytest.raises(InvalidInputError, match="image_norms"):
+        estimate_extrema(radial_cube_map(3), sample_sphere(3, 100, seed=0), image_norms=norms)
+
+
 def test_sampled_extrema_monotone_in_nested_samples():
     m = diag_map((1.0, 2.0, 3.0))
     prev_min, prev_max = np.inf, -np.inf
@@ -319,17 +327,59 @@ def _whole_batch_scan(m, X):
 
 _ROWS = hypotheses._SCAN_ROWS
 
+_POLY_MAPS = st.one_of(st.builds(random_polymap_spec, st.integers(0, 2**32 - 1), n_max=st.just(6)),
+                       st.builds(random_admissible_map, n=st.integers(1, 6),
+                                 seed=st.integers(0, 2**32 - 1)))
 
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(st.builds(random_polymap_spec, st.integers(0, 2**32 - 1), n_max=st.just(6)),
-                 st.builds(random_admissible_map, n=st.integers(1, 6),
-                           seed=st.integers(0, 2**32 - 1))),
+_PERTURBED = st.builds(perturbed_radial_blackbox, kappa=st.floats(1.0, 4.0),
+                       shift=st.tuples(*[st.floats(-0.05, 0.05)] * 3))
+
+
+def _recording_blackbox(m, with_jacobian, batched, log):
+    def body(x):
+        log.append(("eval", np.array(x).tobytes()))
+        return eval_map(m, x)
+
+    def jac(x):
+        log.append(("jacobian", np.array(x).tobytes()))
+        return eval_jacobian_batch(m, x) if batched else eval_jacobian_batch(m, x[None, :])[0]
+
+    return MapSpec(BlackBox(eval=body, declared_kappa=m.kappa, batched=batched,
+                            jacobian=jac if with_jacobian else None), n=m.n)
+
+
+_RADIAL4 = random_admissible_map(n=4, seed=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_POLY_MAPS,
+                 st.builds(blackbox_of, _POLY_MAPS, with_jacobian=st.booleans()),
+                 _PERTURBED,
+                 st.builds(_recording_blackbox, _POLY_MAPS, st.booleans(), st.just(False),
+                           st.builds(list))),
        st.sampled_from([1, 2, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 7]),
        st.integers(0, 2**32 - 1))
 @example(random_admissible_map(n=6, seed=1), 3 * _ROWS + 7, 0)
 @example(random_polymap_spec(6, n_max=6), _ROWS + 1, 0)  # n = 2, weighted; a one-row last block
 @example(random_polymap_spec(5, n_max=6), _ROWS + 1, 0)  # n = 6, plain
+@example(blackbox_of(_RADIAL4), 1, 0)  # batched black boxes at every count
+@example(blackbox_of(_RADIAL4), 2, 0)
+@example(blackbox_of(_RADIAL4), _ROWS - 1, 0)
+@example(blackbox_of(_RADIAL4), _ROWS, 0)
+@example(blackbox_of(_RADIAL4), _ROWS + 1, 0)
+@example(blackbox_of(_RADIAL4), 3 * _ROWS + 7, 0)
+@example(blackbox_of(_RADIAL4, with_jacobian=True), 1, 0)
+@example(blackbox_of(_RADIAL4, with_jacobian=True), 2, 0)
+@example(blackbox_of(_RADIAL4, with_jacobian=True), _ROWS - 1, 0)
+@example(blackbox_of(_RADIAL4, with_jacobian=True), _ROWS, 0)
+@example(blackbox_of(_RADIAL4, with_jacobian=True), _ROWS + 1, 0)
+@example(blackbox_of(_RADIAL4, with_jacobian=True), 3 * _ROWS + 7, 0)
+@example(perturbed_radial_blackbox(), 3 * _ROWS + 7, 0)
+@example(_recording_blackbox(_RADIAL4, False, False, []), _ROWS + 1, 0)  # per-row bodies
+@example(_recording_blackbox(_RADIAL4, True, False, []), _ROWS + 1, 0)
 def test_blocked_scan_equals_the_whole_batch_scan(m, count, seed):
+    if not getattr(m.body, "batched", True):
+        count = min(count, _ROWS + 1)  # a per-row body makes a call a row
     X = sample_sphere(m.n, count, seed).points
     got = hypotheses._sample_scan(m, X)
     for g, w in zip(got, _whole_batch_scan(m, X)):
@@ -355,9 +405,10 @@ def test_a_hand_made_sample_is_checked_before_the_scan(bad, error):
     s = sample_sphere(3, 10, seed=0)
     points = s.points.copy()
     points[4] = bad
-    for check in (estimate_extrema, check_jacobian_nonvanishing):
-        with pytest.raises(error):
-            check(radial_cube_map(3), SphereSample(points, s.count, s.n, s.seed))
+    for m in (radial_cube_map(3), blackbox_of(radial_cube_map(3))):
+        for check in (estimate_extrema, check_jacobian_nonvanishing):
+            with pytest.raises(error):
+                check(m, SphereSample(points, s.count, s.n, s.seed))
 
 
 def test_the_check_evaluates_and_factorizes_at_most_one_block_at_a_time(monkeypatch):
@@ -504,10 +555,6 @@ def _bits(point_and_value):
     return np.append(w, v).tobytes()
 
 
-_PERTURBED = st.builds(perturbed_radial_blackbox, kappa=st.floats(1.0, 4.0),
-                       shift=st.tuples(*[st.floats(-0.05, 0.05)] * 3))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.builds(random_polymap_spec, st.integers(0, 2**32 - 1), n_max=st.just(6)),
                  st.builds(random_admissible_map, n=st.integers(1, 6),
@@ -523,19 +570,6 @@ _PERTURBED = st.builds(perturbed_radial_blackbox, kappa=st.floats(1.0, 4.0),
 def test_the_ladder_walk_equals_the_reference_walk_bit_for_bit(m, walk, sampled, seed):
     w0 = _walk_start(m, walk, sampled, seed)
     assert _bits(_walk(m, w0, walk)) == _bits(_walk(m, w0, walk, reference=True))
-
-
-def _recording_blackbox(m, with_jacobian, batched, log):
-    def body(x):
-        log.append(("eval", np.array(x).tobytes()))
-        return eval_map(m, x)
-
-    def jac(x):
-        log.append(("jacobian", np.array(x).tobytes()))
-        return eval_jacobian_batch(m, x) if batched else eval_jacobian_batch(m, x[None, :])[0]
-
-    return MapSpec(BlackBox(eval=body, declared_kappa=m.kappa, batched=batched,
-                            jacobian=jac if with_jacobian else None), n=m.n)
 
 
 _BLACKBOXES = pytest.mark.parametrize("with_jacobian, batched",
@@ -681,11 +715,13 @@ def test_blackbox_with_nonfinite_images_is_called_for_the_images_only(with_jacob
 
     m = MapSpec(BlackBox(eval=body, declared_kappa=1.0,
                          jacobian=jac if with_jacobian else None), n=3)
-    report = check_hypotheses(m, count=40, seed=0)
-    assert "non-finite-values" in report.reasons
-    # one call a sample row, in order: no finite-difference rows and no callback
-    assert np.array_equal(np.array(calls), report.sample.points)
-    assert jac_calls == []
+    for count in (40, _ROWS + 1):  # one block, and two
+        calls.clear()
+        report = check_hypotheses(m, count=count, seed=0)
+        assert "non-finite-values" in report.reasons
+        # one call a sample row, in order: no finite-difference rows and no callback
+        assert np.array_equal(np.array(calls), report.sample.points)
+        assert jac_calls == []
 
 
 @pytest.mark.parametrize("kappa, shift", [(3.0, (0.01, 0.0, 0.0)), (3.0, (0.0, 0.0, 0.0)),
@@ -742,6 +778,23 @@ def test_blackbox_check_makes_a_bounded_number_of_evaluator_calls():
     refinement.remove(2 * 3 * 2000)
     assert max(refinement) == (2 * 3) ** 2
     assert len(rows) <= 36
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True], ids=["differences", "callback"])
+def test_a_blackbox_check_calls_its_evaluator_with_one_block_at_most(with_jacobian):
+    # the sample scan hands a batched body one block of the sample a call,
+    # and its finite differences the 2n shifted rows of one block; one call
+    # on the whole sample passed 180 000 rows to eval here
+    log = []
+    m = _recording_blackbox(radial_linear_map((1.0, 2.0, 3.0), kappa=2.0), with_jacobian,
+                            True, log)
+    report = check_hypotheses(m)
+    assert report.status == "pass" and report.sample_count > 2 * 3 * _ROWS
+    rows = {"eval": [], "jacobian": []}
+    for kind, x in log:  # x holds the call's rows of three floats, as bytes
+        rows[kind].append(len(x) // (3 * 8))
+    assert max(rows["eval"]) == (_ROWS if with_jacobian else 2 * 3 * _ROWS)
+    assert max(rows["jacobian"], default=0) == (_ROWS if with_jacobian else 0)
 
 
 _SHARED_SCAN_MAPS = {**acceptance_maps(), "axis_cube3": axis_cube_map(3),
