@@ -149,7 +149,7 @@ def _preimages(m: MapSpec, omega: np.ndarray, mag: float, report: HypothesisRepo
     It searches at the unit target, where the absolute tolerance is
     relative, and rescales: f(s x) = |eta| f(x) for s = |eta|**(1/kappa),
     and det Df(s x) = s**(n (kappa - 1)) det Df(x) keeps its sign."""
-    bracket = _bracket(report, math.hypot(*omega), m.kappa)
+    bracket = _bracket(report, math.hypot(*omega))
     scale = mag ** (1.0 / m.kappa)
     out = []
     for kept in _search_roots(m, np.repeat(omega[None, :], len(seeds), axis=0),
@@ -205,23 +205,20 @@ def injectivity_probe(m: MapSpec, trials: int = 20, starts: Optional[int] = None
     Returns a dict with the per-target counts and a verdict:
     ``"consistent-with-injective"`` when every count is one, otherwise
     ``"not-injective"``.  Target draws are seeded from the report so repeat
-    runs probe identical values.  Trial ``k`` searches with seed ``k``, all
-    trials in one batch, and only counts: no determinant is taken.
+    runs probe identical values: the ``trials`` directions come from
+    :func:`~hominv.mapcore._unit_directions` (in R^1, ``+1, -1, +1, ...``),
+    then the ``trials`` magnitudes, from one stream.  Trial ``k`` searches
+    with seed ``k``, all trials in one batch, and only counts: no
+    determinant is taken.
     """
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     report, starts = _checked(m, report, force, starts, tol)
     rng = _rng(report.seed, _SALT_PROBE)
-    targets = []
-    for _ in range(trials):
-        direction = rng.standard_normal(m.n)
-        nrm = float(np.linalg.norm(direction))
-        while nrm < 1e-12:
-            direction = rng.standard_normal(m.n)
-            nrm = float(np.linalg.norm(direction))
-        targets.append(10.0 ** rng.uniform(-2.0, 2.0) * direction / nrm)
+    directions = _unit_directions(rng, trials, m.n)
+    targets = list(10.0 ** rng.uniform(-2.0, 2.0, size=trials)[:, None] * directions)
     omegas = np.array([eta / math.hypot(*eta) for eta in targets])
-    brackets = [_bracket(report, math.hypot(*omega), m.kappa) for omega in omegas]
+    brackets = [_bracket(report, math.hypot(*omega)) for omega in omegas]
     counts = [len(r) for r in _search_roots(m, omegas, brackets, [starts] * trials, tol,
                                             range(trials))]
     verdict = "consistent-with-injective" if all(c == 1 for c in counts) else "not-injective"

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -463,9 +463,9 @@ class HypothesisReport:
     sample row's alignment with its target against the unit image
     directions that the report derives from ``images`` and ``image_norms``
     on first use and then keeps (``_unit_images``).  So is the
-    ``fingerprint`` of the map the report was computed for: ``(n, kappa,
-    terms)`` for polynomial bodies and ``(n, kappa, body)`` for black boxes,
-    whose body is compared by identity (see :meth:`matches`).
+    ``fingerprint`` ``(n, kappa, body)`` of the map the report was computed
+    for (see :meth:`matches`).  :meth:`to_json_dict` serializes the other
+    fields, in their order: exactly the fields shown by ``repr``.
     """
 
     n: int
@@ -489,20 +489,12 @@ class HypothesisReport:
     image_norms: np.ndarray = field(repr=False)
     fingerprint: tuple = field(repr=False)
 
-    @staticmethod
-    def _fingerprint_of(m: MapSpec) -> tuple:
-        """The ``fingerprint`` of a report computed for ``m``."""
-        return m.n, float(m.kappa), m.body.components if isinstance(m.body, PolyMap) else m.body
-
     def matches(self, m: MapSpec) -> bool:
-        """True when this report was computed for ``m``: same dimension and
-        order, and the same polynomial terms or the same black-box object."""
-        n, kappa, key = self.fingerprint
-        if (n, kappa) != (m.n, float(m.kappa)):
-            return False
-        if isinstance(m.body, PolyMap):
-            return key == m.body.components
-        return key is m.body
+        """True when this report was computed for ``m``: same dimension,
+        order and body.  Bodies compare by value: a :class:`PolyMap` by its
+        terms, a :class:`~hominv.mapcore.BlackBox` by its callables,
+        declared order and ``batched``."""
+        return self.fingerprint == (m.n, float(m.kappa), m.body)
 
     @cached_property
     def _unit_images(self) -> _UnitImages:
@@ -521,24 +513,15 @@ class HypothesisReport:
         return _UnitImages(directions, unusable, usable)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "kappa": self.kappa,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "c0_empirical": self.c0_empirical,
-            "c_empirical": self.c_empirical,
-            "min_abs_det_j": self.min_abs_det_j,
-            "homogeneity_residual": self.homogeneity_residual,
-            "n_verdict": self.n_verdict,
-            "overall": self.overall,
-            "status": self.status,
-            "reasons": list(self.reasons),
-            "notes": list(self.notes),
-            "argmin_f": [float(v) for v in self.argmin_f],
-            "argmax_f": [float(v) for v in self.argmax_f],
-            "argmin_det": [float(v) for v in self.argmin_det],
-        }
+        """The ``repr`` fields by name, in field order: tuples and arrays as
+        lists."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self) if f.repr}
+
+
+def _json_value(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _check_tol(tol: float) -> None:
@@ -654,7 +637,7 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
         sample=sample,
         images=images,
         image_norms=image_norms,
-        fingerprint=HypothesisReport._fingerprint_of(m),
+        fingerprint=(m.n, float(m.kappa), m.body),
     )
 
 
@@ -671,13 +654,14 @@ def _target_rows(n: int, etas, ndim: int = 2) -> tuple[np.ndarray, list[float]]:
     return E, [math.hypot(*e) for e in E]
 
 
-def _bracket(report: HypothesisReport, mag: float, kappa: float) -> tuple[float, float]:
-    """The coercivity bracket of every target of norm ``mag > 0``."""
+def _bracket(report: HypothesisReport, mag: float) -> tuple[float, float]:
+    """The coercivity bracket of every target of norm ``mag > 0``, at the
+    report's order."""
     if report.c0_empirical <= 0.0:
         raise NoBracketError(
             "no coercivity bracket: the empirical minimum of |f| on the sphere is zero"
         )
-    inv_k = 1.0 / float(kappa)
+    inv_k = 1.0 / report.kappa
     r_lo = (mag / report.c_empirical) ** inv_k
     r_hi = (mag / report.c0_empirical) ** inv_k
     return float(r_lo), float(r_hi)
@@ -691,16 +675,22 @@ def coercivity_bracket(report: HypothesisReport, eta, kappa: float) -> tuple[flo
         r_lo = (|eta| / C)**(1/kappa),   r_hi = (|eta| / c0)**(1/kappa)
 
     Uses the report's empirical extrema, so containment holds up to their
-    estimation error (tests allow ``1e-9 * r_hi`` of slack).
+    estimation error (tests allow ``1e-9 * r_hi`` of slack).  ``kappa``
+    must be the order the report was computed at, ``report.kappa``.
 
     Raises
     ------
+    InvalidParameterError
+        When ``kappa`` is not ``report.kappa``.
     NoBracketError
         When ``c0_empirical`` is zero (e.g. the zero map).
     InvalidInputError
         For ``eta = 0`` or malformed input.
     """
+    if float(kappa) != report.kappa:
+        raise InvalidParameterError(f"kappa {kappa} is not the order the report was computed at "
+                                    f"({report.kappa})")
     _, (mag,) = _target_rows(report.n, eta, ndim=1)
     if mag == 0.0:
         raise InvalidInputError("eta must be nonzero (the origin's preimage is the origin)")
-    return _bracket(report, mag, kappa)
+    return _bracket(report, mag)

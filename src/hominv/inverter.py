@@ -248,7 +248,7 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, tol: float, report: HypothesisRe
     time would."""
     nz = [i for i, mag in enumerate(norms) if mag]
     E, mags = etas[nz], [norms[i] for i in nz]
-    brackets = [_bracket(report, mag, m.kappa) for mag in mags]
+    brackets = [_bracket(report, mag) for mag in mags]
     omega = E / np.array(mags).reshape(-1, 1)
     usable = report._unit_images.usable
     # each target's seeds in the order tried; past round 0, filled only for

@@ -132,6 +132,17 @@ def test_injectivity_probe_fails_for_complex_square():
     assert all(c == 2 for c in probe["counts"])
 
 
+def test_probe_targets_in_r1_alternate_in_sign():
+    # S^0 is {+1, -1}; independent random signs can probe one side several
+    # times in a row (standard normal signs from this stream at report seed
+    # 0 read +, +, +, +, -, -)
+    m = identity_map(1)
+    rep = check_hypotheses(m, count=2, seed=0)
+    probe = injectivity_probe(m, trials=6, report=rep)
+    assert [math.copysign(1.0, eta[0]) for eta in probe["targets"]] == [1, -1, 1, -1, 1, -1]
+    assert probe["counts"] == [1] * 6
+
+
 def test_higher_start_count_does_not_invent_roots():
     m = complex_square_map()
     rep = report_for("complex_square", complex_square_map)
@@ -290,15 +301,11 @@ def _probe_one_trial_at_a_time(m, trials, report, force=False):
     """The probe that the batched one replaced: the same target draws, then
     one ``count_preimages`` call a trial with seed ``k``."""
     rng = np.random.default_rng([report.seed, degree._SALT_PROBE])
+    directions = _unit_directions(rng, trials, m.n)
+    magnitudes = 10.0 ** rng.uniform(-2.0, 2.0, size=trials)
     counts, targets, roots = [], [], []
     for k in range(trials):
-        direction = rng.standard_normal(m.n)
-        nrm = float(np.linalg.norm(direction))
-        while nrm < 1e-12:
-            direction = rng.standard_normal(m.n)
-            nrm = float(np.linalg.norm(direction))
-        magnitude = 10.0 ** rng.uniform(-2.0, 2.0)
-        eta = magnitude * direction / nrm
+        eta = magnitudes[k] * directions[k]
         pre = count_preimages(m, eta, report=report, force=force, seed=k)
         targets.append(eta)
         counts.append(len(pre))

@@ -1,5 +1,7 @@
 """Sphere sampling, extrema estimation, and the hypothesis verdicts."""
 
+import dataclasses
+import json
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -836,6 +838,19 @@ def test_report_matches_only_its_map():
     assert not bb_rep.matches(radial_cube_map(3))
 
 
+def test_report_matches_a_black_box_by_value():
+    bb = blackbox_of(radial_cube_map(3), with_jacobian=True)
+    rep = check_hypotheses(bb, count=500)
+    body = bb.body
+    twin = BlackBox(eval=body.eval, declared_kappa=body.declared_kappa,
+                    jacobian=body.jacobian, batched=body.batched)
+    assert twin is not body
+    assert rep.matches(MapSpec(twin, n=3))
+    per_row = BlackBox(eval=body.eval, declared_kappa=body.declared_kappa,
+                       jacobian=body.jacobian, batched=not body.batched)
+    assert not rep.matches(MapSpec(per_row, n=3))
+
+
 def test_report_caches_image_norms():
     rep = check_hypotheses(random_admissible_map(n=4, seed=7, kappa=3.5), count=600)
     assert np.array_equal(rep.image_norms, np.linalg.norm(rep.images, axis=1))
@@ -859,6 +874,13 @@ def test_report_json_dict_key_order():
         "overall", "status", "reasons", "notes", "argmin_f", "argmax_f",
         "argmin_det",
     ]
+
+
+def test_report_json_dict_holds_exactly_the_repr_fields():
+    rep = check_hypotheses(blackbox_of(diag_map((1.0, 2.0, 3.0))), count=300, seed=0)
+    doc = rep.to_json_dict()
+    assert list(doc) == [f.name for f in dataclasses.fields(rep) if f.repr]
+    assert json.loads(json.dumps(doc)) == doc
 
 
 # ------------------------------------------------------------------ bracket
@@ -893,6 +915,15 @@ def test_bracket_rejects_zero_target():
     rep = check_hypotheses(identity_map(3), count=300, seed=0)
     with pytest.raises(InvalidInputError):
         coercivity_bracket(rep, np.zeros(3), 1.0)
+
+
+def test_bracket_rejects_an_order_other_than_the_reports():
+    rep = check_hypotheses(radial_cube_map(3), count=300, seed=0)
+    eta = np.array([0.0, 0.0, 8.0])
+    for kappa in (2.0, 3.0 + 1e-12, float("nan")):
+        with pytest.raises(InvalidParameterError, match="order the report was computed at"):
+            coercivity_bracket(rep, eta, kappa)
+    assert coercivity_bracket(rep, eta, 3) == coercivity_bracket(rep, eta, np.float32(3.0))
 
 
 def test_bracket_requires_positive_minimum():

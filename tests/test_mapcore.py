@@ -1,6 +1,8 @@
 """Evaluation and differentiation of homogeneous maps."""
 
+import importlib
 import math
+import pkgutil
 import warnings
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hominv
 from hominv import (
     BlackBox,
     InvalidInputError,
@@ -501,6 +504,18 @@ def test_a_seed_that_is_not_an_integer_is_rejected_not_truncated(seed):
         sample_sphere(3, 4, seed=seed)
     with pytest.raises(InvalidParameterError, match="seed must be a nonnegative integer"):
         check_hypotheses(identity_map(3), count=50, seed=seed)
+
+
+def test_every_seeded_stream_has_its_own_salt():
+    # two streams with one salt would draw the same numbers from one seed
+    salts = {}
+    for info in pkgutil.iter_modules(hominv.__path__):
+        module = importlib.import_module(f"hominv.{info.name}")
+        salts.update({f"{info.name}.{k}": v for k, v in vars(module).items()
+                      if k.startswith("_SALT_")})
+    assert len(salts) >= 7, salts
+    assert all(type(v) is int for v in salts.values()), salts
+    assert len(set(salts.values())) == len(salts), salts
 
 
 def test_python_and_numpy_integer_seeds_draw_the_same_stream():
