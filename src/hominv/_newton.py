@@ -27,12 +27,11 @@ def _nonsingular(J: np.ndarray):
     """Whether ``J`` (one ``n x n`` matrix, or a stack ``(..., n, n)``, one
     answer per matrix) is numerically nonsingular: ``|det J|`` above
     ``SINGULAR_RATIO`` times the product of its row norms.  A determinant or
-    product that is NaN or has overflowed fails the comparison."""
+    product that is NaN or has overflowed fails the comparison.  The row
+    norms are :func:`~hominv.mapcore._row_norms`, with no range guard, as
+    everywhere in the solvers' loops on the unit-reduced problem."""
     det = np.abs(np.linalg.det(J))
-    # np.linalg.norm(J, axis=-1) to the bit, without its per-call argument
-    # handling; this runs at every continuation step
-    row_norms = np.sqrt((J * J).sum(axis=-1))
-    return det > SINGULAR_RATIO * row_norms.prod(axis=-1)
+    return det > SINGULAR_RATIO * _row_norms(J).prod(axis=-1)
 
 
 def solve_guarded(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:

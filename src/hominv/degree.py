@@ -26,7 +26,6 @@ planar counterexample (the complex square) shows count two and degree two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +34,7 @@ import numpy as np
 from ._newton import _polish, newton_batch
 from .errors import InvalidInputError, InvalidParameterError
 from .hypotheses import HypothesisReport, _bracket, _check_tol, _require_report, _target_rows
-from .mapcore import MapSpec, _rng, _row_norms, _unit_directions, eval_jacobian_batch
+from .mapcore import MapSpec, _norms, _rng, _row_norms, _unit_directions, eval_jacobian_batch
 
 __all__ = ["DegreeReport", "count_preimages", "mapping_degree", "injectivity_probe"]
 
@@ -115,15 +114,15 @@ def _search_roots(m: MapSpec, omegas: np.ndarray, brackets, starts, tol: float,
     roots, ok, _, _ = newton_batch(m, np.vstack(X0), T, tol, np.array(caps)[owner], max_iter=60)
     found, res = _polish(m, roots[ok], T[ok])
     owner = owner[ok]
-    return [_dedup(found[(owner == k) & (res <= tol * max(1.0, float(np.linalg.norm(omega))))],
-                   _DEDUP_RATIO * max(r_hi, 1e-300))
-            for k, (omega, (_, r_hi)) in enumerate(zip(omegas, brackets))]
+    limits = tol * np.maximum(1.0, _norms(omegas))
+    return [_dedup(found[(owner == k) & (res <= limit)], _DEDUP_RATIO * max(r_hi, 1e-300))
+            for k, (limit, (_, r_hi)) in enumerate(zip(limits, brackets))]
 
 
 def _unit_target(m: MapSpec, eta) -> tuple[np.ndarray, float]:
     """``(eta / |eta|, |eta|)`` for a finite nonzero vector of length n."""
     (e,), (mag,) = _target_rows(m.n, eta, ndim=1)
-    if mag == 0.0 or not math.isfinite(mag):
+    if mag == 0.0 or not np.isfinite(mag):
         raise InvalidInputError("eta must be finite and nonzero")
     return e / mag, mag
 
@@ -149,7 +148,7 @@ def _preimages(m: MapSpec, omega: np.ndarray, mag: float, report: HypothesisRepo
     It searches at the unit target, where the absolute tolerance is
     relative, and rescales: f(s x) = |eta| f(x) for s = |eta|**(1/kappa),
     and det Df(s x) = s**(n (kappa - 1)) det Df(x) keeps its sign."""
-    bracket = _bracket(report, math.hypot(*omega))
+    bracket = _bracket(report, float(_norms(omega)))
     scale = mag ** (1.0 / m.kappa)
     out = []
     for kept in _search_roots(m, np.repeat(omega[None, :], len(seeds), axis=0),
@@ -216,10 +215,10 @@ def injectivity_probe(m: MapSpec, trials: int = 20, starts: Optional[int] = None
     report, starts = _checked(m, report, force, starts, tol)
     rng = _rng(report.seed, _SALT_PROBE)
     directions = _unit_directions(rng, trials, m.n)
-    targets = list(10.0 ** rng.uniform(-2.0, 2.0, size=trials)[:, None] * directions)
-    omegas = np.array([eta / math.hypot(*eta) for eta in targets])
-    brackets = [_bracket(report, math.hypot(*omega)) for omega in omegas]
+    etas = 10.0 ** rng.uniform(-2.0, 2.0, size=trials)[:, None] * directions
+    omegas = etas / _norms(etas)[:, None]
+    brackets = [_bracket(report, mag) for mag in _norms(omegas).tolist()]
     counts = [len(r) for r in _search_roots(m, omegas, brackets, [starts] * trials, tol,
                                             range(trials))]
     verdict = "consistent-with-injective" if all(c == 1 for c in counts) else "not-injective"
-    return {"counts": counts, "targets": targets, "verdict": verdict, "max_count": max(counts)}
+    return {"counts": counts, "targets": list(etas), "verdict": verdict, "max_count": max(counts)}

@@ -27,7 +27,6 @@ gradient, not certified bounds.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -48,6 +47,7 @@ from .mapcore import (
     _eval_batch,
     _eval_jac_batch,
     _jacobian_batch,
+    _norms,
     _rng,
     _row_norms,
     _unit_directions,
@@ -167,7 +167,7 @@ def _refine_on_sphere(rungs_fn, w0: np.ndarray, mode: str):
     step at a time.
     """
     w = np.array(w0, dtype=float)
-    w /= np.linalg.norm(w)
+    w /= _row_norms(w)
     value, grad = rungs_fn(w[None, :])
     best, k = value(0), 0
     sgn = 1.0 if mode == "max" else -1.0
@@ -175,7 +175,7 @@ def _refine_on_sphere(rungs_fn, w0: np.ndarray, mode: str):
     for _ in range(_REFINE_MAX_ITER):
         g = grad(k)
         g = g - np.dot(g, w) * w
-        gn = float(np.linalg.norm(g))
+        gn = float(_row_norms(g))
         if gn == 0.0 or not np.isfinite(gn):
             break
         steps = [min(t * 4.0, 1e8)]
@@ -358,7 +358,8 @@ def _sample_scan(m: MapSpec, X: np.ndarray, dets: str | None = "finite"):
     finite ``(N, n)`` batch of nonzero rows, ``(images, image_norms,
     dets)``, walked in blocks of ``_SCAN_ROWS`` rows.
 
-    Each block's images, ``np.linalg.norm`` of its rows and ``_det`` of its
+    Each block's images, their norms (:func:`~hominv.mapcore._norms`, so
+    an image above about ``1e154`` keeps a finite norm) and ``_det`` of its
     Jacobians are written into arrays of ``N`` rows; so no ``(N, n, n)``
     stack and no ``N``-row kernel temporary is allocated, and no evaluator
     call sees more than one block's rows (or, for a black box's finite
@@ -390,7 +391,7 @@ def _sample_scan(m: MapSpec, X: np.ndarray, dets: str | None = "finite"):
             else:
                 out = None
         images[block] = F
-        image_norms[block] = np.linalg.norm(F, axis=1)
+        image_norms[block] = _norms(F)
     return images, image_norms, out
 
 
@@ -462,10 +463,12 @@ class HypothesisReport:
     consumers can reuse them: :func:`~hominv.inverter.invert` scores every
     sample row's alignment with its target against the unit image
     directions that the report derives from ``images`` and ``image_norms``
-    on first use and then keeps (``_unit_images``).  So is the
-    ``fingerprint`` ``(n, kappa, body)`` of the map the report was computed
-    for (see :meth:`matches`).  :meth:`to_json_dict` serializes the other
-    fields, in their order: exactly the fields shown by ``repr``.
+    on first use and then keeps (``_unit_images``).  So is the ``body`` of
+    the map the report was computed for: with ``n`` and ``kappa`` it names
+    that map (see :meth:`matches`).  :meth:`to_json_dict` serializes the
+    other fields, in their order: exactly the fields shown by ``repr``.
+    ``image_norms`` are :func:`~hominv.mapcore._norms` of the images, so an
+    image of any finite size has a finite norm.
     """
 
     n: int
@@ -487,14 +490,15 @@ class HypothesisReport:
     sample: SphereSample = field(repr=False)
     images: np.ndarray = field(repr=False)
     image_norms: np.ndarray = field(repr=False)
-    fingerprint: tuple = field(repr=False)
+    body: object = field(repr=False)
 
     def matches(self, m: MapSpec) -> bool:
         """True when this report was computed for ``m``: same dimension,
-        order and body.  Bodies compare by value: a :class:`PolyMap` by its
-        terms, a :class:`~hominv.mapcore.BlackBox` by its callables,
-        declared order and ``batched``."""
-        return self.fingerprint == (m.n, float(m.kappa), m.body)
+        order and body, read from the report's own ``n``, ``kappa`` and
+        ``body``.  Bodies compare by value: a :class:`PolyMap` by its terms, a
+        :class:`~hominv.mapcore.BlackBox` by its callables, declared order
+        and ``batched``."""
+        return (self.n, self.kappa, self.body) == (m.n, float(m.kappa), m.body)
 
     @cached_property
     def _unit_images(self) -> _UnitImages:
@@ -587,9 +591,10 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
         jac = check_jacobian_nonvanishing(m, sample, _dets=dets)
         resid = homogeneity_residual(m, count=100, seed=seed)
     else:
-        mags = np.linalg.norm(np.nan_to_num(images), axis=1)
-        ext = ExtremaEstimate(0.0, float(np.max(mags)), sample.points[0],
-                              sample.points[0], 0.0, float(np.max(mags)))
+        # a NaN entry counts as 0, and a row with an infinite entry keeps an
+        # infinite norm, so an infinite image reads as C = inf
+        c = float(np.max(_norms(np.where(np.isnan(images), 0.0, images))))
+        ext = ExtremaEstimate(0.0, c, sample.points[0], sample.points[0], 0.0, c)
         jac = JacobianCheck(0.0, sample.points[0], "fail")
         resid = float("inf")
 
@@ -602,7 +607,7 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
     reasons = []
     # a value that is not finite compares as no verdict: nan > tol is false
     values = (ext.c0, ext.c_max, jac.min_abs_det, resid)
-    if not (finite_ok and all(math.isfinite(v) for v in values)):
+    if not (finite_ok and np.isfinite(values).all()):
         reasons.append("non-finite-values")
     if ext.c0 <= 0.0:
         reasons.append("vanishes-on-sphere")
@@ -637,21 +642,21 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
         sample=sample,
         images=images,
         image_norms=image_norms,
-        fingerprint=(m.n, float(m.kappa), m.body),
+        body=m.body,
     )
 
 
 def _target_rows(n: int, etas, ndim: int = 2) -> tuple[np.ndarray, list[float]]:
     """One target (``ndim=1``) or a batch as a ``(B, n)`` array of finite
-    targets, with each row's norm: ``math.hypot``, unlike the norm, neither
-    underflows nor overflows at extreme ``|eta|``."""
+    targets, with the list of each row's norm: :func:`~hominv.mapcore._norms`,
+    which neither underflows nor overflows at extreme ``|eta|``."""
     E = np.asarray(etas, dtype=float)
     if E.ndim not in (1, ndim) or E.shape[-1] != n:
         raise InvalidInputError(f"eta must be a vector of length {n}")
     if not np.all(np.isfinite(E)):
         raise InvalidInputError("eta contains non-finite components")
     E = E.reshape(-1, n)
-    return E, [math.hypot(*e) for e in E]
+    return E, _norms(E).tolist()
 
 
 def _bracket(report: HypothesisReport, mag: float) -> tuple[float, float]:

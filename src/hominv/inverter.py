@@ -37,7 +37,6 @@ Residuals are judged relative to ``max(1, |target|)`` throughout, against
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
@@ -47,7 +46,8 @@ import numpy as np
 from ._newton import _nonsingular, _polish, _singular_error, newton_batch, solve_guarded
 from .errors import ContinuationFailedError, InvalidInputError, SingularJacobianError
 from .hypotheses import HypothesisReport, _bracket, _check_tol, _require_report, _target_rows
-from .mapcore import MapSpec, _eval_batch, _jacobian_batch, _row_norms, _taus, eval_jacobian
+from .mapcore import (MapSpec, _eval_batch, _jacobian_batch, _norms, _row_norms, _taus,
+                      eval_jacobian)
 
 __all__ = ["InversionResult", "invert", "inverse_homogeneity_check", "roundtrip_check",
            "inverse_jacobian"]
@@ -117,7 +117,7 @@ def _paths(start: np.ndarray, end: np.ndarray) -> _Paths:
         w = np.zeros(start.shape[1])
         w[np.argmin(np.abs(u0[i]))] = 1.0
         w -= float(np.dot(w, u0[i])) * u0[i]
-        waypoint[i] = w / np.linalg.norm(w)
+        waypoint[i] = w / _row_norms(w)
     ends = np.array([u0, waypoint, u1]).transpose(1, 0, 2)
     theta = np.arccos(np.minimum(np.maximum((ends[:, :2] * ends[:, 1:]).sum(axis=2), -1.0), 1.0))
     small = theta < 1e-8
@@ -270,7 +270,7 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, tol: float, report: HypothesisRe
         done = np.flatnonzero(why == "")
         polished, _ = _polish(m, X[done], omega[rows[done]])
         xis = np.array([mags[j] ** (1.0 / m.kappa) for j in rows[done]]).reshape(-1, 1) * polished
-        reached = iter(zip(xis, [math.hypot(*r) for r in _eval_batch(m, xis) - E[rows[done]]]))
+        reached = iter(zip(xis, _norms(_eval_batch(m, xis) - E[rows[done]]).tolist()))
         for i, (j, s) in enumerate(zip(rows.tolist(), k.tolist())):
             reason, last_t, last_xi = why[i], float(T[i]), X[i].copy()
             if isinstance(reason, SingularJacobianError):
@@ -351,8 +351,8 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, report: HypothesisReport | 
     # tau * e may overflow
     etas, norms = _target_rows(m.n, np.array([e] + [tau * e for tau in taus]))
     base, *scaled = _invert_batch(m, etas, tol, report, norms=norms)
-    base_norm = math.hypot(*base.xi)
-    return max((math.hypot(*(res.xi - tau ** (1.0 / m.kappa) * base.xi))
+    base_norm = float(_norms(base.xi))
+    return max((float(_norms(res.xi - tau ** (1.0 / m.kappa) * base.xi))
                 / (tau ** (1.0 / m.kappa) * base_norm) for tau, res in zip(taus, scaled)),
                default=0.0)
 

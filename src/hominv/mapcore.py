@@ -51,7 +51,12 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 # balances truncation against rounding for central differences
 _FD_STEP = _EPS ** (1.0 / 3.0)
-_TINY = np.finfo(float).tiny
+#: ``_norms`` keeps a row's ``_row_norms`` when it is finite and above
+#: ``_NORM_LOW``: then the row's sum of squares is a normal float
+_NORM_LOW = 2.0**-511
+#: below this largest magnitude in a batch, no row of fewer than 2**24
+#: entries has a square or a sum of squares that overflows (``_norms``)
+_NORM_SAFE = 2.0**500
 _SALT_HOMOGENEITY = 101
 #: the largest total degree of a term; map files are held to it too
 _MAX_DEGREE = 1000
@@ -340,8 +345,8 @@ def eval_map(m: MapSpec, xi) -> np.ndarray:
     The origin maps to the zero vector (the continuous extension).  Weighted
     polynomial bodies are evaluated as ``|xi|**kappa * P(xi/|xi|)``, which
     keeps relative accuracy uniform across many orders of magnitude in
-    ``|xi|``; ``|xi|`` is taken without underflow or overflow of the sum of
-    squares.
+    ``|xi|``; ``|xi|`` is :func:`_norms`, which rescales a row whose sum of
+    squares would underflow or overflow by an exact power of two.
 
     Raises
     ------
@@ -354,9 +359,44 @@ def eval_map(m: MapSpec, xi) -> np.ndarray:
 
 
 def _row_norms(R: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of ``R``, bit for bit ``np.linalg.norm``
-    of the row as a vector (the ``axis=1`` form rounds differently)."""
-    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
+    """Euclidean norm along the last axis of an ``(..., n)`` array ``R``: the
+    square root of each row's dot product, bit for bit ``np.linalg.norm`` of
+    the row as a vector (the ``axis`` form rounds differently).  A row whose
+    sum of squares underflows or overflows gets a wrong norm; :func:`_norms`
+    guards against that where the caller's data sets the scale."""
+    return np.sqrt((R[..., None, :] @ R[..., :, None])[..., 0, 0])
+
+
+def _norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis of an ``(..., n)`` array, at every
+    scale, with no RuntimeWarning.
+
+    A row whose :func:`_row_norms` is finite and above ``_NORM_LOW``, so
+    that its sum of squares is a normal float, gets those bits, and a zero
+    row gets 0.  Any other row (its sum subnormal, infinite or NaN) is
+    scaled by the power of two that brings its largest entry into
+    ``[0.5, 1)`` before squaring, and its norm is scaled back (Blue, ACM
+    TOMS 1978; LAPACK's ``dnrm2``).  That scaling is exact, so
+    ``2**k * (3, 4, 12)`` gets ``2**k * 13`` for every ``k`` that keeps the
+    row finite.  Each row takes its route by its own values alone, so a
+    row's norm never depends on its batch, and ``_NORM_SAFE`` decides
+    speed only.  A row with an infinite entry gets ``inf``, and a row with
+    a NaN NaN.
+    """
+    # below _NORM_SAFE no square or sum overflows; the ufuncs' own reduce
+    # skips the array methods' argument handling, a third of this guard's
+    # cost on one row.  A zero row (an exact residual) keeps its norm 0 here
+    if np.maximum.reduce(np.abs(X), axis=None, initial=0.0) < _NORM_SAFE:
+        r = _row_norms(X)
+        if np.minimum.reduce(r, axis=None, initial=1.0) > _NORM_LOW or not X[r <= _NORM_LOW].any():
+            return r
+    R = X.reshape(-1, X.shape[-1])
+    with np.errstate(over="ignore"):
+        r = _row_norms(R)
+        out = ~((r > _NORM_LOW) & (r < np.inf))
+        _, e = np.frexp(np.abs(R[out]).max(axis=1, initial=0.0))
+        r[out] = np.ldexp(_row_norms(np.ldexp(R[out], -e[:, None])), e)
+    return r.reshape(X.shape[:-1])
 
 
 def _rows(fn: Callable[[np.ndarray], np.ndarray], X: np.ndarray, shape: Tuple[int, ...],
@@ -380,33 +420,13 @@ def _rows(fn: Callable[[np.ndarray], np.ndarray], X: np.ndarray, shape: Tuple[in
     return out
 
 
-def _radii(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a finite ``(B, n)`` batch.
-
-    A row whose sum of squares is a normal float gets its square root, bit
-    for bit ``np.linalg.norm(X, axis=1)``.  A row whose sum underflows to a
-    subnormal or zero, or overflows, is scaled by its largest entry first,
-    so that ``1e-170 * (0.6, 0.8, 0)`` gets ``1e-170`` and not 0, and
-    ``1e200 * (0.6, 0.8, 0)`` gets ``1e200`` and not ``inf``.
-    """
-    s = (X * X).sum(axis=1)
-    r = np.sqrt(s)
-    rescale = (s < _TINY) | (s == np.inf)
-    if np.count_nonzero(rescale):
-        Y = X[rescale]
-        a = np.abs(Y).max(axis=1)
-        a[a == 0.0] = 1.0  # a zero row keeps the norm 0
-        r[rescale] = a * np.sqrt(((Y / a[:, None]) ** 2).sum(axis=1))
-    return r
-
-
 def _eval_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
     body = m.body
     if isinstance(body, PolyMap):
         if m.radial_exponent == 0.0:
             # plain polynomial: exact at the origin too (degree >= 1)
             return body.evaluate(X)
-        r = _radii(X)
+        r = _norms(X)
         # an origin row is divided by the smallest positive float, below any
         # other row's norm, and scaled by 0**kappa = 0
         return (r ** m.kappa)[:, None] * body.evaluate(X / np.maximum(r, 5e-324)[:, None])
@@ -434,7 +454,7 @@ def _weighted_jacobian(m: MapSpec, X: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     ``Df = r**(kappa-1) * (DP(u) + alpha * P(u) u^T)``, ``alpha = kappa - d``,
     with ``P(u)`` and ``DP(u)`` read from one power table."""
     body = m.body
-    r = _radii(X)
+    r = _norms(X)
     U = X / r[:, None]
     P = body._power_table(U)
     DP = body.jacobian(U, _table=P)
@@ -474,7 +494,7 @@ def _jacobian_batch(m: MapSpec, X: np.ndarray) -> np.ndarray:
     # central differences: row b, column j, side s of the batch is
     # x_b + h_b e_j (s = 0) or x_b - h_b e_j (s = 1)
     B, n = X.shape
-    h = _FD_STEP * np.maximum(1.0, _row_norms(X))
+    h = _FD_STEP * np.maximum(1.0, _norms(X))
     steps = h[:, None, None] * np.eye(n)
     shifted = np.stack([X[:, None, :] + steps, X[:, None, :] - steps], axis=2)
     F = _eval_batch(m, shifted.reshape(-1, n)).reshape(B, n, 2, n)
@@ -532,12 +552,12 @@ def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray
         signs[1::2] = -1.0
         return signs
     dirs = rng.standard_normal((count, n))
-    norms = np.linalg.norm(dirs, axis=1)
+    norms = _row_norms(dirs)
     while np.any(norms < 1e-12):  # essentially never; keeps the math airtight
         bad = norms < 1e-12
         dirs[bad] = rng.standard_normal((int(bad.sum()), n))
-        norms = np.linalg.norm(dirs, axis=1)
-    return dirs / norms[:, None]
+        norms = _row_norms(dirs)
+    return np.divide(dirs, norms[:, None], out=dirs)
 
 
 def _taus(taus) -> list[float]:
@@ -572,6 +592,6 @@ def homogeneity_residual(m: MapSpec, count: int = 100, seed: int = 0, taus=None)
     F1 = _eval_batch(m, X)
     F2 = _eval_batch(m, T[:, None] * X)
     scale = T ** m.kappa
-    dev = np.linalg.norm(F2 - scale[:, None] * F1, axis=1)
-    denom = scale * np.maximum(1.0, np.linalg.norm(F1, axis=1))
+    dev = _norms(F2 - scale[:, None] * F1)
+    denom = scale * np.maximum(1.0, _norms(F1))
     return float(np.max(dev / denom))

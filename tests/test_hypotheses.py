@@ -45,7 +45,7 @@ from hominv import (
     sample_sphere,
 )
 from hominv import hypotheses
-from hominv.mapcore import _eval_batch, _eval_jac_batch, _jacobian_batch
+from hominv.mapcore import _eval_batch, _eval_jac_batch, _jacobian_batch, _norms
 
 
 def zero_map(n=3):
@@ -320,11 +320,11 @@ def test_the_check_factorizes_no_stack_of_jacobians(monkeypatch):
 
 
 # The sample scan as one block of all the rows, kept as the reference the
-# blocked scan must match to the bit: one kernel call, the row norms, and the
-# determinants of the whole stack.
+# blocked scan must match to the bit: one kernel call, the library's row
+# norms, and the determinants of the whole stack.
 def _whole_batch_scan(m, X):
     F, J = _eval_jac_batch(m, X)
-    return F, np.linalg.norm(F, axis=1), hypotheses._det(J)
+    return F, _norms(F), hypotheses._det(J)
 
 
 _ROWS = hypotheses._SCAN_ROWS
@@ -613,7 +613,7 @@ def test_a_blackbox_check_makes_the_reference_calls(with_jacobian, batched, monk
     assert got.to_json_dict() == want.to_json_dict()
 
 
-@pytest.mark.parametrize("name, tables", [("random_admissible4", 85), ("radial_linear123", 45)])
+@pytest.mark.parametrize("name, tables", [("random_admissible4", 84), ("radial_linear123", 45)])
 def test_the_refinement_makes_one_kernel_call_a_step_and_two_a_det_step(name, tables,
                                                                         monkeypatch):
     # one kernel call starts each walk; then each iteration of a |f|**2 walk
@@ -688,7 +688,7 @@ def _scaled_radial_cube(scale):
 
 
 @pytest.mark.parametrize("m", [
-    # |f| overflows off the plane x1 = 0: c0 = C = inf, and the residual is nan
+    # |f|**2, which the refinement walks, overflows off the plane x1 = 0: C = inf
     parse_map("n = 3; f1 = 1e200 x1^3 + x2^3; f2 = x2^3; f3 = x3^3"),
     # finite, moderate |f| with a determinant of 3e360 on the sphere
     _scaled_radial_cube(1e120),
@@ -701,6 +701,33 @@ def test_a_report_with_values_that_are_not_finite_fails(m):
     assert (rep.status, rep.overall, rep.reasons) == ("fail", "fail", ("non-finite-values",))
     with pytest.raises(PreconditionError, match="non-finite-values"):
         invert(m, np.array([1.0, 2.0, 3.0]), report=rep)
+
+
+def test_images_above_1e154_have_finite_norms_and_still_fail():
+    # the sample's norms are finite, and so are c0, min|det Df| and the
+    # residual; C stays inf because the refinement walks |f|**2, whose value
+    # and gradient overflow, so the map fails for non-finite-values only
+    m = parse_map("n = 3; f1 = 1e200 x1^3 + x2^3; f2 = x2^3; f3 = x3^3")
+    with np.errstate(over="ignore", invalid="ignore"):  # the refinement's |f|**2
+        rep = check_hypotheses(m)
+    assert np.isfinite(rep.images).all() and np.isfinite(rep.image_norms).all()
+    assert rep.image_norms.max() > 1e199
+    assert np.array_equal(rep.image_norms, _norms(rep.images))
+    assert (rep.status, rep.reasons) == ("fail", ("non-finite-values",))
+    assert np.isfinite([rep.c0_empirical, rep.min_abs_det_j, rep.homogeneity_residual]).all()
+    assert rep.c_empirical == np.inf
+
+
+def test_an_infinite_image_keeps_the_report_of_values_that_are_not_finite():
+    # a NaN image entry counts as 0 and an infinite one keeps C = inf; the
+    # scaled norm of the largest finite float would read C = 1.8e308
+    m = parse_map("n = 3; f1 = 1.7e308 x1 + 1.7e308 x2; f2 = x2; f3 = x3")
+    with np.errstate(over="ignore"):  # the map itself overflows
+        rep = check_hypotheses(m)
+    assert rep.status == "fail"
+    assert rep.reasons == ("non-finite-values", "vanishes-on-sphere", "homogeneity-residual",
+                           "jacobian-vanishes")
+    assert (rep.c0_empirical, rep.c_empirical, rep.min_abs_det_j) == (0.0, np.inf, 0.0)
 
 
 @pytest.mark.parametrize("with_jacobian", [False, True])
@@ -812,7 +839,7 @@ def test_report_equals_the_separate_checks_bit_for_bit(name):
     report = check_hypotheses(m, count=count, seed=seed)
     sample = sample_sphere(m.n, count, seed)
     images = eval_map(m, sample.points)
-    norms = np.linalg.norm(images, axis=1)
+    norms = _norms(images)
     ext = estimate_extrema(m, sample, image_norms=norms)
     jac = check_jacobian_nonvanishing(m, sample)
     assert np.array_equal(report.images, images)
@@ -853,7 +880,7 @@ def test_report_matches_a_black_box_by_value():
 
 def test_report_caches_image_norms():
     rep = check_hypotheses(random_admissible_map(n=4, seed=7, kappa=3.5), count=600)
-    assert np.array_equal(rep.image_norms, np.linalg.norm(rep.images, axis=1))
+    assert np.array_equal(rep.image_norms, _norms(rep.images))
     assert rep.c0_empirical <= rep.image_norms.min()
     assert rep.c_empirical >= rep.image_norms.max()
     assert "image_norms" not in rep.to_json_dict()

@@ -43,6 +43,7 @@ from hominv import (
 from hominv import inverter
 from hominv.hypotheses import _target_rows
 from hominv.inverter import _invert_batch, _path_points, _paths, _scores, _top_k
+from hominv.mapcore import _norms
 from hominv.polyparser import parse_map
 
 _REPORTS = {}
@@ -294,6 +295,15 @@ def test_invert_rejects_report_of_another_map():
         invert(diag_map((1, 2, 3)), [1, 2, 3], report=rep, force=True)
 
 
+@pytest.mark.parametrize("change", [{"kappa": 1.0}, {"n": 4}], ids=["kappa", "n"])
+def test_invert_rejects_a_report_replaced_in_its_order_or_dimension(change):
+    # a report names its map by its own n, kappa and body; with kappa = 1
+    # the bracket at (0, 0, 8) read (8, 8) around a preimage of norm 2
+    rep = dataclasses.replace(report_for("radial_cube", lambda: radial_cube_map(3)), **change)
+    with pytest.raises(PreconditionError, match="different map"):
+        invert(radial_cube_map(3), np.array([0.0, 0.0, 8.0]), report=rep)
+
+
 def test_invert_requires_report():
     with pytest.raises(PreconditionError):
         invert(radial_cube_map(3), np.array([1.0, 0.0, 0.0]))
@@ -529,8 +539,8 @@ def test_inverse_homogeneity_check_is_its_definition(name, log_mag, log_taus, se
     d = np.random.default_rng(seed).standard_normal(m.n)
     eta, taus = 10.0**log_mag * d / np.linalg.norm(d), [10.0**e for e in log_taus]
     xi = invert(m, eta, report=rep).xi
-    want = max(math.hypot(*(invert(m, tau * eta, report=rep).xi - tau ** (1.0 / m.kappa) * xi))
-               / (tau ** (1.0 / m.kappa) * math.hypot(*xi)) for tau in taus)
+    want = max(float(_norms(invert(m, tau * eta, report=rep).xi - tau ** (1.0 / m.kappa) * xi))
+               / (tau ** (1.0 / m.kappa) * float(_norms(xi))) for tau in taus)
     assert inverse_homogeneity_check(m, eta, taus, report=rep) == want
 
 
@@ -643,7 +653,7 @@ def test_batch_inversion_matches_one_target_at_a_time(name, mags, seed, long_ste
         assert (res.residual, res.steps, res.newton_iters_total) == \
             (alone.residual, alone.steps, alone.newton_iters_total)
         assert res.residual <= 1e-10 * max(1.0, math.hypot(*eta))
-        assert math.hypot(*(eval_map(m, res.xi) - eta)) == res.residual
+        assert float(_norms(eval_map(m, res.xi) - eta)) == res.residual
     if not etas.any(axis=1).all():
         with pytest.raises(InvalidInputError):
             roundtrip_check(m, etas, report=rep)

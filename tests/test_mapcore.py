@@ -1,10 +1,13 @@
 """Evaluation and differentiation of homogeneous maps."""
 
+import ast
 import importlib
 import math
 import pkgutil
+import re
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +48,8 @@ from hominv.mapcore import (
     _eval_batch,
     _eval_jac_batch,
     _jacobian_batch,
-    _radii,
+    _norms,
+    _row_norms,
 )
 
 
@@ -612,7 +616,7 @@ def _ref_eval_batch(m, X):
     body = m.body
     if m.radial_exponent == 0.0:
         return _ref_evaluate(body, X)
-    r = np.linalg.norm(X, axis=1)
+    r = _norms(X)
     out = np.zeros((X.shape[0], m.n))
     pos = r > 0.0
     if np.any(pos):
@@ -625,7 +629,7 @@ def _ref_jacobian_batch(m, X):
     body = m.body
     if m.radial_exponent == 0.0:
         return _ref_jacobian(body, X)
-    r = np.linalg.norm(X, axis=1)
+    r = _norms(X)
     U = X / r[:, None]
     J = _ref_jacobian(body, U) + m.radial_exponent * (
         _ref_evaluate(body, U)[:, :, None] * U[:, None, :]
@@ -736,9 +740,9 @@ def test_weighted_body_at_extreme_magnitudes_matches_hypot(scale):
     m = radial_linear_map(tuple(d), kappa=kappa)
     rng = np.random.default_rng(7)
     X = np.vstack([[0.6, 0.8, 0.0], rng.standard_normal((5, 3))]) * scale
-    with np.errstate(over="ignore"):  # the sum of squares overflows above 1e154
-        batch = zip(eval_map(m, X), eval_jacobian_batch(m, X))
-        single = [(eval_map(m, x), eval_jacobian(m, x)) for x in X]
+    # no RuntimeWarning either: the suite makes them errors
+    batch = zip(eval_map(m, X), eval_jacobian_batch(m, X))
+    single = [(eval_map(m, x), eval_jacobian(m, x)) for x in X]
     for x, (f, jac), (f1, jac1) in zip(X, batch, single):
         r = math.hypot(*x)
         u = np.array([v / r for v in x])
@@ -749,14 +753,100 @@ def test_weighted_body_at_extreme_magnitudes_matches_hypot(scale):
             assert np.max(np.abs(value - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_radii_rescale_only_rows_out_of_range():
+def test_norms_rescale_only_rows_out_of_range():
     X = np.array([[0.6, 0.8, 0.0], [1e-170, 0.0, 0.0], [3e-160, -4e-160, 0.0],
                   [1e160, 1e160, 0.0], [0.0, 0.0, 0.0], [1.5e-154, 2e-154, 0.0],
                   [-7.0, 2.5, 1e-3], [1e300, -1e300, 1e300]])
-    with np.errstate(over="ignore"):
-        r = _radii(X)
+    r = _norms(X)  # no RuntimeWarning: the suite makes them errors
     hyp = np.array([math.hypot(*x) for x in X])
     assert np.all(np.abs(r - hyp) <= 2 * np.spacing(hyp))
     in_range = [0, 5, 6]
-    assert np.array_equal(r[in_range], np.linalg.norm(X[in_range], axis=1))
+    assert np.array_equal(r[in_range], _row_norms(X[in_range]))
     assert r[4] == 0.0
+
+
+def _mixed_rows(seed, rows, n):
+    """Rows of every scale: standard normal rows times 2**k, k from -1100 to
+    1020 a row, some entries zero, and a few rows with an inf or a NaN."""
+    rng = np.random.default_rng(seed)
+    X = np.ldexp(rng.standard_normal((rows, n)), rng.integers(-1100, 1021, (rows, 1)))
+    X[rng.random((rows, n)) < 0.2] = 0.0
+    X[rng.random(rows) < 0.1, 0] = rng.choice([np.inf, -np.inf, np.nan])
+    return X
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 6))
+def test_norms_keep_the_row_norms_bits_on_every_normal_row(seed, rows, n):
+    # whatever other rows share the batch
+    X = _mixed_rows(seed, rows, n)
+    got = _norms(X)
+    with np.errstate(over="ignore"):
+        plain = _row_norms(X)
+    normal = np.isfinite(plain) & (plain > 2.0**-511)  # the sum of squares is normal
+    assert np.array_equal(got[normal], plain[normal])
+    assert np.array_equal(_norms(X[normal]), plain[normal])  # and among normal rows only
+    assert not np.isnan(got[~np.isnan(X).any(axis=1)]).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 6))
+def test_norms_give_a_row_the_same_bits_alone_and_in_a_batch(seed, rows, n):
+    X = _mixed_rows(seed, rows, n)
+    batch = _norms(X)
+    assert batch.shape == (rows,)
+    for x, r in zip(X, batch):
+        alone = _norms(x)
+        assert alone.shape == () and np.array_equal(alone, r, equal_nan=True)
+        assert np.array_equal(_norms(x[None, :]), [r], equal_nan=True)
+    assert np.array_equal(_norms(X.reshape(rows, 1, n)), batch[:, None], equal_nan=True)
+
+
+def test_norms_of_3_4_12_scaled_by_every_power_of_two_are_13_so_scaled():
+    k = np.arange(-1070, 1021)
+    for row in ((3.0, 4.0, 12.0), (-12.0, 3.0, -4.0)):
+        X = np.ldexp(np.array(row), k[:, None])
+        assert np.array_equal(_norms(X), np.ldexp(13.0, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 50), st.integers(1, 6),
+       st.sampled_from([-1000, 1000]))
+def test_norms_of_normal_rows_scaled_by_a_power_of_two_scale_exactly(seed, rows, n, k):
+    X = np.random.default_rng(seed).standard_normal((rows, n))
+    Y = np.ldexp(X, k)
+    exact = (np.ldexp(Y, -k) == X).all(axis=1)  # no entry lost bits to underflow
+    assert np.array_equal(_norms(Y)[exact], np.ldexp(_norms(X), k)[exact])
+
+
+def test_norms_of_zero_infinite_and_nan_rows():
+    X = np.array([[0.0, 0.0, 0.0], [np.inf, 1.0, 0.0], [0.0, -np.inf, 1e300],
+                  [np.nan, 1.0, 0.0], [5e-324, 0.0, 0.0], [1.7e308, 1.7e308, 0.0]])
+    r = _norms(X)  # no RuntimeWarning: the suite makes them errors
+    assert r[0] == 0.0 and r[1] == r[2] == np.inf and np.isnan(r[3])
+    assert r[4] == 5e-324 and r[5] == np.inf  # the norm itself overflows
+    assert _norms(np.empty((0, 3))).shape == (0,)
+
+
+def _norm_calls(tree):
+    """Every call in ``tree`` of ``np.linalg.norm``, ``math.hypot`` or another
+    ``hypot``, or of a bare ``norm``."""
+    return {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and re.search(r"(^|\.)(linalg\.norm|hypot)$|^norm$", ast.unparse(node.func))}
+
+
+def test_every_norm_in_the_package_goes_through_mapcore():
+    # mapcore._row_norms and mapcore._norms are the package's only Euclidean
+    # norms; the example bodies that catalog.py's makers define stand for a
+    # user's own code
+    found = []
+    for path in sorted(Path(hominv.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = _norm_calls(tree)
+        if path.name == "catalog.py":
+            for top in tree.body:
+                for node in ast.walk(top) if isinstance(top, ast.FunctionDef) else ():
+                    if node is not top and isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                        calls -= _norm_calls(node)
+        found += sorted(f"{path.name}:{node.lineno}" for node in calls)
+    assert found == []
