@@ -13,12 +13,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularJacobianError
-from .mapcore import MapSpec, _eval_batch, _jacobian_batch, _row_norms
+from .mapcore import _NORM_SAFE, MapSpec, _eval_batch, _jacobian_batch, _norms, _row_norms
 
 # |det J| below this multiple of the row-norm product (which bounds the
 # determinant from above) counts as numerically singular; the ratio is a
 # scale-free conditioning proxy
 SINGULAR_RATIO = 1e-12
+
+# the row norms of an n x n matrix inside (2**-(e // n), 2**(e // n)) keep
+# its determinant, their product and SINGULAR_RATIO times it normal floats
+_SAFE_EXPONENT = 960
 
 _POLISH_ROUNDS = 2
 
@@ -26,12 +30,27 @@ _POLISH_ROUNDS = 2
 def _nonsingular(J: np.ndarray):
     """Whether ``J`` (one ``n x n`` matrix, or a stack ``(..., n, n)``, one
     answer per matrix) is numerically nonsingular: ``|det J|`` above
-    ``SINGULAR_RATIO`` times the product of its row norms.  A determinant or
-    product that is NaN or has overflowed fails the comparison.  The row
-    norms are :func:`~hominv.mapcore._row_norms`, with no range guard, as
-    everywhere in the solvers' loops on the unit-reduced problem."""
-    det = np.abs(np.linalg.det(J))
-    return det > SINGULAR_RATIO * _row_norms(J).prod(axis=-1)
+    ``SINGULAR_RATIO`` times the product of its row norms.  A determinant
+    that is NaN fails the comparison.
+
+    A matrix whose row norms (:func:`~hominv.mapcore._norms`) all lie in
+    ``(1/s, s)``, ``s = min(2**(_SAFE_EXPONENT // n), _NORM_SAFE)``, is
+    tested as it is.  Any other is tested with each row scaled by the power
+    of two that brings its norm into ``[0.5, 1)``: that scaling is exact
+    and leaves ``|det J| / prod |row_i|`` as it is, so the answer does not
+    depend on the scale of the rows, and no RuntimeWarning is raised.  A
+    stack whose entries are all below ``s / n`` (so no row norm reaches
+    ``s`` and no square overflows) and whose
+    :func:`~hominv.mapcore._row_norms` are all above ``1/s`` skips the
+    guard."""
+    n = J.shape[-1]
+    s = min(2.0 ** (_SAFE_EXPONENT // n), _NORM_SAFE)
+    if not (np.maximum.reduce(np.abs(J), axis=None, initial=0.0) < s / n
+            and np.minimum.reduce(r := _row_norms(J), axis=None, initial=1.0) > 1.0 / s):
+        r = _norms(J)
+        e = np.where(((r < s) & (r > 1.0 / s)).all(axis=-1, keepdims=True), 0, np.frexp(r)[1])
+        J, r = np.ldexp(J, -e[..., None]), np.ldexp(r, -e)
+    return np.abs(np.linalg.det(J)) > SINGULAR_RATIO * r.prod(axis=-1)
 
 
 def solve_guarded(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -32,9 +32,10 @@ from typing import Optional
 import numpy as np
 
 from ._newton import _polish, newton_batch
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError
 from .hypotheses import HypothesisReport, _bracket, _check_tol, _require_report, _target_rows
-from .mapcore import MapSpec, _norms, _rng, _row_norms, _unit_directions, eval_jacobian_batch
+from .mapcore import (MapSpec, _integer, _norms, _rng, _row_norms, _unit_directions,
+                      eval_jacobian_batch)
 
 __all__ = ["DegreeReport", "count_preimages", "mapping_degree", "injectivity_probe"]
 
@@ -120,9 +121,10 @@ def _search_roots(m: MapSpec, omegas: np.ndarray, brackets, starts, tol: float,
 
 
 def _unit_target(m: MapSpec, eta) -> tuple[np.ndarray, float]:
-    """``(eta / |eta|, |eta|)`` for a finite nonzero vector of length n."""
+    """``(eta / |eta|, |eta|)`` for a nonzero vector of length n held to the
+    rules of :func:`~hominv.hypotheses._target_rows`."""
     (e,), (mag,) = _target_rows(m.n, eta, ndim=1)
-    if mag == 0.0 or not np.isfinite(mag):
+    if mag == 0.0:
         raise InvalidInputError("eta must be finite and nonzero")
     return e / mag, mag
 
@@ -130,9 +132,7 @@ def _unit_target(m: MapSpec, eta) -> tuple[np.ndarray, float]:
 def _start_count(m: MapSpec, starts) -> int:
     """The start count of a public call: ``starts``, at least 1, or 64 per
     dimension when it is ``None``."""
-    if starts is not None and starts < 1:
-        raise InvalidParameterError("starts must be >= 1")
-    return 64 * m.n if starts is None else starts
+    return 64 * m.n if starts is None else _integer(starts, 1, "starts must be >= 1")
 
 
 def _checked(m: MapSpec, report, force: bool, starts, tol: float):
@@ -210,8 +210,7 @@ def injectivity_probe(m: MapSpec, trials: int = 20, starts: Optional[int] = None
     with seed ``k``, all trials in one batch, and only counts: no
     determinant is taken.
     """
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    trials = _integer(trials, 1, "trials must be >= 1")
     report, starts = _checked(m, report, force, starts, tol)
     rng = _rng(report.seed, _SALT_PROBE)
     directions = _unit_directions(rng, trials, m.n)

@@ -16,7 +16,7 @@ sample, polynomial or black box, is scanned in blocks of ``_SCAN_ROWS``
 rows: each block's images, their norms and its Jacobian determinants, with
 no stack of the whole sample's Jacobians and no evaluator call of more than
 one block.  The refinement evaluates each line search's ladder of steps in
-one batch (one row at a time for a black box).
+one batch, whatever the body.
 In dimension 2 the checks can all pass while injectivity still fails (the
 planar squaring map is the canonical example), so ``n >= 3`` is reported as
 its own gate.
@@ -46,6 +46,7 @@ from .mapcore import (
     _as_matrix,
     _eval_batch,
     _eval_jac_batch,
+    _integer,
     _jacobian_batch,
     _norms,
     _rng,
@@ -125,8 +126,7 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SphereSample:
     """
     if n < 1:
         raise InvalidParameterError("dimension n must be >= 1")
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
+    count = _integer(count, 1, "count must be >= 1")
     count = min(count, 2) if n == 1 else count
     return SphereSample(_unit_directions(_rng(seed, _SALT_SPHERE), count, n), count, n, int(seed))
 
@@ -145,31 +145,29 @@ def _fd_tangent_gradient(values_fn, w: np.ndarray) -> np.ndarray:
 def _refine_on_sphere(rungs_fn, w0: np.ndarray, mode: str):
     """Projected-gradient extremum refinement constrained to the unit sphere.
 
-    ``rungs_fn`` maps an ``(L, n)`` batch of unit rows to ``(value, grad)``,
-    two functions of a row index: ``value(k)`` is the scalar at row ``k`` and
-    ``grad(k)`` its gradient, whose tangent part is used.  The walk reads
-    each row's value at most once and in a sequential line search's order,
-    so ``value`` may evaluate the rows one at a time as they are read.
+    ``rungs_fn`` maps an ``(L, n)`` batch of unit rows to ``(values,
+    grad)``: the array of the ``L`` rows' scalar values, and ``grad(k)``,
+    the gradient at row ``k``, whose tangent part is used.
 
     Each iteration steps along the (ascending or descending) tangent
     gradient ``g``.  Its line search is a ladder of steps ``t, t/2, t/4,
     ...``, from four times the last accepted step (at most ``1e8``; 1 before
     the first) down to the first ``t`` with ``t |g| < _REFINE_STEP_TOL``;
     each rung ``w + t g`` (``w - t g`` to descend) is put back on the
-    sphere, and a rung of zero norm counts as no improvement.  The whole
-    ladder is one ``rungs_fn`` call.  The first rung that improves on the
+    sphere; ``g`` is tangent, so a rung's norm is at least about 1.  The
+    whole ladder is one ``rungs_fn`` call.  The first rung that improves on the
     current value is taken, then halved while each halving improves on the
     last, so the accepted point sits near the ray's one-dimensional optimum
     instead of zigzagging across it.  The walk stops when no rung improves,
     the gradient vanishes, or after ``_REFINE_MAX_ITER`` iterations.
-    Returns ``(point, value)``.  The kernels give a row the same bits in
-    every batch, so this is bit for bit the line search that evaluates one
-    step at a time.
+    Returns ``(point, value)``, the value a Python float.  The kernels give
+    a row the same bits in every batch, so this is bit for bit the line
+    search that evaluates one step at a time.
     """
     w = np.array(w0, dtype=float)
     w /= _row_norms(w)
-    value, grad = rungs_fn(w[None, :])
-    best, k = value(0), 0
+    values, grad = rungs_fn(w[None, :])
+    best, k = float(values[0]), 0
     sgn = 1.0 if mode == "max" else -1.0
     t = 1.0
     for _ in range(_REFINE_MAX_ITER):
@@ -187,15 +185,14 @@ def _refine_on_sphere(rungs_fn, w0: np.ndarray, mode: str):
         if last == 0:
             break
         W = w + (sgn * np.array(steps))[:, None] * g
-        norms = _row_norms(W)
-        ok = norms > 0.0
-        W = np.where(ok[:, None], W / np.where(ok, norms, 1.0)[:, None], w)
-        value, grad = rungs_fn(W)
+        W /= _row_norms(W)[:, None]
+        values, grad = rungs_fn(W)
+        vals = values.tolist()
         for k in range(last):
-            if ok[k] and sgn * ((val := value(k)) - best) > 0.0:
+            if sgn * ((val := vals[k]) - best) > 0.0:
                 # shrink the improving step while shrinking keeps helping
-                while k < last and ok[k + 1] and sgn * ((val2 := value(k + 1)) - val) > 0.0:
-                    k, val = k + 1, val2
+                while k < last and sgn * (vals[k + 1] - val) > 0.0:
+                    k, val = k + 1, vals[k + 1]
                 break
         else:  # no rung improves
             break
@@ -205,46 +202,29 @@ def _refine_on_sphere(rungs_fn, w0: np.ndarray, mode: str):
 
 def _refine_norm(m: MapSpec, w0: np.ndarray, mode: str):
     """Refine ``|f(w)|**2`` from ``w0`` (``mode`` ``"min"`` or ``"max"``) with
-    its exact gradient ``2 Df(w)^T f(w)``.  A polynomial body's ladder is
-    one :func:`_eval_jac_batch` call, whose rows also give the accepted
-    rung's gradient.  A black box's rungs are read one call each, values
-    only, and each accepted point takes one more call for its gradient, so
-    an evaluator whose cost grows with its rows evaluates no rung the walk
-    does not read.  The refinement evaluates unit vectors only, so the
+    its exact gradient ``2 Df(w)^T f(w)``.  Each ladder, whatever the body,
+    is one :func:`_eval_jac_batch` call, whose rows also give the accepted
+    rung's gradient.  The refinement evaluates unit vectors only, so the
     unvalidated kernels serve."""
 
-    def sq(w):
-        v = _eval_batch(m, w[None, :])[0]
-        return float(v @ v)
-
-    def grad(w):
-        F, J = _eval_jac_batch(m, w[None, :])
-        return 2.0 * (J[0].T @ F[0])
-
     def rungs(W):
-        if not isinstance(m.body, PolyMap):
-            return (lambda k: sq(W[k])), (lambda k: grad(W[k]))
         F, J = _eval_jac_batch(m, W)
-        return (F[:, None, :] @ F[:, :, None])[:, 0, 0].item, lambda k: 2.0 * (J[k].T @ F[k])
+        return (F[:, None, :] @ F[:, :, None])[:, 0, 0], lambda k: 2.0 * (J[k].T @ F[k])
 
     return _refine_on_sphere(rungs, w0, mode)
 
 
 def _refine_det(m: MapSpec, w0: np.ndarray):
     """Refine ``|det Df(w)|`` down from ``w0`` with a finite-difference
-    tangent gradient.  A polynomial body's ladder takes one Jacobian call
-    and one stacked ``np.linalg.det``; a black box's takes one a rung read."""
+    tangent gradient.  Each ladder, whatever the body, takes one Jacobian
+    call and one stacked ``np.linalg.det``; so does the gradient's ``2n``
+    points, taken at the accepted rung only."""
 
     def abs_dets(W):
         return np.abs(np.linalg.det(_jacobian_batch(m, W)))
 
     def rungs(W):
-        if isinstance(m.body, PolyMap):
-            value = abs_dets(W).item
-        else:
-            def value(k):
-                return float(abs_dets(W[k:k + 1])[0])
-        return value, lambda k: _fd_tangent_gradient(abs_dets, W[k])
+        return abs_dets(W), lambda k: _fd_tangent_gradient(abs_dets, W[k])
 
     return _refine_on_sphere(rungs, w0, "min")
 
@@ -275,9 +255,9 @@ def estimate_extrema(m: MapSpec, sample: SphereSample,
     :func:`_sample_scan`, values only, whatever the body (or reuses
     ``image_norms``, the precomputed norms of the sample's images, one per
     sample point), then refines both arg-extrema with projected gradient on
-    ``|f(w)|**2`` using the exact gradient ``2 Df(w)^T f(w)``.  A polynomial
-    body's line search takes ``f`` and ``Df`` at all its steps in one call,
-    and the accepted step's rows give the next gradient
+    ``|f(w)|**2`` using the exact gradient ``2 Df(w)^T f(w)``.  Each line
+    search takes ``f`` and ``Df`` at all its steps in one call, whatever the
+    body, and the accepted step's rows give the next gradient
     (:func:`_refine_norm`).
     """
     if sample.n != m.n:
@@ -413,8 +393,8 @@ def check_jacobian_nonvanishing(m: MapSpec, sample: SphereSample, *,
     ``|det|`` further down with projected-gradient minimization of
     ``|det(Df(w))|`` (:func:`_refine_det`: a finite-difference tangent
     gradient, whose ``2n`` points take one Jacobian call and one stacked
-    ``np.linalg.det``, and a polynomial body's line searches likewise, each
-    ladder of steps in one call).  The absolute value, not its square, is
+    ``np.linalg.det``, and every body's line searches likewise, each ladder
+    of steps in one call).  The absolute value, not its square, is
     minimized: where the determinant vanishes to order ``p`` along the
     sphere, ``|det|`` is conditioned like ``t**p`` instead of ``t**(2p)``,
     and the descent actually reaches the zero set.
@@ -582,7 +562,7 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
     images are finite, so they exist exactly when every image is finite.
     """
     defaulted = count is None
-    n_points = DEFAULT_SAMPLES_PER_DIM * m.n if count is None else int(count)
+    n_points = DEFAULT_SAMPLES_PER_DIM * m.n if count is None else count
     sample = sample_sphere(m.n, n_points, seed)
     images, image_norms, dets = _sample_scan(m, sample.points)
     finite_ok = dets is not None
@@ -649,14 +629,18 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
 def _target_rows(n: int, etas, ndim: int = 2) -> tuple[np.ndarray, list[float]]:
     """One target (``ndim=1``) or a batch as a ``(B, n)`` array of finite
     targets, with the list of each row's norm: :func:`~hominv.mapcore._norms`,
-    which neither underflows nor overflows at extreme ``|eta|``."""
+    which does not underflow at tiny ``|eta|``.  A target whose norm
+    overflows, though each component is finite, is rejected too."""
     E = np.asarray(etas, dtype=float)
     if E.ndim not in (1, ndim) or E.shape[-1] != n:
         raise InvalidInputError(f"eta must be a vector of length {n}")
     if not np.all(np.isfinite(E)):
         raise InvalidInputError("eta contains non-finite components")
     E = E.reshape(-1, n)
-    return E, _norms(E).tolist()
+    norms = _norms(E).tolist()
+    if np.inf in norms:
+        raise InvalidInputError("eta is too large: its norm overflows")
+    return E, norms
 
 
 def _bracket(report: HypothesisReport, mag: float) -> tuple[float, float]:

@@ -277,6 +277,7 @@ def test_zero_tol_is_a_usage_error_before_the_report_check(mapfile, capsys):
     (["degree", "--target", "1,inf,2"], "eta contains non-finite components"),
     (["degree", "--target", "0,0,0"], "eta must be finite and nonzero"),
     (["check", "--samples", "0"], "--samples must be >= 1"),
+    (["invert", "--target", "1.7e308,1.7e308,0"], "eta is too large: its norm overflows"),
 ])
 def test_usage_errors_exit_before_the_hypothesis_checks(mapfile, capsys, monkeypatch, argv,
                                                         message):

@@ -581,21 +581,45 @@ _BLACKBOXES = pytest.mark.parametrize("with_jacobian, batched",
                                            "batched-callback"])
 
 
+def _rows_read(log, n):
+    """Every ``(kind, row)`` that the calls in a recording black box's log
+    were given, a row as its bytes: a batched call gives many."""
+    return {(kind, row.tobytes()) for kind, x in log for row in np.frombuffer(x).reshape(-1, n)}
+
+
+def _counting_ladders(monkeypatch):
+    """The length of every ladder ``_refine_on_sphere`` evaluates from now on,
+    its start point included, in a list."""
+    ladders = []
+    refine = hypotheses._refine_on_sphere
+    monkeypatch.setattr(hypotheses, "_refine_on_sphere", lambda rungs_fn, w0, mode: refine(
+        lambda W: ladders.append(len(W)) or rungs_fn(W), w0, mode))
+    return ladders
+
+
 @_BLACKBOXES
 @pytest.mark.parametrize("walk", ["min", "max", "det"])
-def test_a_blackbox_walk_makes_the_reference_calls(walk, with_jacobian, batched):
-    # a black box, per-row or batched, is read one rung at a time, in the
-    # reference's order: the same rows, in the same order, and the same result
+def test_a_blackbox_walk_makes_the_reference_calls(walk, with_jacobian, batched, monkeypatch):
+    # a black box, per-row or batched, walks as a polynomial body does, each
+    # ladder in one kernel call: every row the one-point reference evaluates
+    # is among the ladder walk's rows, and the result is the reference's
     log = []
     m = _recording_blackbox(random_admissible_map(n=4, seed=7), with_jacobian, batched, log)
     w0 = _walk_start(m, walk, True, 2)
+    ladders = _counting_ladders(monkeypatch)
     log.clear()
     got = _walk(m, w0, walk)
     calls = log[:]
     log.clear()
     want = _walk(m, w0, walk, reference=True)
-    assert len(calls) > 50 and calls == log
+    assert len(log) > 50 and _rows_read(log, m.n) <= _rows_read(calls, m.n)
     assert _bits(got) == _bits(want)
+    if batched:
+        # a |f|**2 ladder is one call for the values and one for the
+        # Jacobians; a det ladder one for its Jacobians and, at the accepted
+        # rung, one for its gradient's 2n points.  28 to 46 calls here, where
+        # one rung a call made 82 to 136
+        assert len(calls) <= 2 * len(ladders)
 
 
 @_BLACKBOXES
@@ -609,7 +633,7 @@ def test_a_blackbox_check_makes_the_reference_calls(with_jacobian, batched, monk
     monkeypatch.setattr(hypotheses, "_refine_norm", _reference_norm_walk)
     monkeypatch.setattr(hypotheses, "_refine_det", _reference_det_walk)
     want = check_hypotheses(m, count=300, seed=1)
-    assert calls == log
+    assert _rows_read(log, m.n) <= _rows_read(calls, m.n)
     assert got.to_json_dict() == want.to_json_dict()
 
 
@@ -783,13 +807,13 @@ def test_blackbox_of_reports_as_its_map(name):
     assert exact.to_json_dict() == want.to_json_dict()
 
 
-def test_blackbox_check_makes_a_bounded_number_of_evaluator_calls():
+def test_blackbox_check_makes_a_bounded_number_of_evaluator_calls(monkeypatch):
     # a batched body's sample scan, finite-difference sample Jacobians and
     # homogeneity residual take one or two calls each; a per-row body took
-    # 14 390 calls here, one a row.  The sphere refinement calls with one
-    # point (or its 2n shifted rows) at a time, and a finite-difference
-    # gradient of |det Df| with its 2n points' 2n shifted rows each: 28
-    # calls here, where one call a gradient point made 33.
+    # 14 390 calls here, one a row.  The sphere refinement makes at most two
+    # calls a ladder (values and Jacobians, or a det ladder's Jacobians and
+    # its accepted rung's 2n gradient points): 7 calls on 4 ladders here, 11
+    # in all, where one rung a call made 28, 32 in all
     inner = blackbox_of(radial_cube_map(3)).body
     rows = []
 
@@ -798,6 +822,7 @@ def test_blackbox_check_makes_a_bounded_number_of_evaluator_calls():
         return inner.eval(x)
 
     m = MapSpec(BlackBox(eval=_eval, declared_kappa=3.0, batched=True), n=3)
+    ladders = _counting_ladders(monkeypatch)
     report = check_hypotheses(m, count=2000, seed=0)
     assert report.status == "pass"
     assert rows[0] == 2000  # the sample scan
@@ -805,8 +830,7 @@ def test_blackbox_check_makes_a_bounded_number_of_evaluator_calls():
     assert rows[-2:] == [106, 106]  # the homogeneity residual, 100 rows + ladder
     refinement = rows[1:-2]
     refinement.remove(2 * 3 * 2000)
-    assert max(refinement) == (2 * 3) ** 2
-    assert len(rows) <= 36
+    assert len(refinement) <= 2 * len(ladders) and len(rows) <= 11
 
 
 @pytest.mark.parametrize("with_jacobian", [False, True], ids=["differences", "callback"])

@@ -347,7 +347,9 @@ def test_invert_input_validation():
     ([1.0, 2.0], "eta must be a vector of length 3"),
     ([1.0, np.nan, 0.5], "finite"),
     ([1.0, np.inf, 0.5], "finite"),
-], ids=["length", "nan", "inf"])
+    # finite components whose norm overflows warned and failed at t = 0
+    ([1.7e308, 1.7e308, 0.0], "eta is too large: its norm overflows"),
+], ids=["length", "nan", "inf", "norm-overflows"])
 def test_every_front_door_rejects_a_malformed_target(eta, message):
     m = identity_map(3)
     rep = report_for("identity", lambda: identity_map(3))

@@ -34,6 +34,7 @@ from hominv import (
     extend_at_origin,
     homogeneity_residual,
     identity_map,
+    injectivity_probe,
     mapping_degree,
     perturbed_radial_blackbox,
     radial_cube_map,
@@ -508,6 +509,42 @@ def test_a_seed_that_is_not_an_integer_is_rejected_not_truncated(seed):
         sample_sphere(3, 4, seed=seed)
     with pytest.raises(InvalidParameterError, match="seed must be a nonnegative integer"):
         check_hypotheses(identity_map(3), count=50, seed=seed)
+
+
+_COUNTED_CALLS = {
+    "sample_sphere": ("count", lambda m, rep, v: sample_sphere(3, v)),
+    "check_hypotheses": ("count", lambda m, rep, v: check_hypotheses(m, count=v)),
+    "homogeneity_residual": ("count", lambda m, rep, v: homogeneity_residual(m, count=v)),
+    "count_preimages": ("starts", lambda m, rep, v: count_preimages(m, [1.0, 0.0, 0.0],
+                                                                    starts=v, report=rep)),
+    "mapping_degree": ("starts", lambda m, rep, v: mapping_degree(m, [1.0, 0.0, 0.0], starts=v,
+                                                                  report=rep)),
+    "injectivity_probe": ("trials", lambda m, rep, v: injectivity_probe(m, trials=v,
+                                                                        report=rep)),
+}
+
+
+@pytest.fixture(scope="module")
+def identity_report():
+    return check_hypotheses(identity_map(3), count=50)
+
+
+@pytest.mark.parametrize("value", [2.5, 300.7, 2.0, np.float64(3.0), "2", 0, -1])
+@pytest.mark.parametrize("call", sorted(_COUNTED_CALLS))
+def test_every_count_is_a_positive_integer_not_truncated(call, value, identity_report):
+    # a float count raised numpy's TypeError, or ran on its truncation
+    name, run = _COUNTED_CALLS[call]
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be >= 1$"):
+        run(identity_map(3), identity_report, value)
+
+
+@pytest.mark.parametrize("call", sorted(_COUNTED_CALLS))
+def test_a_numpy_integer_count_counts_as_its_value(call, identity_report):
+    # the repr shows a numpy integer kept in place of an int, as in a
+    # report's sample_count, which JSON cannot serialize
+    _, run = _COUNTED_CALLS[call]
+    got, want = (run(identity_map(3), identity_report, v) for v in (np.int64(3), 3))
+    assert repr(got) == repr(want)
 
 
 def test_every_seeded_stream_has_its_own_salt():

@@ -119,18 +119,37 @@ def test_row_norms_equal_the_vector_norm_of_each_row():
 
 def test_nonsingular_agrees_on_one_matrix_and_on_a_stack():
     # the test is relative to the row norms: a tiny but well-conditioned
-    # determinant passes, a nearly dependent row does not
+    # determinant passes, and so does a huge one; a nearly dependent row
+    # does not
     J = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-13]),
                   [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-13]],
                   np.ones((3, 3)), np.full((3, 3), np.nan), 1e200 * np.eye(3)])
     with np.errstate(invalid="ignore", over="ignore"):
         stacked = _nonsingular(J)
         singles = [bool(_nonsingular(j)) for j in J]
-    assert stacked.tolist() == [True, True, False, False, False, False]
+    assert stacked.tolist() == [True, True, False, False, False, True]
     assert singles == stacked.tolist()
     for j in J[~stacked]:
         with pytest.raises(SingularJacobianError), np.errstate(invalid="ignore", over="ignore"):
             solve_guarded(j, np.ones(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans(),
+       st.lists(st.lists(st.integers(-900, 900), min_size=5, max_size=5), min_size=1,
+                max_size=4))
+def test_nonsingular_does_not_depend_on_the_scale_of_the_rows(n, seed, singular, exponents):
+    # an orthogonal matrix, or one whose last row is half its first, with
+    # its rows scaled by 2**k, k in [-900, 900]: the verdict of the matrix
+    # as given, one matrix at a time and for the stack, with no RuntimeWarning
+    J = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    singular &= n > 1
+    if singular:
+        J[-1] = 0.5 * J[0]
+    scaled = np.stack([np.ldexp(J, np.array(k[:n])[:, None]) for k in exponents])
+    assert bool(_nonsingular(J)) is not singular
+    assert [bool(_nonsingular(j)) for j in scaled] == [not singular] * len(scaled)
+    assert _nonsingular(scaled).tolist() == [not singular] * len(scaled)
 
 
 def _scalar_newton(m, x0, target, tol, radius_cap, max_iter):
