@@ -43,7 +43,7 @@ from .errors import (
 )
 from .hypotheses import _STATUS_WARN, _check_tol, _target_rows, check_hypotheses
 from .inverter import _roundtrips, invert
-from .mapcore import MapSpec, _rng, _unit_directions
+from .mapcore import MapSpec, _log_uniform_targets, _rng
 from .polyparser import format_map, parse_map
 
 __all__ = ["main", "console_main"]
@@ -131,15 +131,6 @@ def _parse_target(text: str, n: int) -> np.ndarray:
 
 def _load_map(path: str) -> MapSpec:
     return parse_map(Path(path).read_text())
-
-
-def _random_targets(n: int, count: int, seed: int) -> np.ndarray:
-    """Seeded batch of nonzero targets with magnitudes log-uniform in
-    [1e-3, 1e3]."""
-    rng = _rng(seed, _SALT_TARGETS)
-    dirs = _unit_directions(rng, count, n)
-    mags = 10.0 ** rng.uniform(-3.0, 3.0, size=count)
-    return dirs * mags[:, None]
 
 
 def _new_report(m: MapSpec) -> dict:
@@ -243,7 +234,8 @@ def _run(ns: argparse.Namespace) -> tuple[dict, list[str], int]:
             )
 
     elif ns.command == "roundtrip":
-        targets = _random_targets(m.n, ns.count, ns.seed)
+        # nonzero targets with magnitudes log-uniform in [1e-3, 1e3]
+        targets = _log_uniform_targets(_rng(ns.seed, _SALT_TARGETS), ns.count, m.n, -3.0, 3.0)
         entries = []
         worst = 0.0
         for eta, res, rel in _roundtrips(m, targets, hyp, ns.tol, ns.force):

@@ -26,6 +26,7 @@ planar counterexample (the complex square) shows count two and degree two.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,9 +34,10 @@ import numpy as np
 
 from ._newton import _polish, newton_batch
 from .errors import InvalidInputError
-from .hypotheses import HypothesisReport, _bracket, _check_tol, _require_report, _target_rows
-from .mapcore import (MapSpec, _integer, _norms, _rng, _row_norms, _unit_directions,
-                      eval_jacobian_batch)
+from .hypotheses import (HypothesisReport, _bracket, _check_tol, _json_fields, _require_report,
+                         _target_rows)
+from .mapcore import (MapSpec, _integer, _log_uniform_targets, _norms, _rng, _row_norms,
+                      _unit_directions, eval_jacobian_batch)
 
 __all__ = ["DegreeReport", "count_preimages", "mapping_degree", "injectivity_probe"]
 
@@ -51,7 +53,8 @@ _SALT_PROBE = 157
 class DegreeReport:
     """Preimages of one value together with the degree evidence.
 
-    ``degree`` sums the determinant signs over ``preimages``;
+    ``preimages`` holds ``(xi, sign)`` named tuples, with fields ``xi`` and
+    ``sign``; ``degree`` sums the determinant signs over them;
     ``injective_evidence`` is true when exactly one preimage was found;
     ``missed_roots_suspected`` is set when a rerun at four times the start
     count found preimages the first pass missed.
@@ -65,17 +68,13 @@ class DegreeReport:
     notes: tuple = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": [float(v) for v in self.value],
-            "preimages": [
-                {"xi": [float(v) for v in xi], "sign": sign}
-                for xi, sign in self.preimages
-            ],
-            "degree": self.degree,
-            "injective_evidence": self.injective_evidence,
-            "missed_roots_suspected": self.missed_roots_suspected,
-            "notes": list(self.notes),
-        }
+        """This report's JSON object, by the rule of
+        :func:`~hominv.hypotheses._json_fields`."""
+        return _json_fields(self)
+
+
+#: one preimage and the sign of the Jacobian determinant there
+_Preimage = namedtuple("_Preimage", "xi sign")
 
 
 def _dedup(rows: np.ndarray, radius: float) -> np.ndarray:
@@ -154,7 +153,7 @@ def _preimages(m: MapSpec, omega: np.ndarray, mag: float, report: HypothesisRepo
     for kept in _search_roots(m, np.repeat(omega[None, :], len(seeds), axis=0),
                               [bracket] * len(seeds), starts, tol, seeds):
         dets = np.linalg.det(eval_jacobian_batch(m, kept)) if len(kept) else []
-        out.append([(scale * x, 1 if d > 0 else -1) for x, d in zip(kept, dets)])
+        out.append([_Preimage(scale * x, 1 if d > 0 else -1) for x, d in zip(kept, dets)])
     return out
 
 
@@ -163,12 +162,12 @@ def count_preimages(m: MapSpec, eta, starts: Optional[int] = None,
                     force: bool = False, seed: int = 0) -> list[tuple[np.ndarray, int]]:
     """Find all preimages of a nonzero value inside the coercivity annulus.
 
-    Returns ``(xi, sign)`` pairs in lexicographic order of ``xi``, where
-    ``sign`` is the sign of ``det Df(xi)``.  Requires a hypothesis report;
-    a failing one needs ``force=True`` (the degree of an inadmissible map is
-    exactly what the planar counterexample demonstrates), while the
-    low-dimension warning status is accepted as is.  The search is a batch
-    of one target.
+    Returns ``(xi, sign)`` named tuples in lexicographic order of ``xi``,
+    where ``sign`` is the sign of ``det Df(xi)``.  Requires a hypothesis
+    report; a failing one needs ``force=True`` (the degree of an
+    inadmissible map is exactly what the planar counterexample
+    demonstrates), while the low-dimension warning status is accepted as
+    is.  The search is a batch of one target.
     """
     omega, mag = _unit_target(m, eta)
     report, starts = _checked(m, report, force, starts, tol)
@@ -204,17 +203,15 @@ def injectivity_probe(m: MapSpec, trials: int = 20, starts: Optional[int] = None
     Returns a dict with the per-target counts and a verdict:
     ``"consistent-with-injective"`` when every count is one, otherwise
     ``"not-injective"``.  Target draws are seeded from the report so repeat
-    runs probe identical values: the ``trials`` directions come from
-    :func:`~hominv.mapcore._unit_directions` (in R^1, ``+1, -1, +1, ...``),
-    then the ``trials`` magnitudes, from one stream.  Trial ``k`` searches
-    with seed ``k``, all trials in one batch, and only counts: no
-    determinant is taken.
+    runs probe identical values: :func:`~hominv.mapcore._log_uniform_targets`
+    draws the ``trials`` directions (in R^1, ``+1, -1, +1, ...``), then the
+    ``trials`` magnitudes, from one stream.  Trial ``k`` searches with seed
+    ``k``, all trials in one batch, and only counts: no determinant is
+    taken.
     """
     trials = _integer(trials, 1, "trials must be >= 1")
     report, starts = _checked(m, report, force, starts, tol)
-    rng = _rng(report.seed, _SALT_PROBE)
-    directions = _unit_directions(rng, trials, m.n)
-    etas = 10.0 ** rng.uniform(-2.0, 2.0, size=trials)[:, None] * directions
+    etas = _log_uniform_targets(_rng(report.seed, _SALT_PROBE), trials, m.n, -2.0, 2.0)
     omegas = etas / _norms(etas)[:, None]
     brackets = [_bracket(report, mag) for mag in _norms(omegas).tolist()]
     counts = [len(r) for r in _search_roots(m, omegas, brackets, [starts] * trials, tol,

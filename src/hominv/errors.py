@@ -2,6 +2,22 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "HominvError",
+    "InvalidInputError",
+    "InvalidParameterError",
+    "UndefinedAtOriginError",
+    "MapDefinitionError",
+    "MapSyntaxError",
+    "MixedDegreeError",
+    "DimensionMismatchError",
+    "InvalidKappaError",
+    "PreconditionError",
+    "NoBracketError",
+    "SingularJacobianError",
+    "ContinuationFailedError",
+]
+
 
 class HominvError(Exception):
     """Base class for every error raised by this package."""

@@ -124,8 +124,7 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SphereSample:
     draw's points, which makes sampled extrema monotone in ``count``.  In
     R^1 the sample is ``+1, -1`` and nothing is drawn.
     """
-    if n < 1:
-        raise InvalidParameterError("dimension n must be >= 1")
+    n = _integer(n, 1, "dimension n must be >= 1")
     count = _integer(count, 1, "count must be >= 1")
     count = min(count, 2) if n == 1 else count
     return SphereSample(_unit_directions(_rng(seed, _SALT_SPHERE), count, n), count, n, int(seed))
@@ -446,7 +445,8 @@ class HypothesisReport:
     on first use and then keeps (``_unit_images``).  So is the ``body`` of
     the map the report was computed for: with ``n`` and ``kappa`` it names
     that map (see :meth:`matches`).  :meth:`to_json_dict` serializes the
-    other fields, in their order: exactly the fields shown by ``repr``.
+    other fields, in their order: exactly the fields shown by ``repr``
+    (:func:`_json_fields`).
     ``image_norms`` are :func:`~hominv.mapcore._norms` of the images, so an
     image of any finite size has a finite norm.
     """
@@ -497,15 +497,26 @@ class HypothesisReport:
         return _UnitImages(directions, unusable, usable)
 
     def to_json_dict(self) -> dict:
-        """The ``repr`` fields by name, in field order: tuples and arrays as
-        lists."""
-        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self) if f.repr}
+        """This report's JSON object, by the rule of :func:`_json_fields`."""
+        return _json_fields(self)
+
+
+def _json_fields(result) -> dict:
+    """The JSON object of a dataclass ``result``: its ``repr`` fields by
+    name, in field order, leaving out a field that is None.  Every result
+    of the package serializes by this rule."""
+    return {f.name: _json_value(value) for f in fields(result)
+            if f.repr and (value := getattr(result, f.name)) is not None}
 
 
 def _json_value(value):
+    """``value`` as JSON: an array or a tuple as a list, a named tuple as an
+    object of its fields, each entry converted in turn."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    return list(value) if isinstance(value, tuple) else value
+    if hasattr(value, "_fields"):
+        return {name: _json_value(v) for name, v in zip(value._fields, value)}
+    return [_json_value(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _check_tol(tol: float) -> None:

@@ -45,7 +45,8 @@ import numpy as np
 
 from ._newton import _nonsingular, _polish, _singular_error, newton_batch, solve_guarded
 from .errors import ContinuationFailedError, InvalidInputError, SingularJacobianError
-from .hypotheses import HypothesisReport, _bracket, _check_tol, _require_report, _target_rows
+from .hypotheses import (HypothesisReport, _bracket, _check_tol, _json_fields, _require_report,
+                         _target_rows)
 from .mapcore import (MapSpec, _eval_batch, _jacobian_batch, _norms, _row_norms, _taus,
                       eval_jacobian)
 
@@ -73,8 +74,9 @@ class InversionResult:
     the preimage radius must fall in; ``steps`` the number of accepted
     continuation steps and ``newton_iters_total`` the corrector iterations
     spent on the successful seed.  ``path_waypoints``, recorded when tracing
-    is requested, lists ``(t, gamma(t), xi(t))`` for the unit-reduced problem
-    that the tracker actually solves.
+    is requested, lists ``(t, gamma(t), xi(t))`` named tuples, with fields
+    ``t``, ``gamma`` and ``xi``, for the unit-reduced problem that the
+    tracker actually solves.
     """
 
     xi: np.ndarray
@@ -85,16 +87,16 @@ class InversionResult:
     path_waypoints: Optional[tuple] = None
 
     def to_json_dict(self, eta=None) -> dict:
+        """This result's JSON object, by the rule of
+        :func:`~hominv.hypotheses._json_fields`, after the target ``eta``
+        when one is given."""
         out: dict = {} if eta is None else {"eta": [float(v) for v in eta]}
-        out.update(xi=[float(v) for v in self.xi], residual=self.residual, steps=self.steps,
-                   newton_iters_total=self.newton_iters_total, bracket=list(self.bracket))
-        if self.path_waypoints is not None:
-            out["path_waypoints"] = [
-                {"t": t, "gamma": [float(v) for v in g], "xi": [float(v) for v in x]}
-                for t, g, x in self.path_waypoints]
+        out.update(_json_fields(self))
         return out
 
 
+#: one recorded point of a traced path: ``(t, gamma(t), xi(t))``
+_Waypoint = namedtuple("_Waypoint", "t gamma xi")
 _Paths = namedtuple("_Paths", "m0 m1 antipodal blocked ends theta sine small")
 
 
@@ -160,7 +162,7 @@ def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, tol: float, trace: bool):
     steps, newton, ns, nt = np.zeros((4, P), dtype=int)
     # the paths still tracked, compressed; a path that stops is written out
     live, x, t, g, step = np.arange(P), X, T, _path_points(p, T), np.full(P, _INITIAL_STEP)
-    waypoints = [[(0.0, g[i].copy(), x[i].copy())] for i in range(P)] if trace else None
+    waypoints = [[_Waypoint(0.0, g[i].copy(), x[i].copy())] for i in range(P)] if trace else None
 
     def stop(rows, reasons):
         nonlocal live, x, t, g, step, ns, nt, p
@@ -205,7 +207,7 @@ def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, tol: float, trace: bool):
         step = step * np.where(accept, 1.0 + (iters <= 3), 0.5)
         if trace:
             for i in np.flatnonzero(accept):
-                waypoints[live[i]].append((float(t[i]), g[i].copy(), x[i].copy()))
+                waypoints[live[i]].append(_Waypoint(float(t[i]), g[i].copy(), x[i].copy()))
         out = t >= 1.0
         if not every:
             out |= step < _MIN_STEP

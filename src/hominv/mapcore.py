@@ -105,7 +105,8 @@ class PolyMap:
     Parameters
     ----------
     n : int
-        Number of variables (and of components; the map is square).
+        Number of variables (and of components; the map is square), at
+        least 1.
     components : sequence of sequences of ``(coeff, exponents)``
         One term list per component.  ``exponents`` is a length-``n`` tuple of
         nonnegative integers with a sum of at most 1000.  Terms are
@@ -114,6 +115,10 @@ class PolyMap:
         graded-lexicographic order.  A coefficient, given or merged, that is
         not finite, or whose product with an exponent (a Jacobian coefficient)
         overflows, raises ``InvalidParameterError``.
+
+    ``n`` and every exponent must be a Python or numpy integer (the rule of
+    :func:`_integer`): a float, even a whole one, raises
+    ``InvalidParameterError`` instead of being truncated.
 
     Notes
     -----
@@ -143,9 +148,7 @@ class PolyMap:
     __slots__ = ("n", "components", "degree", "_E", "_C", "_dE", "_D")
 
     def __init__(self, n: int, components: Sequence[Sequence[Term]]):
-        n = int(n)
-        if n < 1:
-            raise InvalidParameterError("dimension n must be >= 1")
+        n = _integer(n, 1, "dimension n must be >= 1")
         if len(components) != n:
             raise InvalidParameterError(
                 f"expected {n} components for a square map, got {len(components)}"
@@ -154,13 +157,11 @@ class PolyMap:
         for comp in components:
             acc: dict[Tuple[int, ...], float] = {}
             for coeff, exponents in comp:
-                e = tuple(int(v) for v in exponents)
+                e = tuple(_integer(v, 0, "exponents must be nonnegative") for v in exponents)
                 if len(e) != n:
                     raise InvalidParameterError(
                         f"exponent tuple {e} does not have length n={n}"
                     )
-                if any(v < 0 for v in e):
-                    raise InvalidParameterError("exponents must be nonnegative")
                 if sum(e) > _MAX_DEGREE:
                     raise InvalidParameterError(
                         f"the total degree of a term must be at most {_MAX_DEGREE}"
@@ -311,14 +312,15 @@ class MapSpec:
         Homogeneity order; must be positive.  Defaults to the polynomial
         degree (PolyMap) or the declared order (BlackBox).
     n : int, optional
-        Dimension; required for black-box bodies, inferred for polynomials.
+        Dimension, an integer of at least 1 as in :class:`PolyMap`; required
+        for black-box bodies, inferred for polynomials.
     """
 
     __slots__ = ("body", "n", "kappa", "radial_exponent")
 
     def __init__(self, body: Union[PolyMap, BlackBox], kappa: float | None = None, *, n: int | None = None):
         if isinstance(body, PolyMap):
-            if n is not None and int(n) != body.n:
+            if n is not None and _integer(n, 1, "dimension n must be >= 1") != body.n:
                 raise InvalidParameterError("n disagrees with the polynomial body")
             self.n = body.n
             k = float(body.degree) if kappa is None else float(kappa)
@@ -326,9 +328,7 @@ class MapSpec:
         elif isinstance(body, BlackBox):
             if n is None:
                 raise InvalidParameterError("n is required for black-box bodies")
-            self.n = int(n)
-            if self.n < 1:
-                raise InvalidParameterError("dimension n must be >= 1")
+            self.n = _integer(n, 1, "dimension n must be >= 1")
             k = float(body.declared_kappa) if kappa is None else float(kappa)
             if kappa is not None and k != float(body.declared_kappa):
                 raise InvalidParameterError("kappa disagrees with declared_kappa")
@@ -540,9 +540,10 @@ def extend_at_origin(m: MapSpec) -> np.ndarray:
 
 
 def _integer(value, least: int, message: str) -> int:
-    """A user seed or count ``value`` as an ``int``: a Python or numpy
-    integer of at least ``least``, since ``int`` would truncate a float;
-    anything else raises :class:`InvalidParameterError` with ``message``."""
+    """A user seed, count, dimension or exponent ``value`` as an ``int``: a
+    Python or numpy integer of at least ``least``, since ``int`` would
+    truncate a float; anything else raises :class:`InvalidParameterError`
+    with ``message``."""
     try:
         value = operator.index(value)
         valid = value >= least
@@ -574,6 +575,15 @@ def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray
         dirs[bad] = rng.standard_normal((int(bad.sum()), n))
         norms = _row_norms(dirs)
     return np.divide(dirs, norms[:, None], out=dirs)
+
+
+def _log_uniform_targets(rng: np.random.Generator, count: int, n: int, low: float,
+                         high: float) -> np.ndarray:
+    """``count`` seeded targets in R^n: the :func:`_unit_directions` of
+    ``rng``, then, from the same stream, magnitudes ``10**u`` with ``u``
+    uniform on ``[low, high]``, one per direction."""
+    directions = _unit_directions(rng, count, n)
+    return 10.0 ** rng.uniform(low, high, size=count)[:, None] * directions
 
 
 def _taus(taus) -> list[float]:

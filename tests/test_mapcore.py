@@ -547,6 +547,41 @@ def test_a_numpy_integer_count_counts_as_its_value(call, identity_report):
     assert repr(got) == repr(want)
 
 
+_BB = BlackBox(eval=lambda x: np.asarray(x), declared_kappa=1.0)
+_LINEAR2 = [[(1.0, (1, 0))], [(1.0, (0, 1))]]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PolyMap(2, [[(1.0, (1.5, 0))], [(1.0, (0, 1))]]), "exponents must be nonnegative"),
+    (lambda: PolyMap(2, [[(1.0, (1.0, 0))], [(1.0, (0, 1))]]), "exponents must be nonnegative"),
+    (lambda: PolyMap(2, [[(1.0, ("1", 0))], [(1.0, (0, 1))]]), "exponents must be nonnegative"),
+    (lambda: PolyMap(2, [[(1.0, (-1, 0))], [(1.0, (0, 1))]]), "exponents must be nonnegative"),
+    (lambda: PolyMap(2.5, _LINEAR2), "dimension n must be >= 1"),
+    (lambda: PolyMap(np.float64(2.0), _LINEAR2), "dimension n must be >= 1"),
+    (lambda: PolyMap(0, []), "dimension n must be >= 1"),
+    (lambda: MapSpec(PolyMap(2, _LINEAR2), n=2.5), "dimension n must be >= 1"),
+    (lambda: MapSpec(_BB, n=2.5), "dimension n must be >= 1"),
+    (lambda: MapSpec(_BB, n="3"), "dimension n must be >= 1"),
+    (lambda: MapSpec(_BB, n=0), "dimension n must be >= 1"),
+    (lambda: sample_sphere(2.5, 10), "dimension n must be >= 1"),
+    (lambda: sample_sphere(0, 10), "dimension n must be >= 1"),
+], ids=["exponent-1.5", "exponent-1.0", "exponent-str", "exponent-negative", "polymap-n-2.5",
+        "polymap-n-float64", "polymap-n-0", "mapspec-poly-n-2.5", "mapspec-blackbox-n-2.5",
+        "mapspec-blackbox-n-str", "mapspec-blackbox-n-0", "sample-sphere-n-2.5",
+        "sample-sphere-n-0"])
+def test_a_dimension_or_exponent_that_is_not_an_integer_is_rejected_not_truncated(build, message):
+    # int() built x1 from the exponent 1.5 and n = 2 from 2.5, and took n = "3"
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        build()
+
+
+def test_a_numpy_integer_dimension_or_exponent_counts_as_its_value():
+    p = PolyMap(np.int64(2), [[(1.0, (np.int64(1), 0))], [(1.0, (0, np.int32(1)))]])
+    assert p == PolyMap(2, _LINEAR2) and type(p.n) is int
+    assert type(MapSpec(_BB, n=np.int64(3)).n) is int
+    assert sample_sphere(np.int64(3), 4).n == 3
+
+
 def test_every_seeded_stream_has_its_own_salt():
     # two streams with one salt would draw the same numbers from one seed
     salts = {}

@@ -5,7 +5,7 @@ Usage, from anywhere::
     python tools/report_gate.py OLD NEW
 
 ``OLD`` and ``NEW`` are the roots of two hominv checkouts.  For every map
-file in ``NEW/demos/maps`` the eight command lines of ``COMMANDS`` run in
+file in ``NEW/demos/maps`` the nine command lines of ``COMMANDS`` run in
 both checkouts (``python -m hominv.cli`` with that checkout's ``src``
 first on the path, the report on standard output): ``check``, ``invert``,
 and ``roundtrip`` and ``degree`` both at the default ``--tol`` and at
@@ -14,7 +14,8 @@ One more ``roundtrip`` runs on a sample of 64 points: its seeds align
 poorly with the targets, so long continuation steps get rejected and the
 tracker's halving path is compared too.  One more ``check`` runs on 2049
 points, one more than a block of the sample scan, so that its last block
-of one row is compared too.
+of one row is compared too.  One more ``invert`` passes ``--trace``, so
+that the path waypoints of the report are compared too.
 ``invert`` and ``degree`` take the target ``1,-2,0.5,0.25`` repeated
 cyclically to the map's dimension (cut to it below 4, ``1,-2,0.5,0.25,1``
 at 5), so a map of any dimension gets a target of its own length.  Each
@@ -68,6 +69,7 @@ COMMANDS = (
     ("degree", ["--target={target}", "--probe", "5", "--force", "--tol", "1e-12"]),
     ("roundtrip", ["--count", "30", "--force", "--samples", "64"]),
     ("check", ["--samples", "2049", "--seed", "3"]),
+    ("invert", ["--target={target}", "--force", "--trace"]),
 )
 TARGET = (1.0, -2.0, 0.5, 0.25)
 #: argmins that rounding decides: |f| (and on radial_cube3 det Df) is flat
