@@ -131,7 +131,7 @@ def _unit_target(m: MapSpec, eta) -> tuple[np.ndarray, float]:
 def _start_count(m: MapSpec, starts) -> int:
     """The start count of a public call: ``starts``, at least 1, or 64 per
     dimension when it is ``None``."""
-    return 64 * m.n if starts is None else _integer(starts, 1, "starts must be >= 1")
+    return 64 * m.n if starts is None else _integer(starts, 1, "starts")
 
 
 def _checked(m: MapSpec, report, force: bool, starts, tol: float):
@@ -209,7 +209,7 @@ def injectivity_probe(m: MapSpec, trials: int = 20, starts: Optional[int] = None
     ``k``, all trials in one batch, and only counts: no determinant is
     taken.
     """
-    trials = _integer(trials, 1, "trials must be >= 1")
+    trials = _integer(trials, 1, "trials")
     report, starts = _checked(m, report, force, starts, tol)
     etas = _log_uniform_targets(_rng(report.seed, _SALT_PROBE), trials, m.n, -2.0, 2.0)
     omegas = etas / _norms(etas)[:, None]

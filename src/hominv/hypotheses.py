@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .mapcore import (
     _norms,
     _rng,
     _row_norms,
+    _seed,
     _unit_directions,
     homogeneity_residual,
 )
@@ -107,7 +108,9 @@ class SphereSample:
     """A seeded sample of the unit sphere ``S^{n-1}``.
 
     For ``n = 1`` the sphere is ``{+1, -1}`` and the sample is ``[+1, -1]``
-    (or ``[+1]``), whatever the seed, so ``count`` saturates at 2.
+    (or ``[+1]``), whatever the seed, so ``count`` saturates at 2.  A sample
+    from :func:`sample_sphere` is shared: every call with its ``(n, count,
+    seed)`` returns the same object, so its ``points`` are read-only.
     """
 
     points: np.ndarray
@@ -123,11 +126,29 @@ def sample_sphere(n: int, count: int, seed: int = 0) -> SphereSample:
     nested: the first ``k`` points of a larger draw coincide with a smaller
     draw's points, which makes sampled extrema monotone in ``count``.  In
     R^1 the sample is ``+1, -1`` and nothing is drawn.
+
+    The sample is drawn once per process for each key ``(n, count, seed)``,
+    with ``count`` after the R^1 cap and ``seed`` as an ``int``, and the
+    four most recently used samples are kept (``_drawn_sample``): a repeated
+    call returns the same :class:`SphereSample`, whose ``points`` are
+    read-only.  Only an exact key is served, never a prefix of a larger
+    sample.  The memo holds at most four samples of ``8 * count * n``
+    bytes each; at the default count a sample takes 0.72 MB at ``n = 3``
+    and 1.28 MB at ``n = 4``, so four take 2.9 MB and 5.1 MB.
     """
-    n = _integer(n, 1, "dimension n must be >= 1")
-    count = _integer(count, 1, "count must be >= 1")
+    n = _integer(n, 1, "dimension n")
+    count = _integer(count, 1, "count")
     count = min(count, 2) if n == 1 else count
-    return SphereSample(_unit_directions(_rng(seed, _SALT_SPHERE), count, n), count, n, int(seed))
+    return _drawn_sample(n, count, _seed(seed))
+
+
+@lru_cache(maxsize=4)
+def _drawn_sample(n: int, count: int, seed: int) -> SphereSample:
+    """The sample of :func:`sample_sphere` for checked ``(n, count, seed)``,
+    its points made read-only so that every caller can share it."""
+    points = _unit_directions(_rng(seed, _SALT_SPHERE), count, n)
+    points.flags.writeable = False
+    return SphereSample(points, count, n, seed)
 
 
 def _fd_tangent_gradient(values_fn, w: np.ndarray) -> np.ndarray:
@@ -448,7 +469,9 @@ class HypothesisReport:
     other fields, in their order: exactly the fields shown by ``repr``
     (:func:`_json_fields`).
     ``image_norms`` are :func:`~hominv.mapcore._norms` of the images, so an
-    image of any finite size has a finite norm.
+    image of any finite size has a finite norm.  The ``sample`` is the one
+    :func:`sample_sphere` keeps for its ``(n, count, seed)``: several
+    reports may share it, and its points are read-only.
     """
 
     n: int
@@ -617,7 +640,7 @@ def check_hypotheses(m: MapSpec, count: int | None = None, seed: int = 0) -> Hyp
         n=m.n,
         kappa=float(m.kappa),
         sample_count=sample.count,
-        seed=int(seed),
+        seed=sample.seed,
         c0_empirical=ext.c0,
         c_empirical=ext.c_max,
         min_abs_det_j=jac.min_abs_det,

@@ -148,7 +148,7 @@ class PolyMap:
     __slots__ = ("n", "components", "degree", "_E", "_C", "_dE", "_D")
 
     def __init__(self, n: int, components: Sequence[Sequence[Term]]):
-        n = _integer(n, 1, "dimension n must be >= 1")
+        n = _integer(n, 1, "dimension n")
         if len(components) != n:
             raise InvalidParameterError(
                 f"expected {n} components for a square map, got {len(components)}"
@@ -157,7 +157,8 @@ class PolyMap:
         for comp in components:
             acc: dict[Tuple[int, ...], float] = {}
             for coeff, exponents in comp:
-                e = tuple(_integer(v, 0, "exponents must be nonnegative") for v in exponents)
+                e = tuple(_integer(v, 0, "exponent", "exponents must be nonnegative")
+                          for v in exponents)
                 if len(e) != n:
                     raise InvalidParameterError(
                         f"exponent tuple {e} does not have length n={n}"
@@ -271,7 +272,11 @@ class BlackBox:
     rows and returns ``(k, n)``, and it is called once per batch with the
     batch's nonzero rows in order.  Either way the origin maps to zero
     without a call, and a result of any other shape raises
-    :class:`~hominv.errors.InvalidInputError`.  ``jacobian``, when provided,
+    :class:`~hominv.errors.InvalidInputError`.  Treat the argument as
+    read-only: a per-row call gets a view of the batch's row, and on the
+    shared sphere sample of :func:`hominv.hypotheses.sample_sphere` that
+    view is not writeable, so writing into it raises ``ValueError``.
+    ``jacobian``, when provided,
     returns the exact derivative, ``(n, n)`` for one row or ``(k, n, n)``
     for a batched body's ``k`` rows; otherwise central finite differences
     with step ``eps**(1/3) * max(1, |xi|)`` are used, whose shifted rows go
@@ -320,7 +325,7 @@ class MapSpec:
 
     def __init__(self, body: Union[PolyMap, BlackBox], kappa: float | None = None, *, n: int | None = None):
         if isinstance(body, PolyMap):
-            if n is not None and _integer(n, 1, "dimension n must be >= 1") != body.n:
+            if n is not None and _integer(n, 1, "dimension n") != body.n:
                 raise InvalidParameterError("n disagrees with the polynomial body")
             self.n = body.n
             k = float(body.degree) if kappa is None else float(kappa)
@@ -328,7 +333,7 @@ class MapSpec:
         elif isinstance(body, BlackBox):
             if n is None:
                 raise InvalidParameterError("n is required for black-box bodies")
-            self.n = _integer(n, 1, "dimension n must be >= 1")
+            self.n = _integer(n, 1, "dimension n")
             k = float(body.declared_kappa) if kappa is None else float(kappa)
             if kappa is not None and k != float(body.declared_kappa):
                 raise InvalidParameterError("kappa disagrees with declared_kappa")
@@ -539,24 +544,30 @@ def extend_at_origin(m: MapSpec) -> np.ndarray:
     return np.zeros(m.n)
 
 
-def _integer(value, least: int, message: str) -> int:
+def _integer(value, least: int, name: str, below: str | None = None) -> int:
     """A user seed, count, dimension or exponent ``value`` as an ``int``: a
     Python or numpy integer of at least ``least``, since ``int`` would
-    truncate a float; anything else raises :class:`InvalidParameterError`
-    with ``message``."""
+    truncate a float.  Anything else raises :class:`InvalidParameterError`:
+    a value that is not an integer with "``name`` must be an integer", and
+    one under ``least`` with ``below``, by default "``name`` must be >=
+    ``least``"."""
     try:
         value = operator.index(value)
-        valid = value >= least
     except TypeError:
-        valid = False
-    if not valid:
-        raise InvalidParameterError(message)
+        raise InvalidParameterError(f"{name} must be an integer") from None
+    if value < least:
+        raise InvalidParameterError(below or f"{name} must be >= {least}")
     return value
+
+
+def _seed(seed) -> int:
+    """A user ``seed`` as an ``int``, by the rule of :func:`_integer`."""
+    return _integer(seed, 0, "seed", "seed must be a nonnegative integer")
 
 
 def _rng(seed, salt: int) -> np.random.Generator:
     """The generator of the stream that ``salt`` names, from a user ``seed``."""
-    return np.random.default_rng([_integer(seed, 0, "seed must be a nonnegative integer"), salt])
+    return np.random.default_rng([_seed(seed), salt])
 
 
 def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -607,7 +618,7 @@ def homogeneity_residual(m: MapSpec, count: int = 100, seed: int = 0, taus=None)
     Exactly homogeneous maps sit at rounding level (~1e-15); a residual above
     ~1e-8 is a reliable sign that the declared order is wrong for the body.
     """
-    count = _integer(count, 1, "count must be >= 1")
+    count = _integer(count, 1, "count")
     rng = _rng(seed, _SALT_HOMOGENEITY)
     dirs = _unit_directions(rng, count, m.n)
     t_rand = 10.0 ** rng.uniform(-3.0, 3.0, size=count)

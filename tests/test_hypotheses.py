@@ -45,7 +45,8 @@ from hominv import (
     sample_sphere,
 )
 from hominv import hypotheses
-from hominv.mapcore import _eval_batch, _eval_jac_batch, _jacobian_batch, _norms
+from hominv.mapcore import (_eval_batch, _eval_jac_batch, _jacobian_batch, _norms, _rng,
+                            _unit_directions)
 
 
 def zero_map(n=3):
@@ -103,6 +104,95 @@ def test_sample_sphere_rejects_bad_arguments():
         sample_sphere(0, 10)
     with pytest.raises(InvalidParameterError):
         sample_sphere(3, 0)
+
+
+_MEMO = hypotheses._drawn_sample
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(2040, 2056), st.integers(0, 2**32 - 1))
+@example(1, 2048, 0)
+@example(3, 2048, 0)
+def test_the_sample_memo_is_value_transparent(n, count, seed):
+    sample_sphere(n, count, seed)
+    warm = sample_sphere(n, count, seed)
+    _MEMO.cache_clear()
+    cold = sample_sphere(n, count, seed)
+    drawn = count if n > 1 else 2
+    fresh = _unit_directions(_rng(seed, hypotheses._SALT_SPHERE), drawn, n)
+    assert warm is not cold and sample_sphere(n, count, seed) is cold
+    for s in (warm, cold):
+        assert s.points.shape == fresh.shape and s.points.tobytes() == fresh.tobytes()
+        assert not s.points.flags.writeable
+        assert (s.count, s.n, s.seed) == (drawn, n, seed)
+
+
+def test_the_sample_memo_keys_on_the_capped_count_and_the_int_seed():
+    assert sample_sphere(1, 2, 5) is sample_sphere(1, 10_000, 5)
+    assert sample_sphere(np.int64(3), np.int32(40), np.uint8(5)) is sample_sphere(3, 40, 5)
+    # a smaller count is drawn on its own, not served as a larger sample's prefix
+    big, small = sample_sphere(3, 40, 5), sample_sphere(3, 20, 5)
+    assert not np.shares_memory(big.points, small.points)
+    assert np.array_equal(big.points[:20], small.points)
+
+
+def test_the_sample_memo_keeps_the_four_latest_keys():
+    _MEMO.cache_clear()
+    keys = [(3, 10, seed) for seed in range(6)]
+    samples = [sample_sphere(*key) for key in keys]
+    info = _MEMO.cache_info()
+    assert info.maxsize == info.currsize == 4 and info.misses == 6
+    assert all(sample_sphere(*key) is s for key, s in zip(keys[2:], samples[2:]))
+    assert sample_sphere(*keys[0]) is not samples[0]
+    assert _MEMO.cache_info().currsize == 4
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 10, 0), "dimension n must be >= 1"),
+    ((2.5, 10, 0), "dimension n must be an integer"),
+    ((0, 0, -1), "dimension n must be >= 1"),
+    ((3, 0, 0), "count must be >= 1"),
+    ((3, 2.5, 0), "count must be an integer"),
+    ((3, 0, -1), "count must be >= 1"),
+    ((3, 10, -1), "seed must be a nonnegative integer"),
+    ((3, 10, 1.5), "seed must be an integer"),
+    ((1, 10, -1), "seed must be a nonnegative integer"),
+])
+def test_an_invalid_sample_request_raises_and_leaves_no_entry(args, message):
+    _MEMO.cache_clear()
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        sample_sphere(*args)
+    assert _MEMO.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("m", [identity_map(3), complex_square_map(),
+                               random_admissible_map(n=4, seed=7),
+                               blackbox_of(random_admissible_map(n=4, seed=7))],
+                         ids=["identity3", "complex_square", "random_admissible4", "blackbox4"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_check_on_a_memoized_sample_is_the_check_on_a_fresh_one(m, seed):
+    check_hypotheses(m, count=2048, seed=seed)
+    warm = check_hypotheses(m, count=2048, seed=seed)
+    _MEMO.cache_clear()
+    cold = check_hypotheses(m, count=2048, seed=seed)
+    assert warm.sample is not cold.sample
+    assert json.dumps(warm.to_json_dict()) == json.dumps(cold.to_json_dict())
+    assert warm.images.tobytes() == cold.images.tobytes()
+    assert warm.image_norms.tobytes() == cold.image_norms.tobytes()
+
+
+def test_a_per_row_black_box_gets_read_only_rows():
+    # its argument is a view of the shared sample's row: a callback that
+    # wrote into it once changed report.sample.points without a word
+    def body(x):
+        x *= 2.0
+        return np.array(x)
+
+    m = MapSpec(BlackBox(eval=body, declared_kappa=1.0), n=3)
+    with pytest.raises(ValueError, match="read-only"):
+        check_hypotheses(m, count=50, seed=4)
+    fresh = _unit_directions(_rng(4, hypotheses._SALT_SPHERE), 50, 3)
+    assert sample_sphere(3, 50, 4).points.tobytes() == fresh.tobytes()
 
 
 # ------------------------------------------------------------------ extrema
