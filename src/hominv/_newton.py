@@ -2,7 +2,9 @@
 preimage counter, on the unvalidated kernels of :mod:`hominv.mapcore`.
 
 One test, :func:`_nonsingular`, decides for one Jacobian or a stack of them
-whether it is numerically singular.  :func:`newton_batch` is the one Newton
+whether it is numerically singular, by the determinant of the Jacobian's
+unit rows; it leaves scaling to :func:`~hominv.mapcore._norms`, so it has
+one path at every scale.  :func:`newton_batch` is the one Newton
 loop: the multistart of the preimage counter and the corrector of the path
 tracker.  ``_polish`` takes up to two more Newton steps on each row of a
 batch and keeps a step only when it strictly lowers that row's residual.
@@ -13,44 +15,33 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularJacobianError
-from .mapcore import _NORM_SAFE, MapSpec, _eval_batch, _jacobian_batch, _norms, _row_norms
+from .mapcore import MapSpec, _eval_batch, _jacobian_batch, _norms, _row_norms
 
 # |det J| below this multiple of the row-norm product (which bounds the
 # determinant from above) counts as numerically singular; the ratio is a
 # scale-free conditioning proxy
 SINGULAR_RATIO = 1e-12
 
-# the row norms of an n x n matrix inside (2**-(e // n), 2**(e // n)) keep
-# its determinant, their product and SINGULAR_RATIO times it normal floats
-_SAFE_EXPONENT = 960
-
 _POLISH_ROUNDS = 2
+
+
+@np.errstate(invalid="ignore")
+def _hadamard_ratio(J: np.ndarray):
+    """``|det J| / prod |row_i|`` of one ``n x n`` matrix, or of each matrix
+    of a stack ``(..., n, n)``: the determinant of ``J`` with each row
+    divided by its norm (:func:`~hominv.mapcore._norms`), at most 1 by
+    Hadamard's inequality.  Scaling a row by a power of two scales its norm
+    exactly, so the ratio does not depend on the scale of the rows.  A
+    zero, infinite or NaN row gives NaN, with no RuntimeWarning."""
+    return np.abs(np.linalg.det(J / _norms(J)[..., None]))
 
 
 def _nonsingular(J: np.ndarray):
     """Whether ``J`` (one ``n x n`` matrix, or a stack ``(..., n, n)``, one
-    answer per matrix) is numerically nonsingular: ``|det J|`` above
-    ``SINGULAR_RATIO`` times the product of its row norms.  A determinant
-    that is NaN fails the comparison.
-
-    A matrix whose row norms (:func:`~hominv.mapcore._norms`) all lie in
-    ``(1/s, s)``, ``s = min(2**(_SAFE_EXPONENT // n), _NORM_SAFE)``, is
-    tested as it is.  Any other is tested with each row scaled by the power
-    of two that brings its norm into ``[0.5, 1)``: that scaling is exact
-    and leaves ``|det J| / prod |row_i|`` as it is, so the answer does not
-    depend on the scale of the rows, and no RuntimeWarning is raised.  A
-    stack whose entries are all below ``s / n`` (so no row norm reaches
-    ``s`` and no square overflows) and whose
-    :func:`~hominv.mapcore._row_norms` are all above ``1/s`` skips the
-    guard."""
-    n = J.shape[-1]
-    s = min(2.0 ** (_SAFE_EXPONENT // n), _NORM_SAFE)
-    if not (np.maximum.reduce(np.abs(J), axis=None, initial=0.0) < s / n
-            and np.minimum.reduce(r := _row_norms(J), axis=None, initial=1.0) > 1.0 / s):
-        r = _norms(J)
-        e = np.where(((r < s) & (r > 1.0 / s)).all(axis=-1, keepdims=True), 0, np.frexp(r)[1])
-        J, r = np.ldexp(J, -e[..., None]), np.ldexp(r, -e)
-    return np.abs(np.linalg.det(J)) > SINGULAR_RATIO * r.prod(axis=-1)
+    answer per matrix) is numerically nonsingular: its
+    :func:`_hadamard_ratio` above ``SINGULAR_RATIO``.  A NaN ratio fails
+    the comparison."""
+    return _hadamard_ratio(J) > SINGULAR_RATIO
 
 
 def solve_guarded(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -61,8 +52,9 @@ def solve_guarded(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _singular_error(J: np.ndarray) -> SingularJacobianError:
-    det = abs(float(np.linalg.det(J)))
-    return SingularJacobianError(f"|det J| = {det:.3e} is below the singularity threshold")
+    ratio = float(_hadamard_ratio(J))
+    return SingularJacobianError(f"|det J| / prod |J_i| = {ratio:.3e} is not above the "
+                                 f"singularity threshold {SINGULAR_RATIO:g}")
 
 
 def newton_batch(m: MapSpec, starts: np.ndarray, target: np.ndarray, tol: float,

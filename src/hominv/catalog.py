@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import InvalidParameterError
-from .mapcore import BlackBox, MapSpec, PolyMap, _rng, eval_jacobian_batch, eval_map
+from .mapcore import BlackBox, MapSpec, PolyMap, _integer, _rng, eval_jacobian_batch, eval_map
 
 __all__ = [
     "identity_map",
@@ -35,15 +35,15 @@ _SALT_ADMISSIBLE = 211
 _SALT_RANDOM_POLY = 223
 
 
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
+def _monomial(n: int, *factors: int) -> tuple[int, ...]:
+    """The exponents of the product of the variables ``x_i``, ``i`` in
+    ``factors`` (with repeats), in ``n`` variables."""
+    return tuple(factors.count(k) for k in range(n))
 
 
 def identity_map(n: int = 3) -> MapSpec:
     """The identity, order 1."""
-    return MapSpec(PolyMap(n, [[(1.0, _unit(n, i))] for i in range(n)]))
+    return diag_map([1.0] * _integer(n, 1, "dimension n"))
 
 
 def linear_map(matrix, kappa: float = 1.0) -> MapSpec:
@@ -57,7 +57,7 @@ def linear_map(matrix, kappa: float = 1.0) -> MapSpec:
         raise InvalidParameterError("matrix must be square")
     n = A.shape[0]
     comps = [
-        [(float(A[i, j]), _unit(n, j)) for j in range(n) if A[i, j] != 0.0]
+        [(float(A[i, j]), _monomial(n, j)) for j in range(n) if A[i, j] != 0.0]
         for i in range(n)
     ]
     return MapSpec(PolyMap(n, comps), kappa=kappa)
@@ -79,8 +79,7 @@ def radial_linear_map(diagonal=(1.0, 2.0, 3.0), kappa: float = 2.0) -> MapSpec:
 
 def reflection_map(n: int = 3) -> MapSpec:
     """``(x1, ..., xn) -> (-x1, x2, ..., xn)``: orientation-reversing, order 1."""
-    comps = [[((-1.0 if i == 0 else 1.0), _unit(n, i))] for i in range(n)]
-    return MapSpec(PolyMap(n, comps))
+    return diag_map([-1.0] + [1.0] * (_integer(n, 1, "dimension n") - 1))
 
 
 def radial_cube_map(n: int = 3) -> MapSpec:
@@ -89,27 +88,15 @@ def radial_cube_map(n: int = 3) -> MapSpec:
     ``|f| = 1`` on the whole unit sphere, and ``det Df = 3 |xi|**6`` for
     ``n = 3``, so the map is admissible in every dimension.
     """
-    comps = []
-    for i in range(n):
-        terms = []
-        for j in range(n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 2
-            terms.append((1.0, tuple(e)))
-        comps.append(terms)
-    return MapSpec(PolyMap(n, comps))
+    n = _integer(n, 1, "dimension n")
+    return MapSpec(PolyMap(n, [[(1.0, _monomial(n, i, j, j)) for j in range(n)] for i in range(n)]))
 
 
 def axis_cube_map(n: int = 3) -> MapSpec:
     """``(x1**3, ..., xn**3)``: globally invertible but *inadmissible* --
     ``det Df = 3**n (x1 ... xn)**2`` vanishes on the coordinate planes."""
-    comps = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 3
-        comps.append([(1.0, tuple(e))])
-    return MapSpec(PolyMap(n, comps))
+    n = _integer(n, 1, "dimension n")
+    return MapSpec(PolyMap(n, [[(1.0, _monomial(n, i, i, i))] for i in range(n)]))
 
 
 def complex_square_map() -> MapSpec:
@@ -138,15 +125,11 @@ def random_admissible_map(
     guarantee is re-verified empirically by the hypothesis checker in the
     tests; nothing downstream relies on the bound alone.
     """
+    n = _integer(n, 1, "dimension n")
     if not 0.0 <= perturbation < 0.5:
         raise InvalidParameterError("perturbation must lie in [0, 0.5)")
     rng = _rng(seed, _SALT_ADMISSIBLE)
-    monos = []
-    for combo in combinations_with_replacement(range(n), 3):
-        e = [0] * n
-        for j in combo:
-            e[j] += 1
-        monos.append(tuple(e))
+    monos = [_monomial(n, *combo) for combo in combinations_with_replacement(range(n), 3)]
     coeffs = rng.standard_normal((n, len(monos)))
     per_comp = np.abs(coeffs).sum(axis=1) * 3.0  # gradient bound per component
     denom = float(np.sqrt((per_comp**2).sum())) * (1.0 + abs(kappa - 3.0))
@@ -188,6 +171,7 @@ def perturbed_radial_blackbox(n: int = 3, kappa: float = 3.0, shift=(0.01, 0.0, 
     homogeneous (the constant shift breaks scaling), used to exercise the
     homogeneity-residual check.  The body is batched: its evaluator takes a
     ``(k, n)`` array of rows, and it works on one row too."""
+    n = _integer(n, 1, "dimension n")
     s = np.asarray(shift, dtype=float)
     if s.shape != (n,):
         raise InvalidParameterError("shift must have length n")

@@ -1,6 +1,8 @@
 """The shared Newton helpers: the singularity test, the one Newton loop and
 the batched polish."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,15 @@ from hominv import (
     eval_jacobian,
     eval_map,
 )
-from hominv._newton import _nonsingular, _polish, _row_norms, newton_batch, solve_guarded
+from hominv._newton import (
+    SINGULAR_RATIO,
+    _nonsingular,
+    _polish,
+    _row_norms,
+    newton_batch,
+    solve_guarded,
+)
+from hominv.mapcore import _NORM_SAFE, _norms
 
 _MAPS = acceptance_maps()
 
@@ -150,6 +160,76 @@ def test_nonsingular_does_not_depend_on_the_scale_of_the_rows(n, seed, singular,
     assert bool(_nonsingular(J)) is not singular
     assert [bool(_nonsingular(j)) for j in scaled] == [not singular] * len(scaled)
     assert _nonsingular(scaled).tolist() == [not singular] * len(scaled)
+
+
+def _two_path_nonsingular(J):
+    """The singularity test that the one on unit rows replaced: a matrix whose
+    row norms all lie in ``(1/s, s)`` tested as given, any other with each
+    row scaled by the power of two that brings its norm into ``[0.5, 1)``."""
+    n = J.shape[-1]
+    s = min(2.0 ** (960 // n), _NORM_SAFE)
+    if not (np.maximum.reduce(np.abs(J), axis=None, initial=0.0) < s / n
+            and np.minimum.reduce(r := _row_norms(J), axis=None, initial=1.0) > 1.0 / s):
+        r = _norms(J)
+        e = np.where(((r < s) & (r > 1.0 / s)).all(axis=-1, keepdims=True), 0, np.frexp(r)[1])
+        J, r = np.ldexp(J, -e[..., None]), np.ldexp(r, -e)
+    return np.abs(np.linalg.det(J)) > SINGULAR_RATIO * r.prod(axis=-1)
+
+
+def _conditioned(rng, n, size):
+    """``size`` matrices ``U diag(1, ..., 1, 10**u) V``, ``U`` and ``V``
+    orthogonal and ``u`` uniform in [-16, -8], so that their ratios
+    ``|det J| / prod |J_i|`` fall on either side of ``SINGULAR_RATIO``."""
+    U = np.linalg.qr(rng.standard_normal((size, n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((size, n, n)))[0]
+    s = np.ones((size, n))
+    s[:, -1] = 10.0 ** rng.uniform(-16.0, -8.0, size)
+    return U * s[:, None, :] @ V
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_nonsingular_agrees_with_the_two_path_test_away_from_the_threshold(n, size, seed):
+    # matrices whose ratio is at least 10x away from SINGULAR_RATIO, with
+    # their rows scaled by 2**k, k in [-900, 900]: the same verdict one
+    # matrix at a time and for the stack, with no RuntimeWarning
+    rng = np.random.default_rng(seed)
+    J = _conditioned(rng, n, size)
+    ratio = np.abs(np.linalg.det(J)) / np.prod(np.linalg.norm(J, axis=-1), axis=-1)
+    J = J[(ratio > 10.0 * SINGULAR_RATIO) | (ratio < 0.1 * SINGULAR_RATIO)]
+    J = np.ldexp(J, rng.integers(-900, 901, size=J.shape[:-1])[..., None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = _two_path_nonsingular(J)
+        assert _nonsingular(J).tolist() == expected.tolist()
+        assert [bool(_nonsingular(j)) for j in J] == expected.tolist()
+        assert [bool(_two_path_nonsingular(j)) for j in J] == expected.tolist()
+
+
+@pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [np.nan] * 3, [np.inf] * 3, [-np.inf] * 3,
+                                 [0.5, np.inf, 0.0], [0.5, np.nan, 0.0]],
+                         ids=["zero", "nan", "inf", "-inf", "one inf", "one nan"])
+def test_nonsingular_is_false_on_a_zero_nan_or_inf_row_with_no_warning(row):
+    # three orthogonal matrices whose last row is replaced, after one left as it is
+    J = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 3, 3)))[0]
+    J[1:, 2] = row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _nonsingular(J).tolist() == [True, False, False, False]
+        assert [bool(_nonsingular(j)) for j in J] == [True, False, False, False]
+    with np.errstate(all="ignore"):
+        assert _two_path_nonsingular(J).tolist() == [True, False, False, False]
+
+
+@pytest.mark.parametrize("scale", [2.0**400, 1.0, 2.0**-400], ids=["2**400", "1", "2**-400"])
+def test_solve_guarded_names_the_ratio_it_compared_and_the_threshold(scale):
+    # the ratio of this matrix is 1e-13 / sqrt(2) at every scale; its
+    # determinant overflows at 2**400 and underflows at 2**-400
+    J = scale * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-13]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularJacobianError, match=r"= 7\.071e-14 .* threshold 1e-12$"):
+            solve_guarded(J, np.ones(3))
 
 
 def _scalar_newton(m, x0, target, tol, radius_cap, max_iter):
