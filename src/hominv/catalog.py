@@ -64,17 +64,20 @@ def linear_map(matrix, kappa: float = 1.0) -> MapSpec:
 
 
 def diag_map(diagonal=(1.0, 2.0, 3.0)) -> MapSpec:
-    """Diagonal linear map, order 1."""
-    return linear_map(np.diag(np.asarray(diagonal, dtype=float)))
+    """Diagonal linear map, order 1: :func:`radial_linear_map` at ``kappa = 1``."""
+    return radial_linear_map(diagonal, kappa=1.0)
 
 
 def radial_linear_map(diagonal=(1.0, 2.0, 3.0), kappa: float = 2.0) -> MapSpec:
-    """``f(xi) = |xi|**(kappa-1) * diag(d) xi``.
+    """``f(xi) = |xi|**(kappa-1) * diag(d) xi``; ``d`` must be a vector.
 
     Has the closed-form inverse ``xi = u * |u|**((1-kappa)/kappa)`` with
     ``u = diag(d)^{-1} eta``, which the tests use as an oracle.
     """
-    return linear_map(np.diag(np.asarray(diagonal, dtype=float)), kappa=kappa)
+    d = np.asarray(diagonal, dtype=float)
+    if d.ndim != 1:
+        raise InvalidParameterError("diagonal must be a vector")
+    return linear_map(np.diag(d), kappa=kappa)
 
 
 def reflection_map(n: int = 3) -> MapSpec:

@@ -34,8 +34,8 @@ import numpy as np
 
 from ._newton import _polish, newton_batch
 from .errors import InvalidInputError
-from .hypotheses import (HypothesisReport, _bracket, _check_tol, _json_fields, _require_report,
-                         _target_rows)
+from .hypotheses import (HypothesisReport, _bracket, _check_tol, _json_fields, _radius,
+                         _require_report, _target_rows)
 from .mapcore import (MapSpec, _integer, _log_uniform_targets, _norms, _rng, _row_norms,
                       _unit_directions, eval_jacobian_batch)
 
@@ -148,7 +148,7 @@ def _preimages(m: MapSpec, omega: np.ndarray, mag: float, report: HypothesisRepo
     relative, and rescales: f(s x) = |eta| f(x) for s = |eta|**(1/kappa),
     and det Df(s x) = s**(n (kappa - 1)) det Df(x) keeps its sign."""
     bracket = _bracket(report, float(_norms(omega)))
-    scale = mag ** (1.0 / m.kappa)
+    scale = _radius(mag, m.kappa)
     out = []
     for kept in _search_roots(m, np.repeat(omega[None, :], len(seeds), axis=0),
                               [bracket] * len(seeds), starts, tol, seeds):

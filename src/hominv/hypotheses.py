@@ -100,7 +100,7 @@ _FD_GRADIENT_STEP = 1e-6
 #: report status when every analytic check passed but ``n < 3``
 _STATUS_WARN = "hypotheses-met-but-n<3"
 
-_UnitImages = namedtuple("_UnitImages", "directions unusable usable")
+_UnitImages = namedtuple("_UnitImages", "directions unusable usable scales")
 
 
 @dataclass(frozen=True)
@@ -507,17 +507,21 @@ class HypothesisReport:
     def _unit_images(self) -> _UnitImages:
         """The sample's unit image directions ``images / image_norms`` as a
         read-only C-contiguous ``(n, N)`` array, zero on the ``unusable``
-        rows (an index list: zero or non-finite norm), and the ``usable``
-        mask.  Built on first use from this report's own fields, so a report
-        made by ``dataclasses.replace`` builds its own."""
+        rows (an index list), the ``usable`` mask, and each row's ``scales``
+        ``image_norms**(-1/kappa)``, which put a sample point on ``|f| = 1``
+        by homogeneity.  A row is usable when its scale is finite and
+        positive, so its image norm is too.  Built on first use from this
+        report's own fields, so a report made by ``dataclasses.replace``
+        builds its own."""
         norms = self.image_norms
-        usable = np.isfinite(norms) & (norms > 0.0)
-        unusable = np.flatnonzero(~usable)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scales = norms ** (-1.0 / self.kappa)
             directions = np.ascontiguousarray((self.images / norms[:, None]).T)
+        usable = np.isfinite(scales) & (scales > 0.0)
+        unusable = np.flatnonzero(~usable)
         directions[:, unusable] = 0.0
-        directions.flags.writeable = False
-        return _UnitImages(directions, unusable, usable)
+        directions.flags.writeable = scales.flags.writeable = False
+        return _UnitImages(directions, unusable, usable, scales)
 
     def to_json_dict(self) -> dict:
         """This report's JSON object, by the rule of :func:`_json_fields`."""
@@ -677,6 +681,20 @@ def _target_rows(n: int, etas, ndim: int = 2) -> tuple[np.ndarray, list[float]]:
     return E, norms
 
 
+def _radius(ratio: float, kappa: float) -> float:
+    """``ratio**(1/kappa)``: the radius at which an order-``kappa`` map
+    reaches ``ratio`` times its values on the unit sphere, a preimage's norm
+    or a bracket end.  A radius that overflows is rejected: its target is
+    too large to invert."""
+    try:
+        r = float(ratio) ** (1.0 / kappa)
+    except OverflowError:
+        r = np.inf
+    if r == np.inf:
+        raise InvalidInputError("eta is too large: its preimage's norm overflows")
+    return r
+
+
 def _bracket(report: HypothesisReport, mag: float) -> tuple[float, float]:
     """The coercivity bracket of every target of norm ``mag > 0``, at the
     report's order."""
@@ -684,10 +702,8 @@ def _bracket(report: HypothesisReport, mag: float) -> tuple[float, float]:
         raise NoBracketError(
             "no coercivity bracket: the empirical minimum of |f| on the sphere is zero"
         )
-    inv_k = 1.0 / report.kappa
-    r_lo = (mag / report.c_empirical) ** inv_k
-    r_hi = (mag / report.c0_empirical) ** inv_k
-    return float(r_lo), float(r_hi)
+    return (_radius(mag / report.c_empirical, report.kappa),
+            _radius(mag / report.c0_empirical, report.kappa))
 
 
 def coercivity_bracket(report: HypothesisReport, eta, kappa: float) -> tuple[float, float]:

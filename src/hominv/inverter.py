@@ -3,20 +3,25 @@
 For an admissible map (homogeneous of order ``kappa``, continuously
 differentiable off the origin, nonvanishing Jacobian determinant, ``n >= 3``)
 the restriction to ``R^n \\ {0}`` is a covering map onto ``R^n \\ {0}``, and
-bijectivity makes every path lift unique.  The inverter exploits this on a
-batch of targets at once (:func:`invert` is a batch of one):
+bijectivity makes every path lift unique.  Homogeneity reduces the lift to
+the unit sphere: a path on ``|eta| = 1`` lifts into the level set
+``|f| = 1``, and one radial rescale ends it.  The inverter exploits this on
+a batch of targets at once (:func:`invert` is a batch of one):
 
 1. reduce each target to the unit sphere, ``omega = eta / |eta|``;
 2. score every sample row ``w_i`` by how well its image aligns with
    ``omega``, ``omega . f(w_i) / |f(w_i)|``: one product of ``omega`` with
-   the unit image directions the report caches.  A candidate seed ``xi0``
-   is a row of highest score (ties in sample order): round 0 takes the best
-   one, and only a target still unsolved after it ranks its next
-   ``_SEED_ATTEMPTS - 1``; a row whose image is zero or not finite is never
-   a seed;
-3. join ``eta0 = f(xi0)`` to ``omega`` by a path that interpolates the
-   magnitude geometrically and the direction along the great circle, so it
-   never crosses the origin;
+   the unit image directions the report caches.  A candidate seed is a row
+   of highest score (ties in sample order): round 0 takes the best one, and
+   only a target still unsolved after it ranks its next
+   ``_SEED_ATTEMPTS - 1``.  Homogeneity puts the seed on the level set
+   ``|f| = 1``: ``xi0 = w_i |f(w_i)|**(-1/kappa)`` has the unit image
+   ``f(w_i) / |f(w_i)|``.  A row whose factor ``|f(w_i)|**(-1/kappa)`` is
+   zero or not finite (its image zero, not finite, or too far from 1 for
+   the factor to be a float) is never a seed;
+3. join the seed's unit image to ``omega`` by the great-circle arc on the
+   unit sphere, which never crosses the origin; both ends are unit, so the
+   path carries no magnitude;
 4. track every target's path in lock-step, each with its own ``t`` and
    step size: an Euler predictor ``dxi = Df^{-1} dgamma``, then one Newton
    correction (at most ``_MAX_NEWTON`` iterations) of all live paths.  The
@@ -29,7 +34,8 @@ batch of targets at once (:func:`invert` is a batch of one):
    step falls below ``_MIN_STEP`` stops.  Round ``a`` tracks each target
    still unsolved from its ``a``-th seed;
 5. polish: up to two more Newton steps, each kept only when it strictly
-   lowers the residual, and rescale by ``|eta|**(1/kappa)``.
+   lowers the residual, and rescale the preimage on ``|f| = 1`` radially by
+   ``|eta|**(1/kappa)``; a radius that overflows is rejected.
 
 Residuals are judged relative to ``max(1, |target|)`` throughout, against
 ``tol``: the solvers' one tuning keyword.  The step policy is fixed.
@@ -45,8 +51,8 @@ import numpy as np
 
 from ._newton import _nonsingular, _polish, _singular_error, newton_batch, solve_guarded
 from .errors import ContinuationFailedError, InvalidInputError, SingularJacobianError
-from .hypotheses import (HypothesisReport, _bracket, _check_tol, _json_fields, _require_report,
-                         _target_rows)
+from .hypotheses import (HypothesisReport, _bracket, _check_tol, _json_fields, _radius,
+                         _require_report, _target_rows)
 from .mapcore import (MapSpec, _eval_batch, _jacobian_batch, _norms, _row_norms, _taus,
                       eval_jacobian)
 
@@ -76,7 +82,8 @@ class InversionResult:
     spent on the successful seed.  ``path_waypoints``, recorded when tracing
     is requested, lists ``(t, gamma(t), xi(t))`` named tuples, with fields
     ``t``, ``gamma`` and ``xi``, for the unit-reduced problem that the
-    tracker actually solves.
+    tracker actually solves: each ``gamma`` is a unit vector and each ``xi``
+    a point of the level set ``|f| = 1``.
     """
 
     xi: np.ndarray
@@ -97,54 +104,44 @@ class InversionResult:
 
 #: one recorded point of a traced path: ``(t, gamma(t), xi(t))``
 _Waypoint = namedtuple("_Waypoint", "t gamma xi")
-_Paths = namedtuple("_Paths", "m0 m1 antipodal blocked ends theta sine small")
+_Paths = namedtuple("_Paths", "antipodal blocked ends")
 
 
 def _paths(start: np.ndarray, end: np.ndarray) -> _Paths:
-    """The paths from each row of ``start`` (``t = 0``) to the same row of
-    ``end`` (``t = 1``): endpoint norms and great-circle segments from
+    """The paths on the unit sphere from each unit row of ``start`` (``t =
+    0``) to the same unit row of ``end`` (``t = 1``): great-circle arcs from
     ``ends[:, k]`` to ``ends[:, k + 1]``, two for an ``antipodal`` path (via a
-    waypoint orthogonal to its start), else one; ``small`` segments (under
-    1e-8 rad) interpolate linearly.  ``blocked`` marks antipodal endpoints in
-    ``R^1``, which no path joins without crossing the origin."""
-    m0, m1 = _row_norms(start), _row_norms(end)
-    u0, u1 = start / m0[:, None], end / m1[:, None]
-    antipodal = (u0 * u1).sum(axis=1) <= -1.0 + _ANTIPODAL_TOL
+    waypoint orthogonal to its start), else one.  ``blocked`` marks
+    antipodal endpoints in ``R^1``, which no path joins without crossing the
+    origin."""
+    antipodal = (start * end).sum(axis=1) <= -1.0 + _ANTIPODAL_TOL
     blocked = antipodal & (start.shape[1] == 1)
     antipodal ^= blocked
     # the waypoint of an antipodal path: Gram--Schmidt on the coordinate axis
     # least aligned with its start (lowest index on ties)
-    waypoint = u1.copy()
+    waypoint = end.copy()
     for i in np.flatnonzero(antipodal):
         w = np.zeros(start.shape[1])
-        w[np.argmin(np.abs(u0[i]))] = 1.0
-        w -= float(np.dot(w, u0[i])) * u0[i]
+        w[np.argmin(np.abs(start[i]))] = 1.0
+        w -= float(np.dot(w, start[i])) * start[i]
         waypoint[i] = w / _row_norms(w)
-    ends = np.array([u0, waypoint, u1]).transpose(1, 0, 2)
-    theta = np.arccos(np.minimum(np.maximum((ends[:, :2] * ends[:, 1:]).sum(axis=2), -1.0), 1.0))
-    small = theta < 1e-8
-    return _Paths(m0, m1, antipodal, blocked, ends, theta, np.where(small, 1.0, np.sin(theta)),
-                  small)
+    return _Paths(antipodal, blocked, np.array([start, waypoint, end]).transpose(1, 0, 2))
 
 
 def _path_points(p: _Paths, t: np.ndarray) -> np.ndarray:
-    """``gamma(t)`` on every path, one ``t`` per path: magnitude ``m0**(1-t)
-    m1**t``, direction along the segment (at ``2t`` or ``2t - 1`` on the
-    halves of an antipodal path)."""
+    """``gamma(t)`` on every path, one ``t`` per path: the normalized chord
+    ``((1 - s) a + s b) / |(1 - s) a + s b|`` of its segment ``a, b``, the
+    great-circle arc reparametrized, at ``s = t`` (``2t`` or ``2t - 1`` on
+    the halves of an antipodal path)."""
     if np.count_nonzero(p.antipodal):
         k = (p.antipodal & (t > 0.5)).astype(np.intp)
         s = np.where(p.antipodal, 2.0 * t - k, t)
         r = np.arange(len(t))
-        a, b, theta, sine, small = (p.ends[r, k], p.ends[r, k + 1], p.theta[r, k],
-                                    p.sine[r, k], p.small[r, k])
+        a, b = p.ends[r, k], p.ends[r, k + 1]
     else:
         s, a, b = t, p.ends[:, 0], p.ends[:, 1]
-        theta, sine, small = p.theta[:, 0], p.sine[:, 0], p.small[:, 0]
-    d = (np.sin((1.0 - s) * theta)[:, None] * a + np.sin(s * theta)[:, None] * b) / sine[:, None]
-    if np.count_nonzero(small):
-        v = (1.0 - s)[:, None] * a + s[:, None] * b
-        d = np.where(small[:, None], v / _row_norms(v)[:, None], d)
-    return (p.m0 ** (1.0 - t) * p.m1**t)[:, None] * d
+    v = (1.0 - s)[:, None] * a + s[:, None] * b
+    return v / _row_norms(v)[:, None]
 
 
 def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, tol: float, trace: bool):
@@ -234,7 +231,7 @@ def _scores(report: HypothesisReport, w: np.ndarray) -> np.ndarray:
     product with the report's unit image directions, ``-inf`` on the rows
     that are never seeds.  One target at a time, so its seeds never depend
     on its batch."""
-    directions, unusable, _ = report._unit_images
+    directions, unusable, _, _ = report._unit_images
     scores = w @ directions
     scores[unusable] = -np.inf
     return scores
@@ -251,8 +248,9 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, tol: float, report: HypothesisRe
     nz = [i for i, mag in enumerate(norms) if mag]
     E, mags = etas[nz], [norms[i] for i in nz]
     brackets = [_bracket(report, mag) for mag in mags]
+    radii = [_radius(mag, m.kappa) for mag in mags]
     omega = E / np.array(mags).reshape(-1, 1)
-    usable = report._unit_images.usable
+    directions, _, usable, scales = report._unit_images
     # each target's seeds in the order tried; past round 0, filled only for
     # the targets that round leaves unsolved
     seeds = np.zeros((len(nz), min(_SEED_ATTEMPTS, len(usable))), dtype=np.intp)
@@ -267,11 +265,12 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, tol: float, report: HypothesisRe
         rows = np.flatnonzero(unsolved & usable[seeds[:, a]])
         k = seeds[rows, a]
         X, T, steps, newton, why, waypoints = _track(
-            m, _paths(report.images[k], omega[rows]), report.sample.points[k], tol, trace)
+            m, _paths(directions[:, k].T, omega[rows]),
+            report.sample.points[k] * scales[k][:, None], tol, trace)
         # step 5 on the paths that reached t = 1
         done = np.flatnonzero(why == "")
         polished, _ = _polish(m, X[done], omega[rows[done]])
-        xis = np.array([mags[j] ** (1.0 / m.kappa) for j in rows[done]]).reshape(-1, 1) * polished
+        xis = np.array([radii[j] for j in rows[done]]).reshape(-1, 1) * polished
         reached = iter(zip(xis, _norms(_eval_batch(m, xis) - E[rows[done]]).tolist()))
         for i, (j, s) in enumerate(zip(rows.tolist(), k.tolist())):
             reason, last_t, last_xi = why[i], float(T[i]), X[i].copy()
@@ -296,7 +295,7 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, tol: float, report: HypothesisRe
     for result, err in zip(results, errors):
         if result is None:
             raise err or ContinuationFailedError(
-                "no usable seed: every sample image was zero or had no finite norm")
+                "no usable seed: no sample image has a norm that scales its point onto |f| = 1")
     out = iter(results)
     return [next(out) if mag else _origin(m.n, trace) for mag in norms]
 
@@ -354,9 +353,9 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, report: HypothesisReport | 
     etas, norms = _target_rows(m.n, np.array([e] + [tau * e for tau in taus]))
     base, *scaled = _invert_batch(m, etas, tol, report, norms=norms)
     base_norm = float(_norms(base.xi))
-    return max((float(_norms(res.xi - tau ** (1.0 / m.kappa) * base.xi))
-                / (tau ** (1.0 / m.kappa) * base_norm) for tau, res in zip(taus, scaled)),
-               default=0.0)
+    radii = [_radius(tau, m.kappa) for tau in taus]
+    return max((float(_norms(res.xi - r * base.xi)) / (r * base_norm)
+                for r, res in zip(radii, scaled)), default=0.0)
 
 
 def _roundtrips(m: MapSpec, etas, report: HypothesisReport | None, tol: float,

@@ -44,7 +44,6 @@ __all__ = [
     "eval_map",
     "eval_jacobian",
     "eval_jacobian_batch",
-    "extend_at_origin",
     "homogeneity_residual",
 ]
 
@@ -532,16 +531,6 @@ def eval_jacobian(m: MapSpec, xi) -> np.ndarray:
     if x.ndim != 1:
         raise InvalidInputError("eval_jacobian expects a single point")
     return eval_jacobian_batch(m, x[None, :])[0]
-
-
-def extend_at_origin(m: MapSpec) -> np.ndarray:
-    """The value assigned to the origin by the continuous extension: zero.
-
-    Since ``|f(xi)| <= C |xi|**kappa`` with ``C`` the maximum of ``|f|`` on
-    the unit sphere and ``kappa > 0``, the zero vector is the unique
-    continuous choice.
-    """
-    return np.zeros(m.n)
 
 
 def _integer(value, least: int, name: str, below: str | None = None) -> int:

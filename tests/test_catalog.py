@@ -89,3 +89,14 @@ def test_constructors_build_the_terms_written_out_by_hand(n):
     for m, terms, kappa, radial_exponent in cases:
         assert m.body.components == PolyMap(n, terms).components
         assert (m.n, m.kappa, m.radial_exponent) == (n, kappa, radial_exponent)
+
+
+@pytest.mark.parametrize("make, diagonal", [
+    (diag_map, 3.0),
+    (diag_map, [[1.0]]),
+    (radial_linear_map, [[1.0, 0.0], [0.0, 2.0]]),
+])
+def test_a_diagonal_that_is_not_a_vector_is_named(make, diagonal):
+    # not numpy's "Input must be 1- or 2-d.", nor a 1x1 matrix called not square
+    with pytest.raises(InvalidParameterError, match="^diagonal must be a vector$"):
+        make(diagonal)

@@ -135,6 +135,14 @@ def test_invert_with_no_origin_avoiding_path_exits_three(mapfile, capsys):
     assert "ContinuationFailedError" in capsys.readouterr().err
 
 
+def test_invert_whose_preimage_norm_overflows_exits_one_with_one_line(mapfile, capsys):
+    # the map passes its check, but |xi| = 1e400 at kappa = 0.25
+    path = mapfile("q.map", "kappa = 0.25; n = 3; f1 = x1; f2 = x2; f3 = x3\n")
+    rc = main(["invert", path, "--target", "1e100,0,0", "--samples", "1000"])
+    assert rc == 1
+    assert capsys.readouterr().err == "hominv: eta is too large: its preimage's norm overflows\n"
+
+
 def test_degree_planar_counterexample(mapfile, tmp_path, capsys):
     out = tmp_path / "r.json"
     rc = main(["degree", mapfile("cs.map", COMPLEX_SQUARE), "--target", "1,0",

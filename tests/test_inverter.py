@@ -78,30 +78,30 @@ def test_config_validation():
 
 
 def gamma(a, b, t):
-    """``gamma(t)`` on the tracker's path from ``a`` to ``b``."""
+    """``gamma(t)`` on the tracker's path from the unit row ``a`` to the unit
+    row ``b``."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return _path_points(_paths(a[None], b[None]), np.array([float(t)]))[0]
 
 
 def test_slerp_endpoints():
-    a = np.array([2.0, 0.0, 0.0])
-    b = np.array([0.0, 0.0, 5.0])
+    a = np.array([1.0, 0.0, 0.0])
+    b = np.array([0.0, 0.0, 1.0])
     assert np.allclose(gamma(a, b, 0.0), a, atol=1e-14)
     assert np.allclose(gamma(a, b, 1.0), b, atol=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1.0),
-       st.integers(min_value=0, max_value=10_000))
-def test_slerp_magnitude_is_geometric(t, seed):
+@given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=10_000),
+       st.booleans())
+def test_slerp_stays_on_the_unit_sphere(t, seed, antipodal):
+    # one segment, or the two halves of the detour round an antipodal pair
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal(3) * 10.0 ** rng.uniform(-2, 2)
-    b = rng.standard_normal(3) * 10.0 ** rng.uniform(-2, 2)
-    if np.linalg.norm(a) == 0 or np.linalg.norm(b) == 0:
-        return
-    g = gamma(a, b, t)
-    expected = np.linalg.norm(a) ** (1 - t) * np.linalg.norm(b) ** t
-    assert np.linalg.norm(g) == pytest.approx(expected, rel=1e-10)
+    a = _unit(rng.standard_normal(3))
+    b = -a if antipodal else _unit(rng.standard_normal(3))
+    p = _paths(a[None], b[None])
+    assert p.antipodal[0] == antipodal and not p.blocked[0]
+    assert abs(math.hypot(*gamma(a, b, t)) - 1.0) <= 4 * np.finfo(float).eps
 
 
 def test_slerp_direction_stays_in_span():
@@ -112,26 +112,15 @@ def test_slerp_direction_stays_in_span():
         assert abs(g[2]) < 1e-14
 
 
-def test_slerp_never_approaches_origin():
-    rng = np.random.default_rng(9)
-    grid = np.linspace(0.0, 1.0, 501)
-    for _ in range(20):
-        a = rng.standard_normal(3) * 10.0 ** rng.uniform(-2, 2)
-        b = rng.standard_normal(3) * 10.0 ** rng.uniform(-2, 2)
-        mags = [np.linalg.norm(gamma(a, b, t)) for t in grid]
-        floor = min(np.linalg.norm(a), np.linalg.norm(b))
-        assert min(mags) >= floor * (1.0 - 1e-12)
-
-
 def test_slerp_antipodal_detour():
     a = np.array([1.0, 0.0, 0.0])
-    b = np.array([-2.0, 0.0, 0.0])
+    b = np.array([-1.0, 0.0, 0.0])
     assert np.allclose(gamma(a, b, 0.0), a, atol=1e-12)
     assert np.allclose(gamma(a, b, 1.0), b, atol=1e-12)
-    # the detour keeps the magnitude on the geometric interpolant and stays
-    # well away from the origin at the crossover
+    # the detour stays on the unit sphere, well away from the origin at the
+    # crossover
     mid = gamma(a, b, 0.5)
-    assert np.linalg.norm(mid) == pytest.approx(np.sqrt(2.0), rel=1e-9)
+    assert np.linalg.norm(mid) == pytest.approx(1.0, rel=1e-15)
     # continuity across the two segments
     eps = 1e-9
     d = np.linalg.norm(gamma(a, b, 0.5 + eps) - gamma(a, b, 0.5 - eps))
@@ -140,8 +129,8 @@ def test_slerp_antipodal_detour():
 
 def test_slerp_rejects_antipodal_endpoints_in_one_dimension():
     # R^1 has no direction orthogonal to both, so no path avoids the origin
-    assert _paths(np.array([[1.0]]), np.array([[-2.0]])).blocked[0]
-    assert gamma([1.0], [2.0], 0.5)[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert _paths(np.array([[1.0]]), np.array([[-1.0]])).blocked[0]
+    assert gamma([1.0], [1.0], 0.5)[0] == 1.0
 
 
 def test_invert_fails_as_antipodal_when_every_seed_image_points_away():
@@ -363,6 +352,45 @@ def test_every_front_door_rejects_a_malformed_target(eta, message):
             call()
 
 
+_HUGE = [1e100, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("entry", ["coercivity_bracket", "invert", "count_preimages",
+                                   "mapping_degree", "inverse_homogeneity_check",
+                                   "roundtrip_check"])
+def test_every_front_door_rejects_a_target_whose_preimage_norm_overflows(entry):
+    # |xi| = |eta|**4 = 1e400 at kappa = 0.25: a float power that raised a
+    # bare OverflowError
+    m = parse_map("kappa = 0.25; n = 3; f1 = x1; f2 = x2; f3 = x3")
+    rep = report_for("quartic_root", lambda: m)
+    assert rep.overall == "pass"
+    call = {"coercivity_bracket": lambda: coercivity_bracket(rep, _HUGE, m.kappa),
+            "invert": lambda: invert(m, _HUGE, report=rep),
+            "count_preimages": lambda: count_preimages(m, _HUGE, report=rep),
+            "mapping_degree": lambda: mapping_degree(m, _HUGE, report=rep),
+            "inverse_homogeneity_check":
+                lambda: inverse_homogeneity_check(m, [1.0, 0.0, 0.0], [1e100], report=rep),
+            "roundtrip_check": lambda: roundtrip_check(m, [[1.0, 2.0, 3.0], _HUGE], report=rep)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^eta is too large: its preimage's norm "
+                                                    "overflows$"):
+            call[entry]()
+
+
+def test_a_row_whose_scale_onto_the_level_set_overflows_is_never_a_seed():
+    # |f(w)| = 1e-80 on the sphere, so |f(w)|**(-1/kappa) = 1e320 is no float
+    m = parse_map("kappa = 0.25; n = 3; f1 = 1e-80 x1; f2 = 1e-80 x2; f3 = 1e-80 x3")
+    rep = check_hypotheses(m, count=2000)
+    assert np.all(np.isfinite(rep.image_norms) & (rep.image_norms > 0.0))
+    assert not rep._unit_images.usable.any()
+    eta = 1e-80 * np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContinuationFailedError, match="no usable seed"):
+            invert(m, eta, report=rep, force=True)
+
+
 def test_degree_names_a_non_finite_target_as_invert_does():
     m = identity_map(3)
     rep = report_for("identity", lambda: identity_map(3))
@@ -418,8 +446,10 @@ def test_invert_trace_records_waypoints():
     assert wps is not None and len(wps) == res.steps + 1
     assert wps[0][0] == 0.0
     assert wps[-1][0] == 1.0
-    # every recorded xi satisfies the path equation for the unit problem
+    # every recorded xi satisfies the path equation for the unit problem,
+    # whose path runs on the unit sphere
     for t, gamma, xi in wps:
+        assert abs(math.hypot(*gamma) - 1.0) <= 4 * np.finfo(float).eps
         assert np.linalg.norm(eval_map(m, xi) - gamma) <= 1e-8
 
 
@@ -685,15 +715,16 @@ def test_batch_raises_the_error_of_the_lowest_index_target(monkeypatch):
 def tried_seeds(m, rep, etas):
     """The sample rows that each target of the batch ``etas`` tries as seeds,
     round by round, when every path fails: ``_track`` is replaced by one that
-    fails them all, and the sample points by their row indices, which only
-    ``_track`` reads."""
-    n_rows = len(rep.image_norms)
-    indexed = dataclasses.replace(rep, sample=dataclasses.replace(
-        rep.sample, points=np.repeat(np.arange(n_rows, dtype=float)[:, None], m.n, axis=1)))
+    fails them all, and each sample point by the row ``(k, 1, ..., 1)`` of its
+    index ``k``, which only the seeds read.  A seed is its row scaled by a
+    positive factor, so ``k`` is the ratio of its first two coordinates."""
+    points = np.ones((len(rep.image_norms), m.n))
+    points[:, 0] = np.arange(len(points))
+    indexed = dataclasses.replace(rep, sample=dataclasses.replace(rep.sample, points=points))
     rounds = []
 
     def fail(m, p, xi0, tol, trace):
-        rounds.append(xi0[:, 0].astype(int))
+        rounds.append(np.rint(xi0[:, 0] / xi0[:, 1]).astype(int))
         P = len(xi0)
         return (xi0, np.zeros(P), np.zeros(P, int), np.zeros(P, int),
                 np.full(P, "no-convergence", dtype=object), None)
@@ -789,6 +820,11 @@ def test_the_unit_image_directions_are_cached_read_only_and_follow_the_images():
     assert np.array_equal(directions, (rep.images / rep.image_norms[:, None]).T)
     with pytest.raises(ValueError, match="read-only"):
         directions[0, 0] = 1.0
+    # each row's factor onto |f| = 1, as read-only
+    scales = rep._unit_images.scales
+    assert np.array_equal(scales, rep.image_norms ** (-1.0 / m.kappa))
+    with pytest.raises(ValueError, match="read-only"):
+        scales[0] = 1.0
     # a report made by dataclasses.replace derives its own from its images
     flipped = dataclasses.replace(rep, images=-rep.images)
     assert np.array_equal(flipped._unit_images.directions, -directions)

@@ -31,7 +31,6 @@ from hominv import (
     eval_jacobian,
     eval_jacobian_batch,
     eval_map,
-    extend_at_origin,
     homogeneity_residual,
     identity_map,
     injectivity_probe,
@@ -163,11 +162,6 @@ def test_eval_at_origin_is_zero():
     for m in (radial_cube_map(3), radial_linear_map((1.0, 2.0, 3.0), kappa=2.0),
               complex_square_map()):
         assert np.allclose(eval_map(m, np.zeros(m.n)), 0.0)
-
-
-def test_extend_at_origin_is_zero_vector():
-    m = radial_cube_map(3)
-    assert np.array_equal(extend_at_origin(m), np.zeros(3))
 
 
 def test_eval_batch_matches_single():

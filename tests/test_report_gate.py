@@ -120,6 +120,27 @@ def test_a_field_that_differs_in_many_inversions_is_listed_once_with_its_count()
         "exit code 0 -> 1", "roundtrip.ok"]
 
 
+def test_an_integer_field_of_the_inversions_shows_its_old_and_new_totals():
+    old = _report(**{"inversions.0.steps": 2, "inversions.0.newton_iters_total": 5})
+    old["inversions"] = [dict(old["inversions"][0], eta=[3.0, 4.0, k]) for k in range(3)]
+    new = {**old, "inversions": [dict(inv, newton_iters_total=3) for inv in old["inversions"]]}
+    new["inversions"][2]["steps"] = 1
+    new["inversions"][1]["bracket"] = [0.5, 2.0000000000000004]
+    moved, broken = compare(old, new, "identity3", "roundtrip")
+    # the totals change no verdict, and are shown only when the reports are given
+    assert moved == [] and len(broken) == 5
+    assert report_gate.summarize(broken) == ["inversions[*].newton_iters_total ×3",
+                                             "inversions[1].bracket[1] (1 ulp)",
+                                             "inversions[2].steps"]
+    assert report_gate.summarize(broken, old, new) == [
+        "inversions[*].newton_iters_total ×3 (15 → 9)", "inversions[1].bracket[1] (1 ulp)",
+        "inversions[2].steps (6 → 5)"]
+    # a float field has no total, nor any field when a report is missing
+    assert report_gate.summarize(["inversions[0].residual"], old, new) == [
+        "inversions[0].residual"]
+    assert report_gate.summarize(["inversions[0].steps"], old, None) == ["inversions[0].steps"]
+
+
 def test_each_rejection_text_has_its_own_message():
     messages = set()
     for text in report_gate.REJECTIONS:

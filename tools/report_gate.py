@@ -37,7 +37,11 @@ Each pair prints one line, naming the map, the command and its arguments:
 with the fields that moved, or ``MISMATCH`` with the fields that broke a
 rule.  A field that differs in more than one of a report's inversions is
 listed once with its count, as ``inversions[*].steps ×30``, and with the
-largest distance in ulps when it is a float.
+largest distance in ulps when it is a float.  An integer field of the
+inversions that differs also shows its old and new totals over the
+report's inversions, as ``inversions[*].newton_iters_total ×29 (90 → 49)``,
+so that a change to the tracker shows its direction; the verdicts do not
+depend on them.
 
 Then ``hominv check`` runs in both checkouts on each text of
 ``REJECTIONS``, one malformed map per rejection message of ``parse_map``,
@@ -192,10 +196,12 @@ def ulps(a: float, b: float) -> int:
     return abs(rank(a) - rank(b))
 
 
-def summarize(paths: list[str]) -> list[str]:
+def summarize(paths: list[str], old=None, new=None) -> list[str]:
     """``paths`` in order of first appearance, each field that differs in
     more than one inversion collapsed into one entry with its count and,
-    for floats, the largest distance in ulps."""
+    for floats, the largest distance in ulps.  Given the two reports, an
+    integer field of the inversions also shows its old and new totals over
+    every inversion, as ``inversions[*].steps ×29 (41 → 30)``."""
     groups: dict[str, list[str]] = {}
     for path in paths:
         field = re.sub(r"^inversions\[\d+\]", "inversions[*]", _ULP_NOTE.sub("", path))
@@ -204,10 +210,27 @@ def summarize(paths: list[str]) -> list[str]:
     for field, group in groups.items():
         notes = [int(m.group(1)) for m in map(_ULP_NOTE.search, group) if m]
         if len(group) == 1:
-            out.append(group[0])
+            entry = group[0]
         else:
-            out.append(f"{field} ×{len(group)}" + (f" (max {max(notes)} ulp)" if notes else ""))
+            entry = f"{field} ×{len(group)}" + (f" (max {max(notes)} ulp)" if notes else "")
+        out.append(entry + _totals(field, old, new))
     return out
+
+
+def _totals(field: str, old, new) -> str:
+    """`` (a → b)``, the sums of an integer ``inversions[*].<key>`` field over
+    the inversions of the ``old`` and ``new`` reports; ``""`` for any other
+    field, or when a report is missing."""
+    key = re.fullmatch(r"inversions\[\*\]\.(\w+)", field)
+    if key is None or old is None or new is None:
+        return ""
+    sums = []
+    for report in (old, new):
+        values = [inv.get(key.group(1)) for inv in report.get("inversions") or []]
+        if not values or not all(type(v) is int for v in values):
+            return ""
+        sums.append(sum(values))
+    return f" ({sums[0]} → {sums[1]})"
 
 
 def _floats(a, b) -> bool:
@@ -261,7 +284,7 @@ def main(argv=None) -> int:
             else:
                 verdict = "within rules"
             counts[verdict] += 1
-            detail = ", ".join(summarize(broken or moved))
+            detail = ", ".join(summarize(broken or moved, old, new))
             shown = " ".join(args)
             print(f"{mapfile.stem:18s} {command:9s} {shown:48s} exit {code_b}  {verdict}"
                   + (f": {detail}" if detail else ""))
