@@ -6,8 +6,11 @@ whether it is numerically singular, by the determinant of the Jacobian's
 unit rows; it leaves scaling to :func:`~hominv.mapcore._norms`, so it has
 one path at every scale.  :func:`newton_batch` is the one Newton
 loop: the multistart of the preimage counter and the corrector of the path
-tracker.  ``_polish`` takes up to two more Newton steps on each row of a
-batch and keeps a step only when it strictly lowers that row's residual.
+tracker.  Both solve toward unit targets, and :func:`_diverge_radius` is
+their one divergence rule, read from the report's coercivity bracket, so
+neither holds an absolute scale.  ``_polish`` takes up to two more Newton
+steps on each row of a batch and keeps a step only when it strictly lowers
+that row's residual.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from .mapcore import MapSpec, _eval_batch, _jacobian_batch, _norms, _row_norms
 SINGULAR_RATIO = 1e-12
 
 _POLISH_ROUNDS = 2
+# a Newton row toward a unit target has diverged once it leaves this multiple
+# of the upper end of the target's coercivity bracket
+_DIVERGE_FACTOR = 110.0
 
 
 @np.errstate(invalid="ignore")
@@ -57,35 +63,45 @@ def _singular_error(J: np.ndarray) -> SingularJacobianError:
                                  f"singularity threshold {SINGULAR_RATIO:g}")
 
 
+def _diverge_radius(report) -> float:
+    """The divergence radius of a Newton row toward a unit target:
+    ``_DIVERGE_FACTOR`` times the upper end ``(1 / c0)**(1 / kappa)`` of a
+    unit target's coercivity bracket, from a report's ``c0_empirical > 0``
+    and ``kappa``.  An upper end that overflows means no finite radius: the
+    largest float, past which only a step that is not finite goes."""
+    with np.errstate(divide="ignore", over="ignore"):
+        r_hi = (1.0 / np.float64(report.c0_empirical)) ** (1.0 / report.kappa)
+        return float(min(_DIVERGE_FACTOR * r_hi, np.finfo(float).max))
+
+
 def newton_batch(m: MapSpec, starts: np.ndarray, target: np.ndarray, tol: float,
-                 radius_cap, max_iter: int = 60):
+                 radius: float, max_iter: int = 60):
     """Newton from every row of ``starts`` toward ``target`` (one vector, or
-    one row per start) until ``|f(x) - target| <= tol * max(1, |target|)``.
+    one row per start) until ``|f(x) - target| <= tol * max(1, |target|)``:
+    ``tol`` relative at the unit targets of every caller.
 
     A row stops as ``"singular"`` at a numerically singular Jacobian or at
     the origin, as ``"diverged"`` when a step is not finite or leaves the
-    ball of radius ``radius_cap`` (one value, or an array of one per start),
-    and as ``"no-convergence"`` after ``max_iter`` steps.  Returns ``(X,
-    converged, iters, mode)`` per row: last iterate (before a failed step),
-    convergence, steps taken and mode.
+    ball of the finite ``radius`` (every caller's is
+    :func:`_diverge_radius`), and as ``"no-convergence"`` after ``max_iter``
+    steps.  Returns ``(X, converged, iters, mode)`` per row: last iterate
+    (before a failed step), convergence, steps taken and mode.
     """
     X = np.array(starts, dtype=float)
     T = target if target.ndim == 2 else np.repeat(target[None, :], len(X), axis=0)
     iters, mode = np.full(len(X), max_iter), np.full(len(X), "no-convergence")
     # the rows still iterating, compressed; a row that stops is written out
     idx, x, t, scale = np.arange(len(X)), X, T, tol * np.maximum(1.0, _row_norms(T))
-    cap = radius_cap  # an array is compressed with the rows; a scalar needs no copy
 
     def stop(rows, it, why) -> bool:
         """Stop ``rows`` at step ``it``; returns whether any row is left."""
-        nonlocal idx, x, t, R, scale, cap
+        nonlocal idx, x, t, R, scale
         if np.count_nonzero(rows) == rows.size:
             iters[idx], mode[idx] = it, why
             return False
         X[idx[rows]], iters[idx[rows]], mode[idx[rows]] = x[rows], it, why
         keep = ~rows
         idx, x, t, R, scale = idx[keep], x[keep], t[keep], R[keep], scale[keep]
-        cap = cap[keep] if isinstance(cap, np.ndarray) else cap
         return True
 
     for it in range(max_iter + 1):
@@ -104,7 +120,7 @@ def newton_batch(m: MapSpec, starts: np.ndarray, target: np.ndarray, tol: float,
             J = J[good]
         x_new = x - np.linalg.solve(J, R[:, :, None])[:, :, 0]
         # a step that is not finite has a norm that is not either
-        ok = _row_norms(x_new) <= cap
+        ok = _row_norms(x_new) <= radius
         if np.count_nonzero(ok) < ok.size:
             if not stop(~ok, it, "diverged"):
                 break

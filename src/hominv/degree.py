@@ -8,13 +8,12 @@ geometric radii) therefore finds all preimages with high probability; a
 second run at four times the start count flags searches that look
 unsaturated.
 
-The search takes a stack of targets, each with its own bracket, start
+The search takes a stack of unit targets, each with its own bracket, start
 count and seed, and is array code from start to finish: one batched Newton
 run from every start of every target, one batched polish of the converged
-rows, a filter on the residuals the polish returns, and per target a
-greedy dedup in lexicographic order that loops once per kept root.  The
-kernels round a row the same in any batch, so a target finds in a stack
-what it finds alone.  ``count_preimages`` is a batch of one;
+rows, and per target a greedy dedup in lexicographic order that loops once
+per kept root.  The kernels round a row the same in any batch, so a target
+finds in a stack what it finds alone.  ``count_preimages`` is a batch of one;
 ``mapping_degree`` searches its first pass and its rerun as one batch of
 two, and ``injectivity_probe`` searches all its trials in one batch.
 
@@ -32,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._newton import _polish, newton_batch
+from ._newton import _diverge_radius, _polish, newton_batch
 from .errors import InvalidInputError
 from .hypotheses import (HypothesisReport, _bracket, _check_tol, _json_fields, _radius,
                          _require_report, _target_rows)
@@ -90,15 +89,17 @@ def _dedup(rows: np.ndarray, radius: float) -> np.ndarray:
     return np.array(kept).reshape(len(kept), rows.shape[1])
 
 
-def _search_roots(m: MapSpec, omegas: np.ndarray, brackets, starts, tol: float,
+def _search_roots(m: MapSpec, omegas: np.ndarray, report: HypothesisReport, starts, tol: float,
                   seeds) -> list[np.ndarray]:
-    """For each unit target (a row of ``omegas``, with its own bracket, start
-    count and seed), all distinct Newton limits x with ``|f(x) - omega| <=
-    tol * max(1, |omega|)``, as rows in lexicographic order: one array per
-    target.  Each start's Newton radius cap comes from its own target's
-    bracket.  A row's iterates do not depend on the other rows of the
-    batch, so each target finds what it would find searched alone."""
-    X0, caps = [], []
+    """For each unit target (a row of ``omegas``, with its own start count
+    and seed), all distinct Newton limits x with ``|f(x) - omega| <= tol *
+    |omega|``, as rows in lexicographic order: one array per target.  Each
+    target's starts fill the annulus of its own coercivity bracket, and every
+    start shares the one divergence radius of :func:`_diverge_radius`.  A
+    row's iterates do not depend on the other rows of the batch, so each
+    target finds what it would find searched alone."""
+    brackets = [_bracket(report, mag) for mag in _norms(omegas).tolist()]
+    X0 = []
     for (r_lo, r_hi), count, seed in zip(brackets, starts, seeds):
         n_radii = max(1, int(round(count ** (1.0 / 3.0))))
         n_dirs = int(np.ceil(count / n_radii))
@@ -108,15 +109,12 @@ def _search_roots(m: MapSpec, omegas: np.ndarray, brackets, starts, tol: float,
         radii = np.geomspace(lo, hi, n_radii)
         dirs = _unit_directions(_rng(seed, _SALT_DIRECTIONS), n_dirs, m.n)
         X0.append((radii[:, None, None] * dirs[None, :, :]).reshape(-1, m.n))
-        caps.append(100.0 * hi)
-    owner = np.repeat(np.arange(len(caps)), [len(x) for x in X0])
+    owner = np.repeat(np.arange(len(X0)), [len(x) for x in X0])
     T = omegas[owner]
-    roots, ok, _, _ = newton_batch(m, np.vstack(X0), T, tol, np.array(caps)[owner], max_iter=60)
-    found, res = _polish(m, roots[ok], T[ok])
+    roots, ok, _, _ = newton_batch(m, np.vstack(X0), T, tol, _diverge_radius(report), max_iter=60)
+    found, _ = _polish(m, roots[ok], T[ok])
     owner = owner[ok]
-    limits = tol * np.maximum(1.0, _norms(omegas))
-    return [_dedup(found[(owner == k) & (res <= limit)], _DEDUP_RATIO * max(r_hi, 1e-300))
-            for k, (limit, (_, r_hi)) in enumerate(zip(limits, brackets))]
+    return [_dedup(found[owner == k], _DEDUP_RATIO * r_hi) for k, (_, r_hi) in enumerate(brackets)]
 
 
 def _unit_target(m: MapSpec, eta) -> tuple[np.ndarray, float]:
@@ -144,14 +142,13 @@ def _preimages(m: MapSpec, omega: np.ndarray, mag: float, report: HypothesisRepo
                tol: float, starts, seeds) -> list[list]:
     """The ``(xi, sign)`` pairs of :func:`count_preimages` at ``mag * omega``
     from one search per start count and seed, all in one batch.
-    It searches at the unit target, where the absolute tolerance is
-    relative, and rescales: f(s x) = |eta| f(x) for s = |eta|**(1/kappa),
-    and det Df(s x) = s**(n (kappa - 1)) det Df(x) keeps its sign."""
-    bracket = _bracket(report, float(_norms(omega)))
+    It searches at the unit target and rescales: f(s x) = |eta| f(x) for
+    s = |eta|**(1/kappa), and det Df(s x) = s**(n (kappa - 1)) det Df(x)
+    keeps its sign."""
     scale = _radius(mag, m.kappa)
     out = []
-    for kept in _search_roots(m, np.repeat(omega[None, :], len(seeds), axis=0),
-                              [bracket] * len(seeds), starts, tol, seeds):
+    for kept in _search_roots(m, np.repeat(omega[None, :], len(seeds), axis=0), report, starts,
+                              tol, seeds):
         dets = np.linalg.det(eval_jacobian_batch(m, kept)) if len(kept) else []
         out.append([_Preimage(scale * x, 1 if d > 0 else -1) for x, d in zip(kept, dets)])
     return out
@@ -167,7 +164,10 @@ def count_preimages(m: MapSpec, eta, starts: Optional[int] = None,
     report; a failing one needs ``force=True`` (the degree of an
     inadmissible map is exactly what the planar counterexample
     demonstrates), while the low-dimension warning status is accepted as
-    is.  The search is a batch of one target.
+    is.  With no report, ``force=True`` first runs a default-size
+    :func:`~hominv.hypotheses.check_hypotheses` and ignores its verdict.
+    The search is a batch of one target, ``eta / |eta|``, so ``tol`` is
+    relative to ``|eta|``.
     """
     omega, mag = _unit_target(m, eta)
     report, starts = _checked(m, report, force, starts, tol)
@@ -180,7 +180,9 @@ def mapping_degree(m: MapSpec, eta, starts: Optional[int] = None,
     """Mapping degree at a regular value: the determinant-sign sum over the
     preimages that :func:`count_preimages` finds, hedged by a rerun at four
     times the start count with the next seed, in the same search.  A
-    bijection has degree +1 or -1; the planar complex square has degree 2."""
+    bijection has degree +1 or -1; the planar complex square has degree 2.
+    The report and ``force`` are taken as by :func:`count_preimages`, so
+    ``force=True`` with no report first runs a default-size check."""
     omega, mag = _unit_target(m, eta)
     report, starts = _checked(m, report, force, starts, tol)
     pre, pre_hedged = _preimages(m, omega, mag, report, tol, [starts, 4 * starts],
@@ -207,14 +209,15 @@ def injectivity_probe(m: MapSpec, trials: int = 20, starts: Optional[int] = None
     draws the ``trials`` directions (in R^1, ``+1, -1, +1, ...``), then the
     ``trials`` magnitudes, from one stream.  Trial ``k`` searches with seed
     ``k``, all trials in one batch, and only counts: no determinant is
-    taken.
+    taken.  The report and ``force`` are taken as by
+    :func:`count_preimages`, so ``force=True`` with no report first runs a
+    default-size check, whose seed then seeds the targets.
     """
     trials = _integer(trials, 1, "trials")
     report, starts = _checked(m, report, force, starts, tol)
     etas = _log_uniform_targets(_rng(report.seed, _SALT_PROBE), trials, m.n, -2.0, 2.0)
     omegas = etas / _norms(etas)[:, None]
-    brackets = [_bracket(report, mag) for mag in _norms(omegas).tolist()]
-    counts = [len(r) for r in _search_roots(m, omegas, brackets, [starts] * trials, tol,
+    counts = [len(r) for r in _search_roots(m, omegas, report, [starts] * trials, tol,
                                             range(trials))]
     verdict = "consistent-with-injective" if all(c == 1 for c in counts) else "not-injective"
     return {"counts": counts, "targets": list(etas), "verdict": verdict, "max_count": max(counts)}

@@ -685,13 +685,17 @@ def _radius(ratio: float, kappa: float) -> float:
     """``ratio**(1/kappa)``: the radius at which an order-``kappa`` map
     reaches ``ratio`` times its values on the unit sphere, a preimage's norm
     or a bracket end.  A radius that overflows is rejected: its target is
-    too large to invert."""
+    too large to invert; so is one of a positive ratio that underflows to 0,
+    whose target is too small.  A ratio of 0 (a lower bracket end at
+    ``C = inf``) has the radius 0."""
     try:
         r = float(ratio) ** (1.0 / kappa)
     except OverflowError:
         r = np.inf
     if r == np.inf:
         raise InvalidInputError("eta is too large: its preimage's norm overflows")
+    if r == 0.0 and ratio > 0.0:
+        raise InvalidInputError("eta is too small: its preimage's norm underflows")
     return r
 
 
@@ -724,7 +728,8 @@ def coercivity_bracket(report: HypothesisReport, eta, kappa: float) -> tuple[flo
     NoBracketError
         When ``c0_empirical`` is zero (e.g. the zero map).
     InvalidInputError
-        For ``eta = 0`` or malformed input.
+        For ``eta = 0``, malformed input, or a bracket end that overflows
+        or underflows to 0.
     """
     if float(kappa) != report.kappa:
         raise InvalidParameterError(f"kappa {kappa} is not the order the report was computed at "

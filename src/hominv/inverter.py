@@ -37,8 +37,12 @@ a batch of targets at once (:func:`invert` is a batch of one):
    lowers the residual, and rescale the preimage on ``|f| = 1`` radially by
    ``|eta|**(1/kappa)``; a radius that overflows is rejected.
 
-Residuals are judged relative to ``max(1, |target|)`` throughout, against
-``tol``: the solvers' one tuning keyword.  The step policy is fixed.
+A path is accepted when ``|f(xi) - eta| <= tol * |eta|``: ``tol`` is
+relative, as in the corrector and the preimage search, and is the solvers'
+one tuning keyword.  The corrector gives up on a row past
+:func:`~hominv._newton._diverge_radius`, a multiple of the upper end of the
+unit target's coercivity bracket, so no rule of the tracker holds an
+absolute scale.  The step policy is fixed.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._newton import _nonsingular, _polish, _singular_error, newton_batch, solve_guarded
+from ._newton import (_diverge_radius, _nonsingular, _polish, _singular_error, newton_batch,
+                      solve_guarded)
 from .errors import ContinuationFailedError, InvalidInputError, SingularJacobianError
 from .hypotheses import (HypothesisReport, _bracket, _check_tol, _json_fields, _radius,
                          _require_report, _target_rows)
@@ -60,8 +65,6 @@ __all__ = ["InversionResult", "invert", "inverse_homogeneity_check", "roundtrip_
            "inverse_jacobian"]
 
 _ANTIPODAL_TOL = 1e-8
-# the corrector gives up on a row that leaves this ball
-_DIVERGE_NORM = 1e12
 # the step policy of steps 2 and 4, read at call time: first step in t (the
 # whole path), smallest step, corrector iterations per step, candidate seeds
 # per target
@@ -76,7 +79,7 @@ class InversionResult:
     """A computed preimage.
 
     ``residual`` is the absolute defect ``|f(xi) - eta|`` (success means it
-    is at most ``tol * max(1, |eta|)``); ``bracket`` the coercivity bracket
+    is at most ``tol * |eta|``); ``bracket`` the coercivity bracket
     the preimage radius must fall in; ``steps`` the number of accepted
     continuation steps and ``newton_iters_total`` the corrector iterations
     spent on the successful seed.  ``path_waypoints``, recorded when tracing
@@ -144,11 +147,12 @@ def _path_points(p: _Paths, t: np.ndarray) -> np.ndarray:
     return v / _row_norms(v)[:, None]
 
 
-def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, tol: float, trace: bool):
+def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, tol: float, radius: float, trace: bool):
     """Track ``f(xi(t)) = gamma(t)`` from ``xi(0) = xi0[i]`` to ``t = 1`` on
     every path at once, each with its own ``t`` and step size, by the step
     policy of step 4 in the module docstring: the first step tries the whole
-    path, and only a path whose correction fails there takes more.
+    path, and only a path whose correction fails there takes more.  A
+    correction diverges past ``radius``.
     Returns ``(xi, t, steps, newton, why, waypoints)`` per path; ``why`` is
     ``""`` at ``t = 1``, ``"antipodal"`` for a blocked path, the
     :class:`SingularJacobianError` of a singular Jacobian on the path, or the
@@ -191,8 +195,7 @@ def _track(m: MapSpec, p: _Paths, xi0: np.ndarray, tol: float, trace: bool):
                 break
             J, t_next, g_next = J[good], t_next[good], g_next[good]
         predictor = x + np.linalg.solve(J, (g_next - g)[:, :, None])[:, :, 0]
-        x_new, ok, iters, mode = newton_batch(m, predictor, g_next, tol, _DIVERGE_NORM,
-                                              _MAX_NEWTON)
+        x_new, ok, iters, mode = newton_batch(m, predictor, g_next, tol, radius, _MAX_NEWTON)
         # a correction that "converged" onto the origin failed: Df is undefined there
         accept = ok & x_new.any(axis=1)
         every = np.count_nonzero(accept) == accept.size
@@ -266,7 +269,7 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, tol: float, report: HypothesisRe
         k = seeds[rows, a]
         X, T, steps, newton, why, waypoints = _track(
             m, _paths(directions[:, k].T, omega[rows]),
-            report.sample.points[k] * scales[k][:, None], tol, trace)
+            report.sample.points[k] * scales[k][:, None], tol, _diverge_radius(report), trace)
         # step 5 on the paths that reached t = 1
         done = np.flatnonzero(why == "")
         polished, _ = _polish(m, X[done], omega[rows[done]])
@@ -279,7 +282,7 @@ def _invert_batch(m: MapSpec, etas: np.ndarray, tol: float, report: HypothesisRe
                 continue
             if reason == "":
                 last_t, (last_xi, residual) = 1.0, next(reached)
-                if residual <= tol * max(1.0, mags[j]):
+                if residual <= tol * mags[j]:
                     results[j] = InversionResult(last_xi, residual, int(steps[i]), int(newton[i]),
                                                  brackets[j], waypoints and tuple(waypoints[i]))
                     unsolved[j] = False
@@ -310,9 +313,11 @@ def invert(m: MapSpec, eta, report: HypothesisReport | None = None, *, tol: floa
 
     Requires a passing :class:`~hominv.hypotheses.HypothesisReport` (use
     ``force=True`` to override, e.g. to lift paths under a map that is merely
-    a covering).  ``eta = 0`` returns the origin exactly.  The result's
-    preimage radius always lies in the coercivity bracket, up to estimation
-    slack.
+    a covering; with no report, ``force=True`` first runs a default-size
+    :func:`~hominv.hypotheses.check_hypotheses` and ignores its verdict).
+    ``eta = 0`` returns the origin exactly.  The path is accepted when
+    ``|f(xi) - eta| <= tol * |eta|``.  The result's preimage radius always
+    lies in the coercivity bracket, up to estimation slack.
 
     Raises
     ------
@@ -341,7 +346,8 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, report: HypothesisReport | 
     For an exact inverse this is zero because the inverse of an order-``kappa``
     homogeneous bijection is homogeneous of order ``1/kappa``.  The targets
     are inverted as one batch, which gives each the bits :func:`invert`
-    gives it alone, so the value is exactly that definition.
+    gives it alone, so the value is exactly that definition.  A ``tau``
+    at which ``tau * eta`` rounds to zero is rejected, as a zero ``eta`` is.
     """
     _check_tol(tol)
     (e,), (mag,) = _target_rows(m.n, eta, ndim=1)
@@ -351,6 +357,9 @@ def inverse_homogeneity_check(m: MapSpec, eta, taus, report: HypothesisReport | 
     taus = _taus(taus)
     # tau * e may overflow
     etas, norms = _target_rows(m.n, np.array([e] + [tau * e for tau in taus]))
+    if not all(norms):
+        raise InvalidInputError("tau * eta must be nonzero for a homogeneity check: it rounds "
+                                "to zero")
     base, *scaled = _invert_batch(m, etas, tol, report, norms=norms)
     base_norm = float(_norms(base.xi))
     radii = [_radius(tau, m.kappa) for tau in taus]

@@ -143,6 +143,14 @@ def test_invert_whose_preimage_norm_overflows_exits_one_with_one_line(mapfile, c
     assert capsys.readouterr().err == "hominv: eta is too large: its preimage's norm overflows\n"
 
 
+def test_invert_whose_preimage_norm_underflows_exits_one_with_one_line(mapfile, capsys):
+    # |xi| = 1e-400 at kappa = 0.25 rounds to 0
+    path = mapfile("q.map", "kappa = 0.25; n = 3; f1 = x1; f2 = x2; f3 = x3\n")
+    rc = main(["invert", path, "--target", "1e-100,0,0", "--samples", "1000"])
+    assert rc == 1
+    assert capsys.readouterr().err == "hominv: eta is too small: its preimage's norm underflows\n"
+
+
 def test_degree_planar_counterexample(mapfile, tmp_path, capsys):
     out = tmp_path / "r.json"
     rc = main(["degree", mapfile("cs.map", COMPLEX_SQUARE), "--target", "1,0",

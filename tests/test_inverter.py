@@ -17,6 +17,7 @@ from hominv import (
     InvalidInputError,
     InvalidParameterError,
     MapSpec,
+    PolyMap,
     PreconditionError,
     SingularJacobianError,
     axis_cube_map,
@@ -41,7 +42,7 @@ from hominv import (
     roundtrip_check,
 )
 from hominv import inverter
-from hominv.hypotheses import _target_rows
+from hominv.hypotheses import _radius, _target_rows
 from hominv.inverter import _invert_batch, _path_points, _paths, _scores, _top_k
 from hominv.mapcore import _norms
 from hominv.polyparser import parse_map
@@ -378,6 +379,40 @@ def test_every_front_door_rejects_a_target_whose_preimage_norm_overflows(entry):
             call[entry]()
 
 
+_TINY = [1e-100, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("entry", ["coercivity_bracket", "invert", "count_preimages",
+                                   "mapping_degree", "inverse_homogeneity_check",
+                                   "roundtrip_check"])
+def test_every_front_door_rejects_a_target_whose_preimage_norm_underflows(entry):
+    # |xi| = |eta|**4 = 1e-400 at kappa = 0.25 rounds to 0: invert returned
+    # the origin, count_preimages a zero root, and the homogeneity check
+    # divided by zero
+    m = parse_map("kappa = 0.25; n = 3; f1 = x1; f2 = x2; f3 = x3")
+    rep = report_for("quartic_root", lambda: m)
+    call = {"coercivity_bracket": lambda: coercivity_bracket(rep, _TINY, m.kappa),
+            "invert": lambda: invert(m, _TINY, report=rep),
+            "count_preimages": lambda: count_preimages(m, _TINY, report=rep),
+            "mapping_degree": lambda: mapping_degree(m, _TINY, report=rep),
+            "inverse_homogeneity_check": lambda: inverse_homogeneity_check(m, _TINY, [2.0],
+                                                                           report=rep),
+            "roundtrip_check": lambda: roundtrip_check(m, [[1.0, 2.0, 3.0], _TINY], report=rep)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^eta is too small: its preimage's norm "
+                                                    "underflows$"):
+            call[entry]()
+
+
+def test_a_bracket_end_of_a_zero_ratio_is_zero():
+    # C = inf puts the lower bracket end at exactly 0, which stays allowed
+    assert _radius(0.0, 0.25) == 0.0
+    rep = dataclasses.replace(report_for("identity", lambda: identity_map(3)),
+                              c0_empirical=1.0, c_empirical=math.inf)
+    assert coercivity_bracket(rep, [2.0, 0.0, 0.0], 1.0) == (0.0, 2.0)
+
+
 def test_a_row_whose_scale_onto_the_level_set_overflows_is_never_a_seed():
     # |f(w)| = 1e-80 on the sphere, so |f(w)|**(-1/kappa) = 1e320 is no float
     m = parse_map("kappa = 0.25; n = 3; f1 = 1e-80 x1; f2 = 1e-80 x2; f3 = 1e-80 x3")
@@ -561,6 +596,39 @@ def test_inverse_homogeneity_check_rejects_a_scaled_target_that_overflows():
         inverse_homogeneity_check(m, np.array([1e300, 0.0, 0.0]), taus=[1e10], report=rep)
 
 
+def test_inverse_homogeneity_check_rejects_a_tau_at_which_the_target_rounds_to_zero():
+    # 1e-30 * 1e-300 rounds to 0, whose preimage is the origin
+    m = identity_map(3)
+    rep = report_for("identity", lambda: identity_map(3))
+    with pytest.raises(InvalidInputError, match="tau \\* eta must be nonzero"):
+        inverse_homogeneity_check(m, [1e-300, 0.0, 0.0], [1e-30, 2.0], rep)
+
+
+def _scaled(m, s):
+    """``s * f`` for a polynomial body: each coefficient times ``s``."""
+    return MapSpec(PolyMap(m.n, [[(s * c, e) for c, e in terms] for terms in m.body.components]),
+                   kappa=m.kappa)
+
+
+@pytest.mark.parametrize("s", [2.0**-100, 1e-26, 1e-60, 2.0**100, 1e40],
+                         ids=["2**-100", "1e-26", "1e-60", "2**100", "1e40"])
+@pytest.mark.parametrize("name", ["radial_linear123", "radial_cube3", "random_admissible4"])
+def test_invert_of_a_scaled_map_is_the_inverse_at_the_scaled_down_target(name, s):
+    # (s f)(xi) = eta exactly when f(xi) = eta / s, so the solvers, which
+    # hold no absolute scale, find the same preimage
+    m = acceptance_maps()[name]
+    rep = report_for(name, lambda: m)
+    eta = np.array([1.0, -2.0, 0.5, 0.25][:m.n])
+    want = invert(m, eta / s, report=rep).xi
+    sm = _scaled(m, s)
+    # the sphere checks of s f are not yet scale-free (at 1e40 the
+    # determinant refinement of random_admissible4 overflows); the solvers are
+    with np.errstate(over="ignore"):
+        rep_s = check_hypotheses(sm, count=2000, seed=0)
+    got = invert(sm, eta, report=rep_s, force=True).xi
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["radial_cube", "random_admissible"]), st.floats(-3.0, 3.0),
        st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
@@ -723,7 +791,7 @@ def tried_seeds(m, rep, etas):
     indexed = dataclasses.replace(rep, sample=dataclasses.replace(rep.sample, points=points))
     rounds = []
 
-    def fail(m, p, xi0, tol, trace):
+    def fail(m, p, xi0, tol, radius, trace):
         rounds.append(np.rint(xi0[:, 0] / xi0[:, 1]).astype(int))
         P = len(xi0)
         return (xi0, np.zeros(P), np.zeros(P, int), np.zeros(P, int),

@@ -2,6 +2,7 @@
 the batched polish."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hominv import (
 )
 from hominv._newton import (
     SINGULAR_RATIO,
+    _diverge_radius,
     _nonsingular,
     _polish,
     _row_norms,
@@ -326,30 +328,13 @@ def test_newton_batch_stops_a_row_at_the_origin_as_singular():
     assert converged.tolist() == [False, True]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(_NEWTON_MAPS)), st.integers(0, 2**32 - 1),
-       st.integers(0, 5), st.integers(0, 5), st.integers(0, 3), st.booleans(),
-       st.sampled_from([1e12, 1.5]))
-def test_newton_batch_with_equal_per_row_caps_matches_the_scalar_cap(name, seed, near, far,
-                                                                      planar, per_row, cap):
-    m, target, rows = _newton_problem(name, seed, near, far, planar, per_row)
-    want = newton_batch(m, rows, target, 1e-10, cap, 20)
-    got = newton_batch(m, rows, target, 1e-10, np.full(len(rows), cap), 20)
-    assert got[0].tobytes() == want[0].tobytes()
-    for a, b in zip(got[1:], want[1:]):
-        assert a.tolist() == b.tolist()
-
-
-def test_newton_batch_caps_each_row_by_its_own_radius():
-    # the same far start twice: its first step lands beyond radius 1 but
-    # inside 1e12, so only the row with the small cap diverges
-    m = _MAPS["radial_cube3"]
-    target = eval_map(m, np.array([0.3, -0.2, 0.5]))
-    start = np.array([[0.01, 0.02, -0.01]])
-    step = newton_batch(m, start, target, 1e-10, 1e12, max_iter=1)[0][0]
-    assert 1.0 < np.linalg.norm(step) < 1e12
-    X, converged, iters, mode = newton_batch(m, np.vstack([start, start]), target, 1e-10,
-                                             np.array([1.0, 1e12]))
-    assert mode.tolist() == ["diverged", "converged"]
-    assert converged.tolist() == [False, True]
-    assert iters[0] == 0 and np.array_equal(X[0], start[0])
+def test_the_divergence_radius_is_110_times_the_unit_brackets_upper_end():
+    # (1 / 0.25)**(1 / 2) = 2
+    assert _diverge_radius(SimpleNamespace(c0_empirical=0.25, kappa=2.0)) == 220.0
+    assert _diverge_radius(SimpleNamespace(c0_empirical=1e-26, kappa=2.0)) == 110.0 * 1e13
+    # an upper end of 1e1200 is no finite radius: the largest float, which
+    # only a step that is not finite leaves
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radius = _diverge_radius(SimpleNamespace(c0_empirical=1e-300, kappa=0.25))
+    assert radius == np.finfo(float).max
